@@ -105,15 +105,15 @@ func BenchmarkTable2(b *testing.B) {
 			g := d.Build()
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < b.N; i++ {
-				abc, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+				abc, err := mapper.MapStream(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
 				if err != nil {
 					b.Fatal(err)
 				}
-				unl, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.UnlimitedPolicy{}})
+				unl, err := mapper.MapStream(g, mapper.Options{Library: lib, Policy: cuts.UnlimitedPolicy{}})
 				if err != nil {
 					b.Fatal(err)
 				}
-				sl, err := tr.SLAP.Map(g)
+				sl, err := tr.SLAP.MapStreamContext(context.Background(), g)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -163,16 +163,21 @@ func BenchmarkAblationSortPolicies(b *testing.B) {
 	}
 }
 
-// BenchmarkSLAPInference isolates the prepare_map + inference + read_cuts
-// path (cut enumeration, embedding, CNN classification, filtering).
+// BenchmarkSLAPInference isolates the inference half of the SLAP flow:
+// exhaustive cut enumeration, embedding and CNN classification of every
+// cut, without the keep decision or the mapper (the /v1/classify path).
 func BenchmarkSLAPInference(b *testing.B) {
 	tr := sharedTraining(b)
 	g := circuits.CarryLookaheadAdder(32)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := tr.SLAP.FilterCuts(g)
-		if res.TotalCuts == 0 {
-			b.Fatal("no cuts survived")
+		cls, err := tr.SLAP.ClassifyContext(ctx, g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cls.TotalCuts == 0 {
+			b.Fatal("no cuts classified")
 		}
 	}
 }
@@ -204,33 +209,21 @@ func BenchmarkCutEnumeration(b *testing.B) {
 }
 
 // BenchmarkEndToEndSLAPMap measures the complete SLAP mapping flow on a
-// mid-size multiplier under both pipelines. two-phase enumerates every cut
-// before matching; streaming fuses matching into the enumeration wavefront,
-// retires cut storage level by level, and reuses a pooled arena across
-// iterations — the results are byte-identical, only time/allocations
-// differ.
+// mid-size multiplier: matching fused into the enumeration wavefront, cut
+// storage retired level by level, and a pooled arena reused across
+// iterations.
 func BenchmarkEndToEndSLAPMap(b *testing.B) {
 	tr := sharedTraining(b)
 	g := circuits.ArrayMultiplier(8)
-	b.Run("two-phase", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := tr.SLAP.Map(g); err != nil {
-				b.Fatal(err)
-			}
+	s := *tr.SLAP
+	s.Pool = cuts.NewPool(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.MapStreamContext(context.Background(), g); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("streaming", func(b *testing.B) {
-		b.ReportAllocs()
-		pool := cuts.NewPool(1)
-		tr.SLAP.Pool = pool
-		defer func() { tr.SLAP.Pool = nil }()
-		for i := 0; i < b.N; i++ {
-			if _, err := tr.SLAP.MapStream(g); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkMultiRoundMap compares the classic single-pass SLAP map against
@@ -258,7 +251,7 @@ func BenchmarkMultiRoundMap(b *testing.B) {
 			s.Choices = tc.choices
 			s.Pool = pool
 			for i := 0; i < b.N; i++ {
-				if _, err := s.MapStream(g); err != nil {
+				if _, err := s.MapStreamContext(context.Background(), g); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -302,7 +295,7 @@ func BenchmarkAblationBuffering(b *testing.B) {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := mapper.Map(g, mapper.Options{
+				res, err := mapper.MapStream(g, mapper.Options{
 					Library:   lib,
 					Policy:    cuts.DefaultPolicy{},
 					MaxFanout: tc.maxFanout,
@@ -334,7 +327,7 @@ func BenchmarkAblationAreaRecovery(b *testing.B) {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := mapper.Map(g, mapper.Options{
+				res, err := mapper.MapStream(g, mapper.Options{
 					Library:        lib,
 					Policy:         cuts.DefaultPolicy{},
 					NoAreaRecovery: tc.off,
@@ -370,7 +363,7 @@ func BenchmarkAblationSupergates(b *testing.B) {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := mapper.Map(g, mapper.Options{Library: tc.lib, Policy: cuts.DefaultPolicy{}})
+				res, err := mapper.MapStream(g, mapper.Options{Library: tc.lib, Policy: cuts.DefaultPolicy{}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -402,7 +395,7 @@ func BenchmarkAblationBalance(b *testing.B) {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := mapper.Map(tc.g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+				res, err := mapper.MapStream(tc.g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -453,7 +446,7 @@ func BenchmarkRepeatReplay(b *testing.B) {
 	})
 	b.Run("cached", func(b *testing.B) {
 		cache := mapcache.New(0)
-		opt := core.CachedOptions{Streaming: true}
+		opt := core.CachedOptions{}
 		if _, _, err := s.MapCached(ctx, g, cache, opt); err != nil {
 			b.Fatal(err)
 		}

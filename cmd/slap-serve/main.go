@@ -85,7 +85,6 @@ func main() {
 		batch     = flag.Int("batch", infer.DefaultMaxBatch, "inference coalescing batch size shared across slap/classify requests (negative disables batching)")
 		batchWait = flag.Duration("batch-wait", infer.DefaultMaxWait, "max wait for an inference batch to fill before flushing")
 		adaptive  = flag.Bool("adaptive-batch-wait", true, "derive the inference flush deadline from the observed arrival rate (clamped to -batch-wait)")
-		streaming = flag.Bool("streaming", true, "fused streaming mapping pipeline (matching inside the cut wavefront); false = two-phase enumerate-then-match")
 		arenas    = flag.Int("arena-cache", 0, "cut arenas cached across requests for same-graph reuse (0 = default, negative disables)")
 		resCache  = flag.Int64("result-cache", 256, "mapping result cache budget in MiB: exact resubmissions are answered from the cache in O(1) (0 disables)")
 		eco       = flag.Bool("eco", true, "delta-remap edited designs against the nearest cached relative, re-running only the dirty cone (needs -result-cache)")
@@ -134,7 +133,6 @@ func main() {
 		MaxBatch:          *batch,
 		BatchWait:         *batchWait,
 		AdaptiveBatchWait: *adaptive,
-		DisableStreaming:  !*streaming,
 		ArenaCache:        *arenas,
 		ResultCacheBytes:  *resCache << 20,
 		ECO:               *eco,

@@ -61,7 +61,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "cut-enumeration/inference workers (0 = all CPU cores, 1 = sequential)")
 		batch       = flag.Int("batch", 256, "batched-inference flush size for -policy slap (negative = per-sample inference)")
 		batchWait   = flag.Duration("batch-wait", time.Millisecond, "max wait for an inference batch to fill before flushing")
-		streaming   = flag.Bool("streaming", true, "fused streaming pipeline: match cuts inside the enumeration wavefront and retire their storage level by level (false = two-phase enumerate-then-match)")
 		verify      = flag.Bool("verify", true, "check mapped netlist equivalence against the AIG")
 		listNames   = flag.Bool("list", false, "list built-in circuit names and exit")
 		showCells   = flag.Bool("cells", false, "print the cell-type histogram")
@@ -81,7 +80,7 @@ func main() {
 		circuit: *circuitName, aag: *aagPath, baseline: *baseline, profile: *profileName,
 		policy: *policyName, model: *modelPath, lib: *libPath,
 		seed: *seed, limit: *limit, workers: *workers, batch: *batch, batchWait: *batchWait,
-		streaming: *streaming, verify: *verify, list: *listNames,
+		verify: *verify, list: *listNames,
 		cells: *showCells, verilog: *verilogOut, blif: *blifOut, report: *report,
 		rounds: *rounds, delayFactor: *delayFactor, choices: *choices,
 		choiceWorkers: *choiceWorkers, choiceBudget: *choiceBudget,
@@ -98,7 +97,6 @@ type runConfig struct {
 	seed                                                int64
 	limit, workers, batch                               int
 	batchWait                                           time.Duration
-	streaming                                           bool
 	verify, list, cells, report                         bool
 	verilog, blif                                       string
 	rounds                                              int
@@ -142,14 +140,6 @@ func run(cfg runConfig) error {
 	}
 	fmt.Printf("circuit: %s\n", g.Stats())
 
-	// The fused streaming pipeline and the two-phase flow produce
-	// byte-identical results; streaming only changes peak memory, so it is
-	// safe as the default.
-	mapASIC := mapper.Map
-	if cfg.streaming {
-		mapASIC = mapper.MapStream
-	}
-
 	var res *mapper.Result
 	if cfg.baseline != "" {
 		if cfg.rounds > 1 || cfg.choices {
@@ -177,48 +167,27 @@ func run(cfg runConfig) error {
 	switch policyName {
 	case "default":
 		opt.Policy = cuts.DefaultPolicy{Limit: limit}
-		res, err = mapASIC(mg, opt)
+		res, err = mapper.MapStream(mg, opt)
 	case "unlimited":
 		opt.Policy = cuts.UnlimitedPolicy{}
-		res, err = mapASIC(mg, opt)
+		res, err = mapper.MapStream(mg, opt)
 	case "shuffle":
 		opt.Policy = &cuts.ShufflePolicy{
 			Rng:   rand.New(rand.NewSource(seed)),
 			Limit: limit,
 		}
-		res, err = mapASIC(mg, opt)
+		res, err = mapper.MapStream(mg, opt)
 	case "slap":
-		if modelPath == "" {
-			return fmt.Errorf("-policy slap requires -model (train one with slap-train)")
+		s, done, serr := newSLAP(cfg, modelPath, lib)
+		if serr != nil {
+			return serr
 		}
-		var model *nn.Model
-		model, err = nn.LoadFile(modelPath)
-		if err != nil {
-			return err
-		}
-		s := core.New(model, lib)
-		s.Workers = cfg.workers
+		defer done()
 		s.Rounds = cfg.rounds
 		s.DelayFactor = cfg.delayFactor
 		s.Choices = cfg.choices
 		s.ChoiceOpts = cfg.choiceOptions()
-		if cfg.batch >= 0 {
-			// All mapping workers funnel through one coalescer, so a node's
-			// cuts merge with other nodes' into shared GEMM passes. The
-			// kernels keep per-sample accumulation order: QoR is identical
-			// to per-sample inference.
-			co := infer.NewCoalescer(infer.NewEngine(model, infer.Options{}), infer.CoalescerOptions{
-				MaxBatch: cfg.batch,
-				MaxWait:  cfg.batchWait,
-			})
-			defer co.Close()
-			s.Batch = co
-		}
-		if cfg.streaming {
-			res, err = s.MapStream(g)
-		} else {
-			res, err = s.Map(g)
-		}
+		res, err = s.MapStreamContext(context.Background(), g)
 	default:
 		return fmt.Errorf("unknown policy %q", policyName)
 	}
@@ -226,6 +195,34 @@ func run(cfg runConfig) error {
 		return err
 	}
 	return printResult(cfg, g, res)
+}
+
+// newSLAP loads the -model classifier into a SLAP flow with the -workers
+// and -batch settings. The returned function closes the inference
+// coalescer.
+func newSLAP(cfg runConfig, modelPath string, lib *library.Library) (*core.SLAP, func(), error) {
+	if modelPath == "" {
+		return nil, nil, fmt.Errorf("-policy slap requires -model (train one with slap-train)")
+	}
+	model, err := nn.LoadFile(modelPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	s := core.New(model, lib)
+	s.Workers = cfg.workers
+	if cfg.batch < 0 {
+		return s, func() {}, nil
+	}
+	// All mapping workers funnel through one coalescer, so a node's cuts
+	// merge with other nodes' into shared GEMM passes. The kernels keep
+	// per-sample accumulation order: QoR is identical to per-sample
+	// inference.
+	co := infer.NewCoalescer(infer.NewEngine(model, infer.Options{}), infer.CoalescerOptions{
+		MaxBatch: cfg.batch,
+		MaxWait:  cfg.batchWait,
+	})
+	s.Batch = co
+	return s, co.Close, nil
 }
 
 // printResult renders the QoR block shared by the cold-map and ECO flows.
@@ -295,12 +292,8 @@ func runECO(cfg runConfig, g *aig.AIG, lib *library.Library) (*mapper.Result, er
 		snap := mapper.NewSnapshot(base, opt)
 		capOpt := opt
 		capOpt.CaptureCuts = snap.Capture
-		mapASIC := mapper.Map
-		if cfg.streaming {
-			mapASIC = mapper.MapStream
-		}
 		t0 := time.Now()
-		if _, err := mapASIC(base, capOpt); err != nil {
+		if _, err := mapper.MapStream(base, capOpt); err != nil {
 			return nil, fmt.Errorf("mapping baseline: %w", err)
 		}
 		baseD := time.Since(t0)
@@ -312,30 +305,14 @@ func runECO(cfg runConfig, g *aig.AIG, lib *library.Library) (*mapper.Result, er
 		printDelta(st, baseD, time.Since(t1))
 		return res, nil
 	case "slap":
-		if cfg.model == "" {
-			return nil, fmt.Errorf("-policy slap requires -model (train one with slap-train)")
-		}
-		model, err := nn.LoadFile(cfg.model)
+		s, done, err := newSLAP(cfg, cfg.model, lib)
 		if err != nil {
 			return nil, err
 		}
-		s := core.New(model, lib)
-		s.Workers = cfg.workers
-		if cfg.batch >= 0 {
-			co := infer.NewCoalescer(infer.NewEngine(model, infer.Options{}), infer.CoalescerOptions{
-				MaxBatch: cfg.batch,
-				MaxWait:  cfg.batchWait,
-			})
-			defer co.Close()
-			s.Batch = co
-		}
+		defer done()
 		ctx := context.Background()
-		capture := s.MapCaptureContext
-		if cfg.streaming {
-			capture = s.MapStreamCaptureContext
-		}
 		t0 := time.Now()
-		_, snap, err := capture(ctx, base)
+		_, snap, err := s.MapStreamCaptureContext(ctx, base)
 		if err != nil {
 			return nil, fmt.Errorf("mapping baseline: %w", err)
 		}

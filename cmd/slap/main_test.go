@@ -24,11 +24,11 @@ func TestRunShuffleAndCells(t *testing.T) {
 	}
 }
 
-// TestRunStreaming drives the default fused-pipeline path (the -streaming
-// flag is on unless disabled) with equivalence checking for every policy.
+// TestRunStreaming drives the fused streaming pipeline — the only mapping
+// path — with equivalence checking for every heuristic policy.
 func TestRunStreaming(t *testing.T) {
 	for _, policy := range []string{"default", "shuffle", "unlimited"} {
-		if err := run(runConfig{circuit: "rc64b", profile: "fast", policy: policy, seed: 3, streaming: true, verify: true}); err != nil {
+		if err := run(runConfig{circuit: "rc64b", profile: "fast", policy: policy, seed: 3, verify: true}); err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}
 	}

@@ -43,7 +43,7 @@ func main() {
 	fmt.Printf("\n%-14s %6s %10s %10s %8s\n", "library", "gates", "area µm²", "delay ps", "cells")
 
 	for _, lib := range []*library.Library{custom, builtin} {
-		res, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+		res, err := mapper.MapStream(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
 		if err != nil {
 			log.Fatal(err)
 		}

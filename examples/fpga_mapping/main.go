@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -37,15 +38,15 @@ func main() {
 	}
 	fmt.Printf("model: binary keep/drop accuracy %.1f%%\n\n", 100*report.BinaryAccuracy)
 
-	def, err := lutmap.Map(g, lutmap.Options{Policy: cuts.DefaultPolicy{}})
+	def, err := lutmap.MapStream(g, lutmap.Options{Policy: cuts.DefaultPolicy{}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	unl, err := lutmap.Map(g, lutmap.Options{Policy: cuts.UnlimitedPolicy{}})
+	unl, err := lutmap.MapStream(g, lutmap.Options{Policy: cuts.UnlimitedPolicy{}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	ml, err := slap.MapLUT(g)
+	ml, err := slap.MapLUTStreamContext(context.Background(), g)
 	if err != nil {
 		log.Fatal(err)
 	}

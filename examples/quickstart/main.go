@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -27,13 +28,13 @@ func main() {
 
 	// 3. Map with the vanilla ABC heuristic: sort cuts by leaf count,
 	//    filter dominated cuts, keep 250 per node.
-	abc, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+	abc, err := mapper.MapStream(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 4. Map with exhaustive cut exploration ("Unlimited ABC").
-	unl, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.UnlimitedPolicy{}})
+	unl, err := mapper.MapStream(g, mapper.Options{Library: lib, Policy: cuts.UnlimitedPolicy{}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func main() {
 	fmt.Printf("model: binary keep/drop accuracy %.1f%% on %d held-out cuts\n",
 		100*report.BinaryAccuracy, report.ValSamples)
 
-	ml, err := slap.Map(g)
+	ml, err := slap.MapStreamContext(context.Background(), g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestChoiceMultiRoundNetlistVerifies(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		g := circuits.RandomAIG(int64(100+trial), 5+trial%4, 150+20*trial)
 		v := Build(g, Options{})
-		res, err := lutmap.Map(v.G, lutmap.Options{
+		res, err := lutmap.MapStream(v.G, lutmap.Options{
 			Policy:  cuts.DefaultPolicy{},
 			Workers: 1,
 			Rounds:  3,

@@ -26,7 +26,7 @@ func TestChoiceWorkersDeterminismMatrix(t *testing.T) {
 		verilog []byte
 	}
 	render := func(v *View) []byte {
-		res, err := mapper.Map(v.G, mapper.Options{
+		res, err := mapper.MapStream(v.G, mapper.Options{
 			Library: library.ASAP7ish(), Policy: cuts.DefaultPolicy{},
 			Rounds: 2, Choices: v,
 		})

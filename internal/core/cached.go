@@ -10,8 +10,6 @@ import (
 
 // CachedOptions configures MapCached.
 type CachedOptions struct {
-	// Streaming selects the fused pipeline for cold (non-cached) maps.
-	Streaming bool
 	// ECO enables delta-remapping against the nearest cached relative when
 	// the exact key misses.
 	ECO bool
@@ -50,13 +48,7 @@ type CacheOutcome struct {
 func (s *SLAP) MapCached(ctx context.Context, g *aig.AIG, cache *mapcache.Cache, opt CachedOptions) (*mapper.Result, *CacheOutcome, error) {
 	out := &CacheOutcome{}
 	if cache == nil {
-		var res *mapper.Result
-		var err error
-		if opt.Streaming {
-			res, err = s.MapStreamContext(ctx, g)
-		} else {
-			res, err = s.MapContext(ctx, g)
-		}
+		res, err := s.MapStreamContext(ctx, g)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -90,15 +82,10 @@ func (s *SLAP) MapCached(ctx context.Context, g *aig.AIG, cache *mapcache.Cache,
 		var res *mapper.Result
 		var snap *SlapSnapshot
 		var err error
-		switch {
-		case !simple && opt.Streaming:
-			res, err = s.MapStreamContext(ctx, g)
-		case !simple:
-			res, err = s.MapContext(ctx, g)
-		case opt.Streaming:
+		if simple {
 			res, snap, err = s.MapStreamCaptureContext(ctx, g)
-		default:
-			res, snap, err = s.MapCaptureContext(ctx, g)
+		} else {
+			res, err = s.MapStreamContext(ctx, g)
 		}
 		if err != nil {
 			return nil, err

@@ -25,33 +25,38 @@ func TestMapContextCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.MapContext(ctx, g); !errors.Is(err, context.Canceled) {
-		t.Errorf("MapContext(cancelled) err = %v, want context.Canceled", err)
+	if _, err := s.MapStreamContext(ctx, g); !errors.Is(err, context.Canceled) {
+		t.Errorf("MapStreamContext(cancelled) err = %v, want context.Canceled", err)
 	}
-	if _, err := s.MapLUTContext(ctx, g); !errors.Is(err, context.Canceled) {
-		t.Errorf("MapLUTContext(cancelled) err = %v, want context.Canceled", err)
+	if _, err := s.MapLUTStreamContext(ctx, g); !errors.Is(err, context.Canceled) {
+		t.Errorf("MapLUTStreamContext(cancelled) err = %v, want context.Canceled", err)
 	}
-	if _, err := s.FilterCutsContext(ctx, g); !errors.Is(err, context.Canceled) {
-		t.Errorf("FilterCutsContext(cancelled) err = %v, want context.Canceled", err)
+	if _, _, err := s.MapStreamCaptureContext(ctx, g); !errors.Is(err, context.Canceled) {
+		t.Errorf("MapStreamCaptureContext(cancelled) err = %v, want context.Canceled", err)
 	}
 	if _, err := s.ClassifyContext(ctx, g); !errors.Is(err, context.Canceled) {
 		t.Errorf("ClassifyContext(cancelled) err = %v, want context.Canceled", err)
 	}
 }
 
+// TestMapContextBackgroundMatchesMap checks that polling a live,
+// cancellable context between levels and inside the inference workers
+// never perturbs the mapping: the result equals the background-context run.
 func TestMapContextBackgroundMatchesMap(t *testing.T) {
 	s := untrained(5)
 	g := circuits.TrainRC16()
-	plain, err := s.Map(g)
+	plain, err := s.MapStreamContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCtx, err := s.MapContext(context.Background(), g)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	viaCtx, err := s.MapStreamContext(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Area != viaCtx.Area || plain.Delay != viaCtx.Delay {
-		t.Errorf("Map area=%v delay=%v, MapContext area=%v delay=%v",
+		t.Errorf("background area=%v delay=%v, live context area=%v delay=%v",
 			plain.Area, plain.Delay, viaCtx.Area, viaCtx.Delay)
 	}
 }

@@ -18,7 +18,9 @@
 // re-runs the exhaustive enumeration; the expensive stage — per-cut CNN
 // inference — runs on dirty nodes only, and clean nodes take their
 // filtered lists from the snapshot through the monotone id alignment. The
-// result is byte-identical to a full SLAP map of the edited graph.
+// combined lists feed a mapper.Stream in ascending node order (a
+// topological order), so the result is byte-identical to a full SLAP map
+// of the edited graph.
 package core
 
 import (
@@ -46,7 +48,7 @@ const ecoLeafChunk = 4096
 
 // ConfigSig identifies everything about this SLAP instance that shapes the
 // mapping result: model and library identity, the keep thresholds, the
-// scoring mode, the enumeration merge cap and the multi-round/choice knobs.
+// enumeration merge cap and the multi-round/choice knobs.
 // Workers, Batch and Pool are deliberately excluded — they change
 // scheduling, never results (the batched kernels accumulate in per-sample
 // order). Identity is by pointer, so signatures — and the cache keys built
@@ -72,9 +74,8 @@ func (s *SLAP) ConfigSig() string {
 		// share a cached mapping result.
 		ch = s.ChoiceOpts.Sig()
 	}
-	return fmt.Sprintf("slap/model=%p/lib=%s@%p/good=%d/avg=%d/exp=%v/max=%d/mc=%d/rounds=%d/df=%g/choices=%s",
-		s.Model, s.Library.Name, s.Library, s.GoodMax, s.AvgMax,
-		s.UseExpectedClass, s.MaxCutsPerNode, mc, rounds, df, ch)
+	return fmt.Sprintf("slap/model=%p/lib=%s@%p/good=%d/avg=%d/mc=%d/rounds=%d/df=%g/choices=%s",
+		s.Model, s.Library.Name, s.Library, s.GoodMax, s.AvgMax, mc, rounds, df, ch)
 }
 
 // SlapSnapshot is a reusable record of one full SLAP mapping run: the
@@ -98,9 +99,9 @@ type SlapSnapshot struct {
 }
 
 // NewSnapshot records the structural and external-feature baseline of g
-// for this SLAP configuration. Cut lists are filled in by the capture
-// flows (MapCaptureContext / MapStreamCaptureContext) or by MapDeltaContext
-// itself when it chains snapshots.
+// for this SLAP configuration. Cut lists are filled in by
+// MapStreamCaptureContext or by MapDeltaContext itself when it chains
+// snapshots.
 func (s *SLAP) NewSnapshot(g *aig.AIG) *SlapSnapshot {
 	n := g.NumNodes()
 	snap := &SlapSnapshot{
@@ -160,40 +161,13 @@ func (sn *SlapSnapshot) NodeHashes() []uint64 { return sn.hashes }
 // accounting.
 func (sn *SlapSnapshot) SnapshotBytes() int64 { return sn.bytes }
 
-// MapCaptureContext runs the full two-phase SLAP flow and additionally
-// records the snapshot that later MapDeltaContext calls remap against.
-// The Result is identical to MapContext's for the single-round, no-choice
-// configuration — the only one capture supports (see
-// MapStreamCaptureContext).
-func (s *SLAP) MapCaptureContext(ctx context.Context, g *aig.AIG) (*mapper.Result, *SlapSnapshot, error) {
-	filtered, err := s.FilterCutsContext(ctx, g)
-	if err != nil {
-		return nil, nil, err
-	}
-	snap := s.NewSnapshot(g)
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		if g.IsAnd(n) {
-			snap.capture(n, filtered.Sets[n])
-		}
-	}
-	res, err := mapper.Map(g, mapper.Options{Library: s.Library, CutSets: filtered})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	res.PolicyName = "slap"
-	return res, snap, nil
-}
-
-// MapStreamCaptureContext is MapCaptureContext's fused streaming
-// equivalent: the snapshot captures each level's filtered lists just
-// before the incremental mapper consumes them (and before the enumerator
-// retires the level's storage). Like MapCaptureContext, it always runs the
-// single-round, no-choice flow: snapshots exist to feed the ECO delta
-// path, which is defined for that configuration only (MapCached gates
-// capture accordingly).
+// MapStreamCaptureContext runs the SLAP flow and additionally records the
+// snapshot that later MapDeltaContext calls remap against: the snapshot
+// captures each level's filtered lists just before the incremental mapper
+// consumes them (and before the enumerator retires the level's storage).
+// It always runs the single-round, no-choice flow: snapshots exist to feed
+// the ECO delta path, which is defined for that configuration only
+// (MapCached gates capture accordingly).
 func (s *SLAP) MapStreamCaptureContext(ctx context.Context, g *aig.AIG) (*mapper.Result, *SlapSnapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -230,7 +204,13 @@ func (s *SLAP) MapStreamCaptureContext(ctx context.Context, g *aig.AIG) (*mapper
 // alignment (skipping all inference), dirty nodes are re-classified, and
 // the combined lists feed the unchanged mapper. It returns the result, a
 // fresh snapshot of g (so ECO chains keep delta-remapping), and the dirty
-// statistics. The Result is byte-identical to MapContext(g).
+// statistics. The Result is byte-identical to MapStreamContext(g) except
+// PeakCuts, which reports the materialised enumeration total.
+//
+// Like ClassifyContext it collects the whole cut universe with Run and
+// filters the dirty nodes in one strided pass, so a batching backend sees
+// one whole-graph submission stream and the request pays no per-level
+// flush waits.
 func (s *SLAP) MapDeltaContext(ctx context.Context, g *aig.AIG, snap *SlapSnapshot) (*mapper.Result, *SlapSnapshot, *mapper.DeltaStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
@@ -303,7 +283,7 @@ func (s *SLAP) MapDeltaContext(ctx context.Context, g *aig.AIG, snap *SlapSnapsh
 	if len(dirty) > 0 {
 		emb := embed.NewEmbedder(g)
 		emb.PrecomputeAll()
-		if err := s.filterSubset(ctx, emb, dirty, res.Sets, nil); err != nil {
+		if err := s.filterNodes(ctx, emb, dirty, res.Sets, res.Sets, nil, s.inferScratches()); err != nil {
 			return nil, nil, nil, err
 		}
 	}
@@ -312,24 +292,21 @@ func (s *SLAP) MapDeltaContext(ctx context.Context, g *aig.AIG, snap *SlapSnapsh
 		st.DirtyFraction = float64(st.DirtyAnds) / float64(st.TotalAnds)
 	}
 
-	total := 0
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		if g.IsAnd(n) {
-			total += len(res.Sets[n])
-		}
-	}
-	res.TotalCuts = total
-
-	// Chain: snapshot the new graph's filtered lists before the mapper's
-	// fallback pass can mutate them.
+	// Chain: snapshot the new graph's filtered lists, and feed them to the
+	// mapper in ascending node order.
 	next := s.NewSnapshot(g)
+	ms, err := mapper.NewStream(g, mapper.Options{Library: s.Library})
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
 		if g.IsAnd(n) {
 			next.capture(n, res.Sets[n])
+			ms.ConsumeNode(n, res.Sets[n])
 		}
 	}
-
-	mres, err := mapper.Map(g, mapper.Options{Library: s.Library, CutSets: res})
+	ms.SetPeakCuts(res.PeakCuts)
+	mres, err := ms.Finish()
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -41,7 +41,10 @@ func requireSameSlapResult(t *testing.T, name string, full, delta *mapper.Result
 // TestSlapMapDeltaByteIdentical pins the SLAP-level ECO: delta-remapping an
 // edited design against a captured baseline reproduces the full flow's
 // result byte-for-byte while re-running inference on the dirty cone only,
-// for both capture flows and across worker counts.
+// across worker counts and for both capture flows: the fused capture of
+// MapStreamCaptureContext, and the two-phase capture MapDeltaContext chains
+// (remapping the baseline against its own fused snapshot re-captures it
+// from materialised lists).
 func TestSlapMapDeltaByteIdentical(t *testing.T) {
 	base := circuits.BoothMultiplier(6)
 	edited := circuits.Perturb(base, 7, 0.03)
@@ -60,22 +63,21 @@ func TestSlapMapDeltaByteIdentical(t *testing.T) {
 				s := untrained(3)
 				s.Workers = workers
 
-				var snap *SlapSnapshot
-				var err error
-				if streaming {
-					_, snap, err = s.MapStreamCaptureContext(ctx, base)
-				} else {
-					_, snap, err = s.MapCaptureContext(ctx, base)
-				}
+				_, snap, err := s.MapStreamCaptureContext(ctx, base)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !streaming {
+					if _, snap, _, err = s.MapDeltaContext(ctx, base, snap); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if snap.SnapshotBytes() <= 0 || len(snap.NodeHashes()) != base.NumNodes() {
 					t.Fatalf("snapshot malformed: %d bytes, %d hashes",
 						snap.SnapshotBytes(), len(snap.NodeHashes()))
 				}
 
-				full, err := s.MapContext(ctx, edited)
+				full, err := s.MapStreamContext(ctx, edited)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +97,7 @@ func TestSlapMapDeltaByteIdentical(t *testing.T) {
 				// The chained snapshot works too: a second edit delta-remaps
 				// against the first delta's own capture.
 				edited2 := circuits.Perturb(edited, 8, 0.03)
-				full2, err := s.MapContext(ctx, edited2)
+				full2, err := s.MapStreamContext(ctx, edited2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +120,7 @@ func TestSlapMapDeltaIdenticalGraph(t *testing.T) {
 	g := circuits.TrainRC16()
 	s := untrained(5)
 	ctx := context.Background()
-	full, snap, err := s.MapCaptureContext(ctx, g)
+	full, snap, err := s.MapStreamCaptureContext(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestSlapMapDeltaMismatch(t *testing.T) {
 	g := circuits.TrainRC16()
 	s := untrained(5)
 	ctx := context.Background()
-	_, snap, err := s.MapCaptureContext(ctx, g)
+	_, snap, err := s.MapStreamCaptureContext(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestMapCachedFlow(t *testing.T) {
 	// A localised edit near the POs (the shape real ECOs take) keeps the
 	// cone overlap above the Nearest gate.
 	edited := circuits.PerturbSpan(g, 7, 0.9, 1.0, 0.3)
-	full, err := s.MapContext(ctx, edited)
+	full, err := s.MapStreamContext(ctx, edited)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestMultiRoundQoR(t *testing.T) {
 	s := roundsSLAP(t)
 	g := circuits.RippleCarryAdder(16)
 
-	single, err := s.Map(g)
+	single, err := s.MapStreamContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestMultiRoundQoR(t *testing.T) {
 		s4 := *s
 		s4.Rounds = 4
 		s4.Choices = choices
-		multi, err := s4.Map(g)
+		multi, err := s4.MapStreamContext(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,14 +102,14 @@ func TestMultiRoundLUTQoR(t *testing.T) {
 	s := roundsSLAP(t)
 	g := circuits.RippleCarryAdder(16)
 
-	single, err := s.MapLUT(g)
+	single, err := s.MapLUTStreamContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s4 := *s
 	s4.Rounds = 4
 	s4.Choices = true
-	multi, err := s4.MapLUT(g)
+	multi, err := s4.MapLUTStreamContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRoundCounterParity(t *testing.T) {
 	s := roundsSLAP(t)
 	g := circuits.CarryLookaheadAdder(8)
 
-	single, err := s.Map(g)
+	single, err := s.MapStreamContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +152,9 @@ func TestRoundCounterParity(t *testing.T) {
 		var multi *mapper.Result
 		var err error
 		if streaming {
-			multi, err = s4.MapStream(g)
+			multi, err = s4.MapStreamContext(context.Background(), g)
 		} else {
-			multi, err = s4.Map(g)
+			multi = mapTwoPhase(t, &s4, g)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -179,11 +179,11 @@ func TestRoundCounterParity(t *testing.T) {
 	}
 
 	// LUT side, same contract.
-	lsingle, err := s.MapLUT(g)
+	lsingle, err := s.MapLUTStreamContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lmulti, err := s4.MapLUT(g)
+	lmulti, err := s4.MapLUTStreamContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +254,8 @@ func TestConfigSigRoundsCacheMiss(t *testing.T) {
 }
 
 // TestMultiRoundDeterminismMatrix pins byte-identity of the 4-round+choices
-// flow across worker counts, the streaming/two-phase split, and arena-pool
-// reuse — the guarantee fleet routing and the result cache depend on.
+// flow across worker counts, the fused pipeline against the materialising
+// two-phase composition, and arena-pool reuse — the guarantee fleet routing and the result cache depend on.
 func TestMultiRoundDeterminismMatrix(t *testing.T) {
 	s := roundsSLAP(t)
 	g := circuits.CarryLookaheadAdder(8)
@@ -277,9 +277,9 @@ func TestMultiRoundDeterminismMatrix(t *testing.T) {
 				var res *mapper.Result
 				var err error
 				if streaming {
-					res, err = sv.MapStream(g)
+					res, err = sv.MapStreamContext(context.Background(), g)
 				} else {
-					res, err = sv.Map(g)
+					res = mapTwoPhase(t, &sv, g)
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", cfg, err)

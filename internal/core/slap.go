@@ -7,10 +7,13 @@
 //  1. Training (§IV-B): random-shuffle mappings of two 16-bit adders
 //     produce cut datapoints labelled with delay deciles; a small CNN
 //     (internal/nn) learns to predict a cut's QoR class.
-//  2. Mapping (§IV-C, prepare_map/read_cuts): all k-cuts of the subject
-//     graph are enumerated, embedded and classified; per node, the
-//     predicted classes drive a good/average/trivial keep decision; the
-//     pruned cut lists feed the unmodified mapper.
+//  2. Mapping (§IV-C): all k-cuts of the subject graph are enumerated,
+//     embedded and classified; per node, the predicted classes drive a
+//     good/average/trivial keep decision; the pruned cut lists feed the
+//     unmodified mapper. The paper runs these as separate prepare_map,
+//     inference and read_cuts stages because ABC and Python are separate
+//     processes; the keep decision is per node, so here they run as one
+//     pipeline over the enumeration wavefront (stream.go).
 //  3. Explainability (§V-D): permutation feature importance over the
 //     validation set.
 package core
@@ -31,8 +34,6 @@ import (
 	"slap/internal/dataset"
 	"slap/internal/embed"
 	"slap/internal/library"
-	"slap/internal/lutmap"
-	"slap/internal/mapper"
 	"slap/internal/nn"
 )
 
@@ -58,14 +59,6 @@ type SLAP struct {
 	// wavefront of cuts.Enumerator) and inference (0 = GOMAXPROCS,
 	// 1 = fully sequential).
 	Workers int
-	// UseExpectedClass scores cuts by the probability-weighted expected
-	// class instead of the paper's hard argmax. An evaluated-but-off-by-
-	// default variant (see EXPERIMENTS.md §ablations).
-	UseExpectedClass bool
-	// MaxCutsPerNode, when positive, caps how many threshold-passing cuts
-	// each node keeps, ranked by predicted quality. Zero or negative keeps
-	// them all (the paper's literal keep-all-good rule, the default).
-	MaxCutsPerNode int
 	// Batch, when set, routes inference through a batched backend: each
 	// worker submits a whole node's cut embeddings as one PredictBatch call
 	// instead of running the per-sample Model forward pass per cut. Both
@@ -74,9 +67,8 @@ type SLAP struct {
 	// order, so filtering decisions — and hence mapping QoR — are identical
 	// either way.
 	Batch Batcher
-	// Pool, when set, lets the fused streaming flow (MapStreamContext /
-	// MapLUTStreamContext) recycle cut-arena storage across runs of the
-	// same graph shape. The two-phase flow ignores it.
+	// Pool, when set, lets MapStreamContext and MapLUTStreamContext recycle
+	// cut-arena storage across runs of the same graph shape.
 	Pool *cuts.Pool
 	// Rounds selects multi-round mapping: round 1 is the delay-optimal
 	// (depth-optimal for LUTs) pass, later rounds re-select covers by area
@@ -118,13 +110,6 @@ type inferScratch struct {
 	xs   [][]float64
 }
 
-func (sc *inferScratch) sample() []float64 {
-	if sc.x == nil {
-		sc.x = make([]float64, embed.Size)
-	}
-	return sc.x
-}
-
 func (sc *inferScratch) batch(n int) ([]float64, [][]float64) {
 	if cap(sc.slab) < n*embed.Size {
 		sc.slab = make([]float64, n*embed.Size)
@@ -145,17 +130,6 @@ type Batcher interface {
 	PredictBatch(ctx context.Context, xs [][]float64) ([][]float64, error)
 }
 
-// predictScore returns the model's continuous QoR score for a cut embedding
-// (lower is better): the paper's argmax class by default, or the
-// probability-weighted expected class, which doubles as the ranking
-// priority when MaxCutsPerNode is set.
-func (s *SLAP) predictScore(x []float64) float64 {
-	if !s.UseExpectedClass {
-		return float64(s.Model.PredictClass(x))
-	}
-	return scoreFromProbs(s.Model.Predict(x), true)
-}
-
 // argmaxClass mirrors nn.Model.PredictClass exactly (first-wins on ties) so
 // batched and per-sample classification agree on every input.
 func argmaxClass(probs []float64) int {
@@ -166,19 +140,6 @@ func argmaxClass(probs []float64) int {
 		}
 	}
 	return bi
-}
-
-// scoreFromProbs converts a probability vector to the QoR score, summing in
-// ascending class order like predictScore does.
-func scoreFromProbs(probs []float64, expected bool) float64 {
-	if !expected {
-		return float64(argmaxClass(probs))
-	}
-	e := 0.0
-	for c, p := range probs {
-		e += float64(c) * p
-	}
-	return e
 }
 
 // New wraps a (typically deserialised) model and a library into a SLAP
@@ -316,74 +277,39 @@ func Train(opt TrainOptions) (*SLAP, *TrainReport, error) {
 	return s, report, nil
 }
 
-// FilterCuts runs the prepare_map + inference steps: it enumerates all
-// k-cuts of g (no heuristic pruning), classifies every cut, and applies the
-// good/average/trivial keep decision per node. The returned cut sets are
-// what read_cuts feeds to the mapper; TotalCuts is the SLAP "Cuts Used"
-// metric.
-func (s *SLAP) FilterCuts(g *aig.AIG) *cuts.Result {
-	res, _ := s.FilterCutsContext(context.Background(), g)
-	return res
-}
-
-// FilterCutsContext is FilterCuts with cooperative cancellation: the
-// classification workers poll ctx between nodes and the whole call returns
-// ctx.Err() as soon as the deadline passes or the caller gives up — the
-// per-request timeout path of the slap-serve front end.
-func (s *SLAP) FilterCutsContext(ctx context.Context, g *aig.AIG) (*cuts.Result, error) {
-	res, _, err := s.filterCutsChoices(ctx, g, nil)
-	return res, err
-}
-
-// filterCutsChoices is the shared two-phase filtering front end: enumerate
-// (optionally across a choice source), classify, apply the keep decision.
-// When Rounds > 1 it additionally returns the per-node recovery pool — the
-// average-class cuts the keep decision dropped, ranked by their already-
-// computed scores — for the mapper's area-recovery rounds.
-func (s *SLAP) filterCutsChoices(ctx context.Context, g *aig.AIG, ch cuts.ChoiceSource) (*cuts.Result, [][]cuts.Cut, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	enum := &cuts.Enumerator{G: g, Policy: cuts.UnlimitedPolicy{}, MergeCap: s.MergeCap, Workers: s.Workers, Choices: ch}
-	res := enum.Run()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	emb := embed.NewEmbedder(g)
-	emb.PrecomputeAll()
-
-	nodes := make([]uint32, 0, g.NumNodes())
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		if g.IsAnd(n) {
-			nodes = append(nodes, n)
-		}
-	}
-	var extras [][]cuts.Cut
-	if s.Rounds > 1 {
-		extras = make([][]cuts.Cut, g.NumNodes())
-	}
-	if err := s.filterSubset(ctx, emb, nodes, res.Sets, extras); err != nil {
-		return nil, nil, err
-	}
-
-	total := 0
-	for _, n := range nodes {
-		total += len(res.Sets[n])
-	}
-	res.TotalCuts = total
-	return res, extras, nil
-}
-
-// filterSubset runs the ML keep decision over the listed AND nodes,
-// rewriting sets[n] in place: the strided worker loop shared by the full
-// filter pass and the ECO delta path (which hands it dirty nodes only),
-// with first-error-wins cancellation of the siblings — e.g. a batching
-// backend closing mid-map. A non-nil extras receives each node's recovery
-// pool (see filterNode).
-func (s *SLAP) filterSubset(ctx context.Context, emb *embed.Embedder, nodes []uint32, sets, extras [][]cuts.Cut) error {
+// inferScratches returns one fresh scratch per inference worker: Workers,
+// or GOMAXPROCS when unset.
+func (s *SLAP) inferScratches() []*inferScratch {
 	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	scratches := make([]*inferScratch, workers)
+	for i := range scratches {
+		scratches[i] = &inferScratch{}
+	}
+	return scratches
+}
+
+// inferNodes is the one inference worker loop: visit(ctx, i, sc) runs for
+// every index i of nodes, strided across the workers (worker w takes
+// w, w+W, w+2W, ... with scratch w), so a batching backend receives
+// whole-node submissions from every worker at once. The first error
+// cancels the siblings — e.g. a batching backend closing mid-map — and is
+// returned, as is ctx's error once it is done. One worker, or a single
+// node, runs inline.
+func (s *SLAP) inferNodes(ctx context.Context, nodes []uint32, scratches []*inferScratch, visit func(ctx context.Context, i int, sc *inferScratch) error) error {
+	workers := len(scratches)
+	if workers == 1 || len(nodes) < 2 {
+		for i := range nodes {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := visit(ctx, i, scratches[0]); err != nil {
+				return err
+			}
+		}
+		return ctx.Err()
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -396,20 +322,13 @@ func (s *SLAP) filterSubset(ctx context.Context, emb *embed.Embedder, nodes []ui
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := &inferScratch{}
-			for ni := w; ni < len(nodes); ni += workers {
+			for i := w; i < len(nodes); i += workers {
 				if cctx.Err() != nil {
 					return
 				}
-				n := nodes[ni]
-				out, ex, err := s.filterNode(cctx, emb, n, sets[n], sc)
-				if err != nil {
+				if err := visit(cctx, i, scratches[w]); err != nil {
 					errOnce.Do(func() { firstErr = err; cancel() })
 					return
-				}
-				sets[n] = out
-				if extras != nil {
-					extras[n] = ex
 				}
 			}
 		}(w)
@@ -419,6 +338,24 @@ func (s *SLAP) filterSubset(ctx context.Context, emb *embed.Embedder, nodes []ui
 		return err
 	}
 	return firstErr
+}
+
+// filterNodes applies the ML keep decision to the listed AND nodes: out[n]
+// receives the kept list of sets[n] (out may be sets itself), and a
+// non-nil extras receives each node's recovery pool (see filterNode).
+func (s *SLAP) filterNodes(ctx context.Context, emb *embed.Embedder, nodes []uint32, sets, out, extras [][]cuts.Cut, scratches []*inferScratch) error {
+	return s.inferNodes(ctx, nodes, scratches, func(ctx context.Context, i int, sc *inferScratch) error {
+		n := nodes[i]
+		kept, ex, err := s.filterNode(ctx, emb, n, sets[n], sc)
+		if err != nil {
+			return err
+		}
+		out[n] = kept
+		if extras != nil {
+			extras[n] = ex
+		}
+		return nil
+	})
 }
 
 // nonTrivialIdx lists the indices of the non-trivial cuts of n within cs.
@@ -447,62 +384,62 @@ func (s *SLAP) batchProbs(ctx context.Context, emb *embed.Embedder, n uint32, cs
 	return s.Batch.PredictBatch(ctx, xs)
 }
 
-// scoreCuts returns the QoR score of every non-trivial cut of n: scores[k]
-// belongs to cs[idx[k]]. With a Batcher set, the node's embeddings go out
-// as one batch; otherwise each cut runs the per-sample forward pass.
-func (s *SLAP) scoreCuts(ctx context.Context, emb *embed.Embedder, n uint32, cs []cuts.Cut, sc *inferScratch) (idx []int, scores []float64, err error) {
+// classifyCuts predicts the QoR class of every non-trivial cut of n:
+// classes[k] belongs to cs[idx[k]]. With a Batcher set, the node's
+// embeddings go out as one batch; otherwise each cut runs the per-sample
+// forward pass.
+func (s *SLAP) classifyCuts(ctx context.Context, emb *embed.Embedder, n uint32, cs []cuts.Cut, sc *inferScratch) (idx, classes []int, err error) {
 	idx = nonTrivialIdx(n, cs)
+	classes = make([]int, len(idx))
 	if len(idx) == 0 {
-		return idx, nil, nil
+		return idx, classes, nil
 	}
-	scores = make([]float64, len(idx))
 	if s.Batch == nil {
-		x := sc.sample()
-		for k, i := range idx {
-			emb.CutInto(n, &cs[i], x)
-			scores[k] = s.predictScore(x)
+		if sc.x == nil {
+			sc.x = make([]float64, embed.Size)
 		}
-		return idx, scores, nil
+		for k, i := range idx {
+			emb.CutInto(n, &cs[i], sc.x)
+			classes[k] = s.Model.PredictClass(sc.x)
+		}
+		return idx, classes, nil
 	}
 	probs, err := s.batchProbs(ctx, emb, n, cs, idx, sc)
 	if err != nil {
 		return nil, nil, err
 	}
 	for k, p := range probs {
-		scores[k] = scoreFromProbs(p, s.UseExpectedClass)
+		classes[k] = argmaxClass(p)
 	}
-	return idx, scores, nil
+	return idx, classes, nil
 }
 
 // filterNode applies the paper's keep decision to one node's cut list:
 // classify every cut; keep the "good" cuts (class <= GoodMax) when any
 // exist, otherwise the "average" cuts (class <= AvgMax), otherwise only the
-// trivial cut. Kept cuts are ordered by predicted quality and capped at
-// MaxCutsPerNode — the learned priority-cuts ranking.
+// trivial cut. Kept cuts are ordered by predicted class — the learned
+// priority-cuts ranking.
 //
-// When Rounds > 1 it also returns the node's recovery pool: the acceptable
-// cuts the keep decision dropped (the average class shadowed by good cuts,
-// plus any MaxCutsPerNode overflow), score-ranked. Bad-class cuts never
-// enter either list, and the pool reuses the scores of the single inference
+// When Rounds > 1 it also returns the node's recovery pool: the average
+// cuts shadowed by good ones, class-ranked. Bad-class cuts never enter
+// either list, and the pool reuses the classes of the single inference
 // pass above — the per-round pruning adds no model evaluations.
 func (s *SLAP) filterNode(ctx context.Context, emb *embed.Embedder, n uint32, cs []cuts.Cut, sc *inferScratch) ([]cuts.Cut, []cuts.Cut, error) {
-	idx, scores, err := s.scoreCuts(ctx, emb, n, cs, sc)
+	idx, classes, err := s.classifyCuts(ctx, emb, n, cs, sc)
 	if err != nil {
 		return nil, nil, err
 	}
 	type scored struct {
 		cut   cuts.Cut
-		score float64
+		class int
 	}
 	var good, avg []scored
 	for k, i := range idx {
-		score := scores[k]
-		class := int(score + 0.5)
-		switch {
-		case class <= s.GoodMax:
-			good = append(good, scored{cut: cs[i], score: score})
-		case class <= s.AvgMax:
-			avg = append(avg, scored{cut: cs[i], score: score})
+		switch c := classes[k]; {
+		case c <= s.GoodMax:
+			good = append(good, scored{cut: cs[i], class: c})
+		case c <= s.AvgMax:
+			avg = append(avg, scored{cut: cs[i], class: c})
 		}
 	}
 	keep, rest := good, avg
@@ -514,26 +451,21 @@ func (s *SLAP) filterNode(ctx context.Context, emb *embed.Embedder, n uint32, cs
 		// elementary-fanin-cut fallback keeps the node coverable.
 		return []cuts.Cut{trivialOf(n, cs)}, nil, nil
 	}
-	sort.SliceStable(keep, func(i, j int) bool { return keep[i].score < keep[j].score })
-	var overflow []scored
-	if s.MaxCutsPerNode > 0 && len(keep) > s.MaxCutsPerNode {
-		overflow = keep[s.MaxCutsPerNode:]
-		keep = keep[:s.MaxCutsPerNode]
+	byClass := func(l []scored) func(i, j int) bool {
+		return func(i, j int) bool { return l[i].class < l[j].class }
 	}
+	sort.SliceStable(keep, byClass(keep))
 	out := make([]cuts.Cut, 0, len(keep)+1)
 	for _, k := range keep {
 		out = append(out, k.cut)
 	}
 	out = append(out, trivialOf(n, cs))
 	var extra []cuts.Cut
-	if s.Rounds > 1 && len(overflow)+len(rest) > 0 {
-		pool := make([]scored, 0, len(overflow)+len(rest))
-		pool = append(pool, overflow...)
-		pool = append(pool, rest...)
-		sort.SliceStable(pool, func(i, j int) bool { return pool[i].score < pool[j].score })
-		extra = make([]cuts.Cut, len(pool))
-		for i := range pool {
-			extra[i] = pool[i].cut
+	if s.Rounds > 1 && len(rest) > 0 {
+		sort.SliceStable(rest, byClass(rest))
+		extra = make([]cuts.Cut, len(rest))
+		for i := range rest {
+			extra[i] = rest[i].cut
 		}
 	}
 	return out, extra, nil
@@ -574,74 +506,6 @@ func (s *SLAP) choiceGraph(ctx context.Context, g *aig.AIG) (*aig.AIG, cuts.Choi
 	return v.G, v, nil
 }
 
-// Map runs the full SLAP flow on g: filter cuts with the model, then map
-// with the unchanged mapper (Boolean matching, arrival update and cover
-// selection untouched, as in the paper). With Rounds/Choices set, the flow
-// becomes multi-round mapping over a choice view (see Options fields).
-func (s *SLAP) Map(g *aig.AIG) (*mapper.Result, error) {
-	return s.MapContext(context.Background(), g)
-}
-
-// MapContext is Map with cooperative cancellation between flow stages and
-// inside the classification workers (see FilterCutsContext).
-func (s *SLAP) MapContext(ctx context.Context, g *aig.AIG) (*mapper.Result, error) {
-	mg, ch, err := s.choiceGraph(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	filtered, extras, err := s.filterCutsChoices(ctx, mg, ch)
-	if err != nil {
-		return nil, err
-	}
-	res, err := mapper.Map(mg, mapper.Options{
-		Library: s.Library, CutSets: filtered,
-		Rounds: s.Rounds, DelayFactor: s.DelayFactor, ExtraCuts: extras,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res.PolicyName = "slap"
-	// Report the post-filter footprint (the fallback cuts the mapper added
-	// for coverability are already included by Map).
-	return res, nil
-}
-
-// MapLUT runs the SLAP flow against the K-LUT FPGA mapper instead of the
-// standard-cell mapper — the extension the paper's introduction points to
-// ("the findings of this work can be extended to benefit FPGA-mapping ...
-// as the nature of the problem is the same"). The same ML-filtered cut
-// sets feed the depth-oriented LUT coverer unchanged.
-func (s *SLAP) MapLUT(g *aig.AIG) (*lutmap.Result, error) {
-	return s.MapLUTContext(context.Background(), g)
-}
-
-// MapLUTContext is MapLUT with cooperative cancellation (see MapContext).
-func (s *SLAP) MapLUTContext(ctx context.Context, g *aig.AIG) (*lutmap.Result, error) {
-	mg, ch, err := s.choiceGraph(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	filtered, extras, err := s.filterCutsChoices(ctx, mg, ch)
-	if err != nil {
-		return nil, err
-	}
-	res, err := lutmap.Map(mg, lutmap.Options{
-		CutSets: filtered,
-		Rounds:  s.Rounds, DelayFactor: s.DelayFactor, ExtraCuts: extras,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res.PolicyName = "slap"
-	return res, nil
-}
-
 // NodeCutClasses lists the predicted QoR class of every non-trivial cut of
 // one AND node, in the enumeration order of the cut set.
 type NodeCutClasses struct {
@@ -664,8 +528,11 @@ type Classification struct {
 }
 
 // ClassifyContext enumerates all k-cuts of g and predicts each non-trivial
-// cut's QoR class, without filtering or mapping. Parallelism follows
-// s.Workers; cancellation follows ctx as in FilterCutsContext.
+// cut's QoR class, without filtering or mapping. It materialises the whole
+// cut universe first and then classifies it in one strided pass, so a
+// batching backend receives the same whole-graph submission stream as ever
+// and the request pays no per-level flush waits. Parallelism follows
+// s.Workers; cancellation follows ctx.
 func (s *SLAP) ClassifyContext(ctx context.Context, g *aig.AIG) (*Classification, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -678,55 +545,22 @@ func (s *SLAP) ClassifyContext(ctx context.Context, g *aig.AIG) (*Classification
 	emb := embed.NewEmbedder(g)
 	emb.PrecomputeAll()
 
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	nodes := make([]uint32, 0, g.NumNodes())
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		if g.IsAnd(n) {
-			nodes = append(nodes, n)
-		}
-	}
+	nodes := andNodes(g)
 	perNode := make([][]int, len(nodes))
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := &inferScratch{}
-			for ni := w; ni < len(nodes); ni += workers {
-				if cctx.Err() != nil {
-					return
-				}
-				n := nodes[ni]
-				classes, err := s.classifyNode(cctx, emb, n, res.Sets[n], sc)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err; cancel() })
-					return
-				}
-				perNode[ni] = classes
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	err := s.inferNodes(ctx, nodes, s.inferScratches(), func(ctx context.Context, i int, sc *inferScratch) error {
+		n := nodes[i]
+		_, classes, err := s.classifyCuts(ctx, emb, n, res.Sets[n], sc)
+		perNode[i] = classes
+		return err
+	})
+	if err != nil {
 		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 
 	out := &Classification{Histogram: make([]int, s.Model.Classes)}
-	for ni, n := range nodes {
-		out.Nodes = append(out.Nodes, NodeCutClasses{Node: n, Classes: perNode[ni]})
-		for _, c := range perNode[ni] {
+	for i, n := range nodes {
+		out.Nodes = append(out.Nodes, NodeCutClasses{Node: n, Classes: perNode[i]})
+		for _, c := range perNode[i] {
 			out.Histogram[c]++
 			out.TotalCuts++
 		}
@@ -734,28 +568,13 @@ func (s *SLAP) ClassifyContext(ctx context.Context, g *aig.AIG) (*Classification
 	return out, nil
 }
 
-// classifyNode predicts the class of every non-trivial cut of n, via one
-// batched submission when a Batcher is set.
-func (s *SLAP) classifyNode(ctx context.Context, emb *embed.Embedder, n uint32, cs []cuts.Cut, sc *inferScratch) ([]int, error) {
-	idx := nonTrivialIdx(n, cs)
-	classes := make([]int, len(idx))
-	if len(idx) == 0 {
-		return classes, nil
-	}
-	if s.Batch == nil {
-		x := sc.sample()
-		for k, i := range idx {
-			emb.CutInto(n, &cs[i], x)
-			classes[k] = s.Model.PredictClass(x)
+// andNodes lists g's AND nodes in ascending (topological) order.
+func andNodes(g *aig.AIG) []uint32 {
+	nodes := make([]uint32, 0, g.NumAnds())
+	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
+		if g.IsAnd(n) {
+			nodes = append(nodes, n)
 		}
-		return classes, nil
 	}
-	probs, err := s.batchProbs(ctx, emb, n, cs, idx, sc)
-	if err != nil {
-		return nil, err
-	}
-	for k, p := range probs {
-		classes[k] = argmaxClass(p)
-	}
-	return classes, nil
+	return nodes
 }

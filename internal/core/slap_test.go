@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"slap/internal/aig"
 	"slap/internal/circuits"
 	"slap/internal/cuts"
+	"slap/internal/embed"
 	"slap/internal/infer"
 	"slap/internal/library"
 	"slap/internal/lutmap"
@@ -73,34 +75,46 @@ func TestTrainRequiresLibrary(t *testing.T) {
 	}
 }
 
-func TestFilterCutsStructure(t *testing.T) {
+// filterAll runs the keep decision over every AND node of g's exhaustive
+// cut lists and returns the filtered lists.
+func filterAll(t testing.TB, s *SLAP, g *aig.AIG) [][]cuts.Cut {
+	t.Helper()
+	res := (&cuts.Enumerator{G: g, Policy: cuts.UnlimitedPolicy{}, MergeCap: s.MergeCap, Workers: s.Workers}).Run()
+	emb := embed.NewEmbedder(g)
+	emb.PrecomputeAll()
+	if err := s.filterNodes(context.Background(), emb, andNodes(g), res.Sets, res.Sets, nil, s.inferScratches()); err != nil {
+		t.Fatal(err)
+	}
+	return res.Sets
+}
+
+func TestFilterNodesStructure(t *testing.T) {
 	s, _ := trainSmall(t)
 	g := circuits.CarryLookaheadAdder(8)
-	res := s.FilterCuts(g)
+	sets := filterAll(t, s, g)
 	unl := (&cuts.Enumerator{G: g, Policy: cuts.UnlimitedPolicy{}}).Run()
-	if res.TotalCuts <= 0 {
-		t.Fatalf("no cuts survived filtering")
-	}
-	if res.TotalCuts > unl.TotalCuts {
-		t.Fatalf("filtering cannot increase cuts: %d > %d", res.TotalCuts, unl.TotalCuts)
-	}
+	total := 0
 	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
 		if !g.IsAnd(n) {
 			continue
 		}
-		if len(res.Sets[n]) == 0 {
+		total += len(sets[n])
+		if len(sets[n]) == 0 {
 			t.Fatalf("node %d lost all cuts", n)
 		}
 		// Every node keeps its trivial cut as the fallback.
 		found := false
-		for i := range res.Sets[n] {
-			if res.Sets[n][i].IsTrivial(n) {
+		for i := range sets[n] {
+			if sets[n][i].IsTrivial(n) {
 				found = true
 			}
 		}
 		if !found {
 			t.Fatalf("node %d lost its trivial cut", n)
 		}
+	}
+	if total > unl.TotalCuts {
+		t.Fatalf("filtering cannot increase cuts: %d > %d", total, unl.TotalCuts)
 	}
 }
 
@@ -111,7 +125,7 @@ func TestSLAPMapEquivalence(t *testing.T) {
 		circuits.ArrayMultiplier(5),
 		circuits.BarrelShifter(8),
 	} {
-		res, err := s.Map(g)
+		res, err := s.MapStreamContext(context.Background(), g)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -127,11 +141,11 @@ func TestSLAPMapEquivalence(t *testing.T) {
 func TestSLAPReducesCutsVsUnlimited(t *testing.T) {
 	s, _ := trainSmall(t)
 	g := circuits.TrainCLA16()
-	slapRes, err := s.Map(g)
+	slapRes, err := s.MapStreamContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unlRes, err := mapper.Map(g, mapper.Options{Library: s.Library, Policy: cuts.UnlimitedPolicy{}})
+	unlRes, err := mapper.MapStream(g, mapper.Options{Library: s.Library, Policy: cuts.UnlimitedPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,49 +186,13 @@ func TestPermutationImportance(t *testing.T) {
 	}
 }
 
-func TestMaxCutsPerNodeCapsLists(t *testing.T) {
-	s, _ := trainSmall(t)
-	g := circuits.CarryLookaheadAdder(8)
-	s.MaxCutsPerNode = 3
-	res := s.FilterCuts(g)
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		if !g.IsAnd(n) {
-			continue
-		}
-		if len(res.Sets[n]) > 4 { // cap + trivial cut
-			t.Fatalf("node %d keeps %d cuts with cap 3", n, len(res.Sets[n]))
-		}
-	}
-	// The capped flow still maps correctly.
-	out, err := s.Map(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Netlist.EquivalentTo(g, 4, rand.New(rand.NewSource(19))); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExpectedClassVariant(t *testing.T) {
-	s, _ := trainSmall(t)
-	g := circuits.TrainRC16()
-	s.UseExpectedClass = true
-	res, err := s.Map(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Netlist.EquivalentTo(g, 4, rand.New(rand.NewSource(23))); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestThresholdsRespected(t *testing.T) {
 	s, _ := trainSmall(t)
 	// With GoodMax=-1 and AvgMax=-1 every node keeps only its trivial cut;
 	// the mapper must still produce a correct netlist via fanin fallbacks.
 	s2 := &SLAP{Model: s.Model, Library: s.Library, GoodMax: -1, AvgMax: -1}
 	g := circuits.TrainRC16()
-	res, err := s2.Map(g)
+	res, err := s2.MapStreamContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +204,7 @@ func TestThresholdsRespected(t *testing.T) {
 func TestSLAPMapLUT(t *testing.T) {
 	s, _ := trainSmall(t)
 	g := circuits.ALUCompare(10)
-	res, err := s.MapLUT(g)
+	res, err := s.MapLUTStreamContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +215,7 @@ func TestSLAPMapLUT(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The ML filter must shrink the cut footprint vs exhaustive LUT mapping.
-	unl, err := lutmap.Map(g, lutmap.Options{Policy: cuts.UnlimitedPolicy{}})
+	unl, err := lutmap.MapStream(g, lutmap.Options{Policy: cuts.UnlimitedPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +234,8 @@ func TestBatchedFilterMatchesPerSample(t *testing.T) {
 	g := circuits.TrainRC16()
 
 	s.Batch = nil
-	perCuts := s.FilterCuts(g)
-	perRes, err := s.Map(g)
+	perCuts := filterAll(t, s, g)
+	perRes, err := s.MapStreamContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +251,11 @@ func TestBatchedFilterMatchesPerSample(t *testing.T) {
 		{"coalescer", co},
 	} {
 		s.Batch = tc.batch
-		got := s.FilterCuts(g)
-		if !reflect.DeepEqual(got.Sets, perCuts.Sets) {
+		got := filterAll(t, s, g)
+		if !reflect.DeepEqual(got, perCuts) {
 			t.Fatalf("%s: batched filtering chose different cut sets", tc.name)
 		}
-		res, err := s.Map(g)
+		res, err := s.MapStreamContext(context.Background(), g)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -285,16 +263,5 @@ func TestBatchedFilterMatchesPerSample(t *testing.T) {
 			t.Fatalf("%s: QoR drifted: area %v vs %v, delay %v vs %v",
 				tc.name, res.Area, perRes.Area, res.Delay, perRes.Delay)
 		}
-	}
-
-	// The expected-class scoring variant routes through the same batched
-	// probabilities and must agree with its per-sample counterpart too.
-	s.UseExpectedClass = true
-	s.Batch = nil
-	expPer := s.FilterCuts(g)
-	s.Batch = eng
-	expBat := s.FilterCuts(g)
-	if !reflect.DeepEqual(expPer.Sets, expBat.Sets) {
-		t.Fatalf("UseExpectedClass: batched filtering chose different cut sets")
 	}
 }

@@ -1,17 +1,15 @@
 // Fused SLAP mapping: enumeration, ML cut filtering and Boolean matching
 // run as one streaming pipeline over the level wavefront. Each completed
 // level is classified in parallel by the inference workers (per-sample or
-// batched, exactly as the two-phase flow), the filtered lists feed the
-// incremental mapper on the spot, and the enumerator retires the level's
-// cut storage — so the full cut universe is never materialised. Filtering
-// decisions are per-node deterministic, so the fused result is
-// byte-identical to FilterCuts + Map.
+// batched), the filtered lists feed the incremental mapper on the spot,
+// and the enumerator retires the level's cut storage — so the full cut
+// universe is never materialised. Filtering decisions are per-node
+// deterministic, so the result equals that of the paper's separate
+// enumerate, classify and map stages.
 package core
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
 	"slap/internal/aig"
 	"slap/internal/cuts"
@@ -20,16 +18,14 @@ import (
 	"slap/internal/mapper"
 )
 
-// MapStream is MapContext's fused streaming equivalent over a background
-// context.
-func (s *SLAP) MapStream(g *aig.AIG) (*mapper.Result, error) {
-	return s.MapStreamContext(context.Background(), g)
-}
-
-// MapStreamContext runs the full SLAP flow on g as a fused pipeline:
+// MapStreamContext runs the full SLAP flow on g: filter cuts with the
+// model, then map with the unchanged mapper (Boolean matching, arrival
+// update and cover selection untouched, as in the paper), fused so that
 // matching consumes each level's ML-filtered cuts as the wavefront
-// produces them. The Result is byte-identical to MapContext, including the
-// multi-round and choice-view configurations.
+// produces them. With Rounds/Choices set, the flow becomes multi-round
+// mapping over a choice view. The context is polled between levels and
+// inside the inference workers, so a deadline or dropped client aborts the
+// run promptly.
 func (s *SLAP) MapStreamContext(ctx context.Context, g *aig.AIG) (*mapper.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -63,13 +59,11 @@ func (s *SLAP) MapStreamContext(ctx context.Context, g *aig.AIG) (*mapper.Result
 	return r, nil
 }
 
-// MapLUTStream is MapLUTContext's fused streaming equivalent.
-func (s *SLAP) MapLUTStream(g *aig.AIG) (*lutmap.Result, error) {
-	return s.MapLUTStreamContext(context.Background(), g)
-}
-
-// MapLUTStreamContext runs the SLAP flow against the K-LUT mapper as a
-// fused pipeline, byte-identical to MapLUTContext.
+// MapLUTStreamContext runs the SLAP flow against the K-LUT FPGA mapper
+// instead of the standard-cell mapper — the extension the paper's
+// introduction points to ("the findings of this work can be extended to
+// benefit FPGA-mapping ... as the nature of the problem is the same"). The
+// same ML-filtered cut lists feed the depth-oriented LUT coverer.
 func (s *SLAP) MapLUTStreamContext(ctx context.Context, g *aig.AIG) (*lutmap.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -101,36 +95,22 @@ func (s *SLAP) MapLUTStreamContext(ctx context.Context, g *aig.AIG) (*lutmap.Res
 }
 
 // streamFiltered drives the fused enumerate→classify→consume pipeline:
-// exhaustive streaming enumeration (the same UnlimitedPolicy universe as
-// FilterCutsContext, optionally enriched across a choice source), per-level
-// parallel ML filtering with per-worker reusable embedding buffers, and a
-// sequential consume of the filtered lists in ascending node order (the
-// order the two-phase mapper sees). The consumer's second list is the
-// node's recovery pool — nil unless Rounds > 1 (see filterNode). When
-// s.Pool is set, cut storage is checked out of the arena pool and recycled
-// across runs of the same graph.
+// exhaustive streaming enumeration (UnlimitedPolicy, optionally enriched
+// across a choice source), per-level parallel ML filtering with per-worker
+// reusable embedding buffers, and a sequential consume of the filtered
+// lists in ascending node order. The consumer's second list is the node's
+// recovery pool — nil unless Rounds > 1 (see filterNode). When s.Pool is
+// set, cut storage is checked out of the arena pool and recycled across
+// runs of the same graph.
 func (s *SLAP) streamFiltered(ctx context.Context, g *aig.AIG, ch cuts.ChoiceSource, consume func(uint32, []cuts.Cut, []cuts.Cut)) (*cuts.Result, error) {
 	emb := embed.NewEmbedder(g)
 	emb.PrecomputeAll()
 
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	scratches := make([]*inferScratch, workers)
-	for i := range scratches {
-		scratches[i] = &inferScratch{}
-	}
+	scratches := s.inferScratches()
 	filtered := make([][]cuts.Cut, g.NumNodes())
 	var extras [][]cuts.Cut
 	if s.Rounds > 1 {
 		extras = make([][]cuts.Cut, g.NumNodes())
-	}
-	extrasOf := func(n uint32) []cuts.Cut {
-		if extras == nil {
-			return nil
-		}
-		return extras[n]
 	}
 
 	var arena *cuts.Arena
@@ -140,37 +120,22 @@ func (s *SLAP) streamFiltered(ctx context.Context, g *aig.AIG, ch cuts.ChoiceSou
 	}
 	enum := &cuts.Enumerator{G: g, Policy: cuts.UnlimitedPolicy{}, MergeCap: s.MergeCap, Workers: s.Workers, Arena: arena, Choices: ch}
 
-	sink := func(_ int32, nodes []uint32, sets [][]cuts.Cut) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if workers == 1 || len(nodes) < 2 {
-			sc := scratches[0]
-			for _, n := range nodes {
-				out, ex, err := s.filterNode(ctx, emb, n, sets[n], sc)
-				if err != nil {
-					return err
-				}
-				filtered[n] = out
-				if extras != nil {
-					extras[n] = ex
-				}
-			}
-		} else if err := s.filterLevel(ctx, emb, nodes, sets, filtered, extras, scratches); err != nil {
+	res, err := enum.RunStream(func(_ int32, nodes []uint32, sets [][]cuts.Cut) error {
+		if err := s.filterNodes(ctx, emb, nodes, sets, filtered, extras, scratches); err != nil {
 			return err
 		}
 		// The filtered lists hold durable leaves only after the consumer
 		// copies them; consume before the enumerator retires the level.
 		for _, n := range nodes {
-			consume(n, filtered[n], extrasOf(n))
-			filtered[n] = nil
+			var ex []cuts.Cut
 			if extras != nil {
-				extras[n] = nil
+				ex, extras[n] = extras[n], nil
 			}
+			consume(n, filtered[n], ex)
+			filtered[n] = nil
 		}
 		return nil
-	}
-	res, err := enum.RunStream(sink)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -178,42 +143,4 @@ func (s *SLAP) streamFiltered(ctx context.Context, g *aig.AIG, ch cuts.ChoiceSou
 		return nil, err
 	}
 	return res, nil
-}
-
-// filterLevel classifies one level's nodes across the inference workers,
-// mirroring FilterCutsContext's strided worker loop (including the
-// first-error-wins cancellation of a failing batch backend).
-func (s *SLAP) filterLevel(ctx context.Context, emb *embed.Embedder, nodes []uint32, sets, filtered, extras [][]cuts.Cut, scratches []*inferScratch) error {
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	workers := len(scratches)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := scratches[w]
-			for ni := w; ni < len(nodes); ni += workers {
-				if cctx.Err() != nil {
-					return
-				}
-				n := nodes[ni]
-				out, ex, err := s.filterNode(cctx, emb, n, sets[n], sc)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err; cancel() })
-					return
-				}
-				filtered[n] = out
-				if extras != nil {
-					extras[n] = ex
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return firstErr
 }

@@ -10,6 +10,7 @@ import (
 	"slap/internal/aig"
 	"slap/internal/circuits"
 	"slap/internal/cuts"
+	"slap/internal/embed"
 	"slap/internal/infer"
 	"slap/internal/lutmap"
 	"slap/internal/mapper"
@@ -42,10 +43,82 @@ func requireSameStreamResult(t *testing.T, name string, want, got *mapper.Result
 	}
 }
 
+// filterTwoPhase materialises the ML-filtered cut lists of g (or of its
+// choice view) in two phases, the way MapDeltaContext and ClassifyContext
+// work: Run collects the whole exhaustive cut universe, then one strided
+// pass filters every AND node. It returns the mapped graph, the filtered
+// lists, the recovery pools (nil unless Rounds > 1), the AND nodes in
+// ascending order and the enumeration peak.
+func filterTwoPhase(t testing.TB, s *SLAP, g *aig.AIG) (*aig.AIG, [][]cuts.Cut, [][]cuts.Cut, []uint32, int) {
+	t.Helper()
+	ctx := context.Background()
+	mg, ch, err := s.choiceGraph(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := (&cuts.Enumerator{G: mg, Policy: cuts.UnlimitedPolicy{}, MergeCap: s.MergeCap, Workers: s.Workers, Choices: ch}).Run()
+	emb := embed.NewEmbedder(mg)
+	emb.PrecomputeAll()
+	var extras [][]cuts.Cut
+	if s.Rounds > 1 {
+		extras = make([][]cuts.Cut, mg.NumNodes())
+	}
+	nodes := andNodes(mg)
+	if err := s.filterNodes(ctx, emb, nodes, res.Sets, res.Sets, extras, s.inferScratches()); err != nil {
+		t.Fatal(err)
+	}
+	return mg, res.Sets, extras, nodes, res.PeakCuts
+}
+
+// mapTwoPhase maps the materialised lists of filterTwoPhase by feeding a
+// mapper.Stream in ascending node order — a topological order, so the
+// result must equal the fused pipeline's.
+func mapTwoPhase(t testing.TB, s *SLAP, g *aig.AIG) *mapper.Result {
+	t.Helper()
+	mg, sets, extras, nodes, peak := filterTwoPhase(t, s, g)
+	st, err := mapper.NewStream(mg, mapper.Options{Library: s.Library, Rounds: s.Rounds, DelayFactor: s.DelayFactor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		st.ConsumeNode(n, sets[n])
+		if extras != nil && extras[n] != nil {
+			st.ConsumeExtras(n, extras[n])
+		}
+	}
+	st.SetPeakCuts(peak)
+	res, err := st.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.PolicyName = "slap"
+	return res
+}
+
+// mapLUTTwoPhase is mapTwoPhase for the LUT mapper.
+func mapLUTTwoPhase(t testing.TB, s *SLAP, g *aig.AIG) *lutmap.Result {
+	t.Helper()
+	mg, sets, extras, nodes, peak := filterTwoPhase(t, s, g)
+	st := lutmap.NewStream(mg, lutmap.Options{Rounds: s.Rounds, DelayFactor: s.DelayFactor})
+	for _, n := range nodes {
+		st.ConsumeNode(n, sets[n])
+		if extras != nil && extras[n] != nil {
+			st.ConsumeExtras(n, extras[n])
+		}
+	}
+	st.SetPeakCuts(peak)
+	res, err := st.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.PolicyName = "slap"
+	return res
+}
+
 // TestMapStreamMatchesMapContext pins the fused SLAP pipeline to the
-// two-phase flow: identical netlist bytes, metrics and counters, for both
-// the per-sample and batched inference backends, across worker counts and
-// arena pooling.
+// materialising two-phase composition MapDeltaContext builds on: identical
+// netlist bytes, metrics and counters, across worker counts and arena
+// pooling.
 func TestMapStreamMatchesMapContext(t *testing.T) {
 	graphs := []*circuitCase{
 		{"rc16", circuits.TrainRC16()},
@@ -54,10 +127,7 @@ func TestMapStreamMatchesMapContext(t *testing.T) {
 	}
 	for _, gc := range graphs {
 		s := untrained(3)
-		want, err := s.MapContext(context.Background(), gc.g)
-		if err != nil {
-			t.Fatalf("%s: MapContext: %v", gc.name, err)
-		}
+		want := mapTwoPhase(t, s, gc.g)
 		pool := cuts.NewPool(2)
 		for _, workers := range []int{1, 2, 4} {
 			for _, pooled := range []bool{false, true} {
@@ -118,10 +188,7 @@ func TestMapStreamBatchedBackend(t *testing.T) {
 func TestMapLUTStreamMatchesTwoPhase(t *testing.T) {
 	g := circuits.BoothMultiplier(6)
 	s := untrained(9)
-	want, err := s.MapLUTContext(context.Background(), g)
-	if err != nil {
-		t.Fatalf("MapLUTContext: %v", err)
-	}
+	want := mapLUTTwoPhase(t, s, g)
 	for _, workers := range []int{1, 4} {
 		s2 := untrained(9)
 		s2.Workers = workers

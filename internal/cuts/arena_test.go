@@ -1,6 +1,7 @@
 package cuts
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"slap/internal/circuits"
@@ -55,30 +56,33 @@ func TestPoolLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestRunWithReuse checks both reuse modes: an always-miss hook reproduces
-// Run exactly, and installing a prior run's lists verbatim yields the same
-// Result without reprocessing those nodes.
-func TestRunWithReuse(t *testing.T) {
+// TestEnumeratorReuse checks both reuse modes: an always-miss hook
+// reproduces Run exactly, and installing a prior run's lists verbatim
+// yields the same Result without reprocessing those nodes — on the
+// sequential driver and on the parallel wavefront, which calls the hook
+// from several goroutines.
+func TestEnumeratorReuse(t *testing.T) {
 	g := circuits.RandomAIG(7, 12, 400)
 	for _, pol := range []Policy{nil, UnlimitedPolicy{}, DefaultPolicy{}} {
 		base := (&Enumerator{G: g, Policy: pol, Workers: 1}).Run()
+		for _, workers := range []int{1, 4} {
+			miss := (&Enumerator{G: g, Policy: pol, Workers: workers,
+				Reuse: func(n uint32) []Cut { return nil }}).Run()
+			compareResults(t, g, base, miss)
 
-		miss := (&Enumerator{G: g, Policy: pol, Workers: 1}).RunWithReuse(
-			func(n uint32) []Cut { return nil })
-		compareResults(t, g, base, miss)
-
-		reused := 0
-		hit := (&Enumerator{G: g, Policy: pol, Workers: 1}).RunWithReuse(func(n uint32) []Cut {
-			if n%2 == 0 {
-				reused++
-				return base.Sets[n]
+			var reused atomic.Int64
+			hit := (&Enumerator{G: g, Policy: pol, Workers: workers, Reuse: func(n uint32) []Cut {
+				if n%2 == 0 {
+					reused.Add(1)
+					return base.Sets[n]
+				}
+				return nil
+			}}).Run()
+			if reused.Load() == 0 {
+				t.Fatal("reuse hook never fired")
 			}
-			return nil
-		})
-		if reused == 0 {
-			t.Fatal("reuse hook never fired")
+			compareResults(t, g, base, hit)
 		}
-		compareResults(t, g, base, hit)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sort"
-	"sync"
 
 	"slap/internal/aig"
 	"slap/internal/tt"
@@ -235,6 +234,16 @@ type Enumerator struct {
 	// repeated mapping of the same graph shape allocates nothing in steady
 	// state (see Pool). Run ignores it.
 	Arena *Arena
+	// Reuse, when non-nil, is consulted before each AND node is merged: a
+	// non-nil list is installed verbatim and the node's merge/policy
+	// pipeline is skipped, while nil falls through to normal processing.
+	// A supplied list must be a complete post-policy cut list (trivial cut
+	// included) over node ids of G that stays valid for the whole run; the
+	// ECO flow passes cached baseline lists translated through a monotone
+	// node alignment, which makes them byte-equal to what fresh enumeration
+	// would produce. The wavefront calls Reuse from several goroutines, so
+	// it must be a read-only lookup.
+	Reuse func(n uint32) []Cut
 	// Choices, when non-nil, exposes functional equivalence classes: each
 	// node's merged list is enriched with its class members' cuts before the
 	// policy runs, so mapping matches across structural variants. See
@@ -271,151 +280,35 @@ func (e *Enumerator) effectiveWorkers() int {
 	return w
 }
 
-// Run enumerates cuts for all nodes. The sequential path visits nodes in
-// topological index order; the parallel path sweeps a level wavefront. Both
-// produce identical cut sets: a node's merge depends only on its fanin
-// lists, which are complete before the node is visited on either path, and
-// the per-node merge/policy pipeline is deterministic.
+// Run enumerates cuts for all nodes and keeps every list: a collector sink
+// over RunStream without an arena, so nothing is recycled and each level's
+// lists stay valid after retirement. Consumers that need the whole cut
+// universe at once (classification, ECO delta remapping, tests) use it.
 func (e *Enumerator) Run() *Result {
-	g := e.G
-	capN := e.MergeCap
-	if capN == 0 {
-		capN = DefaultMergeCap
-	}
-	res := &Result{Sets: make([][]Cut, g.NumNodes())}
-	if workers := e.effectiveWorkers(); workers > 1 {
-		e.runWavefront(res, capN, workers)
-	} else {
-		e.runSequential(res, capN)
-	}
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		if g.IsAnd(n) {
-			res.TotalCuts += len(res.Sets[n])
+	kept := make([][]Cut, e.G.NumNodes())
+	res, _ := e.runStream(nil, func(_ int32, nodes []uint32, sets [][]Cut) error {
+		for _, n := range nodes {
+			kept[n] = sets[n]
+		}
+		return nil
+	})
+	for n, cs := range kept {
+		if cs != nil {
+			res.Sets[n] = cs
 		}
 	}
 	res.PeakCuts = res.TotalCuts
 	return res
-}
-
-// RunWithReuse enumerates like the sequential Run path, but consults
-// reuse(n) before processing each AND node: a non-nil list is installed
-// verbatim and the node's merge/policy pipeline is skipped, while a nil
-// return falls through to normal processing. The supplied list must be a
-// complete post-policy cut list (including the trivial cut) whose leaves
-// are valid node ids of e.G — in the ECO flow it is a cached baseline list
-// translated through a monotone node alignment, which makes it byte-equal
-// to what fresh enumeration would produce, so downstream nodes merging it
-// see exactly the fresh-run inputs.
-func (e *Enumerator) RunWithReuse(reuse func(n uint32) []Cut) *Result {
-	g := e.G
-	capN := e.MergeCap
-	if capN == 0 {
-		capN = DefaultMergeCap
-	}
-	res := &Result{Sets: make([][]Cut, g.NumNodes())}
-	s := e.scratch()
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		switch {
-		case g.IsPI(n):
-			res.Sets[n] = []Cut{trivialCut(n)}
-		case g.IsAnd(n):
-			if cs := reuse(n); cs != nil {
-				res.Sets[n] = cs
-				continue
-			}
-			e.processNode(s, res, n, capN)
-		}
-	}
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		if g.IsAnd(n) {
-			res.TotalCuts += len(res.Sets[n])
-		}
-	}
-	res.PeakCuts = res.TotalCuts
-	return res
-}
-
-func (e *Enumerator) runSequential(res *Result, capN int) {
-	g := e.G
-	s := e.scratch()
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		if g.IsPI(n) {
-			res.Sets[n] = []Cut{trivialCut(n)}
-			continue
-		}
-		if g.IsAnd(n) {
-			e.processNode(s, res, n, capN)
-		}
-	}
-}
-
-// runWavefront processes the AND nodes level by level, fanning each level
-// out across the worker pool. Workers write disjoint res.Sets entries and
-// own all their scratch state, so the level barrier is the only
-// synchronisation.
-func (e *Enumerator) runWavefront(res *Result, capN, workers int) {
-	g := e.G
-	// Force the AIG's lazily-memoised caches (levels, fanouts, inverted
-	// fanout flags) before fanning out: policies read them through
-	// Cut.Features and the first computation must not be raced.
-	maxLevel := g.MaxLevel()
-	g.Fanout(0)
-	g.HasInvertedFanout(0)
-
-	buckets := make([][]uint32, maxLevel+1)
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		switch {
-		case g.IsPI(n):
-			res.Sets[n] = []Cut{trivialCut(n)}
-		case g.IsAnd(n):
-			l := g.Level(n)
-			buckets[l] = append(buckets[l], n)
-		}
-	}
-
-	scratches := make([]*scratch, workers)
-	scratches[0] = e.scratch()
-	for i := 1; i < workers; i++ {
-		scratches[i] = newScratch(g)
-	}
-
-	var wg sync.WaitGroup
-	for _, nodes := range buckets {
-		if len(nodes) == 0 {
-			continue
-		}
-		// Narrow levels run inline: a goroutine handoff per node costs more
-		// than the merge it would parallelise.
-		if len(nodes) < 2*workers {
-			for _, n := range nodes {
-				e.processNode(scratches[0], res, n, capN)
-			}
-			continue
-		}
-		chunk := (len(nodes) + workers - 1) / workers
-		for k := 0; k < workers; k++ {
-			lo := k * chunk
-			hi := lo + chunk
-			if hi > len(nodes) {
-				hi = len(nodes)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(s *scratch, ns []uint32) {
-				defer wg.Done()
-				for _, n := range ns {
-					e.processNode(s, res, n, capN)
-				}
-			}(scratches[k], nodes[lo:hi])
-		}
-		wg.Wait()
-	}
 }
 
 // processNode computes one AND node's final cut list.
 func (e *Enumerator) processNode(s *scratch, res *Result, n uint32, capN int) {
+	if e.Reuse != nil {
+		if cs := e.Reuse(n); cs != nil {
+			res.Sets[n] = cs
+			return
+		}
+	}
 	f0, f1 := e.G.Fanins(n)
 	cs := s.mergeNode(n, res.Sets[f0.Node()], res.Sets[f1.Node()], capN)
 	if e.Choices != nil {

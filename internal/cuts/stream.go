@@ -43,28 +43,33 @@ type streamState struct {
 
 // RunStream enumerates cuts for all nodes, invoking sink after each level's
 // cut sets are final and retiring each level's storage once all of its
-// consumers (AND fanouts) have been merged. Cut sets and consume order are
-// identical to Run for any policy: parallel-safe policies stream the level
-// wavefront, stateful ones (e.g. ShufflePolicy) degrade to the sequential
-// index-order walk that preserves their visit-order-dependent state, with
-// sinks still fired per completed level prefix.
+// consumers (AND fanouts) have been merged. It is the one enumeration
+// driver: parallel-safe policies stream the level wavefront, stateful ones
+// (e.g. ShufflePolicy) degrade to the sequential index-order walk that
+// preserves their visit-order-dependent state, with sinks still fired per
+// completed level prefix. Cut sets are identical for every worker count.
 //
 // After RunStream returns, AND entries of Result.Sets have been released;
 // only TotalCuts and PeakCuts remain meaningful.
 func (e *Enumerator) RunStream(sink LevelSink) (*Result, error) {
+	return e.runStream(e.Arena, sink)
+}
+
+// runStream is RunStream over an explicit arena (nil = heap storage).
+func (e *Enumerator) runStream(a *Arena, sink LevelSink) (*Result, error) {
 	g := e.G
 	capN := e.MergeCap
 	if capN == 0 {
 		capN = DefaultMergeCap
 	}
 
-	// Force the AIG's lazily-memoised caches before any fan-out (see
-	// runWavefront).
+	// Force the AIG's lazily-memoised caches (levels, fanouts, inverted
+	// fanout flags) before fanning out: policies read them through
+	// Cut.Features and the first computation must not be raced.
 	maxLevel := g.MaxLevel()
 	g.Fanout(0)
 	g.HasInvertedFanout(0)
 
-	a := e.Arena
 	var res *Result
 	if a != nil {
 		if a.g != g && a.key != KeyOf(g) {
@@ -214,21 +219,11 @@ func growUint32(p *[]uint32, n int) []uint32 {
 	return *p
 }
 
-// streamWorkers resolves the Workers knob for the level-order driver (the
-// policy is already known to be parallel-safe).
-func (e *Enumerator) streamWorkers() int {
-	w := e.effectiveWorkers()
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // streamLevels is the level-order driver: each level is merged (inline or
 // across the worker pool), handed to the sink, and then every level whose
 // consumers are all complete is retired.
 func (e *Enumerator) streamLevels(st *streamState, capN int) error {
-	workers := e.streamWorkers()
+	workers := e.effectiveWorkers()
 	if st.a != nil {
 		for i := 0; i < workers; i++ {
 			st.a.scratchFor(i, st.maxLevel)
@@ -250,7 +245,8 @@ func (e *Enumerator) streamLevels(st *streamState, capN int) error {
 				}
 			}
 			if workers == 1 || len(nodes) < 2*workers {
-				// Narrow levels run inline, as in runWavefront.
+				// Narrow levels run inline: a goroutine handoff per node
+				// costs more than the merge it would parallelise.
 				for _, n := range nodes {
 					e.processNode(st.scratches[0], st.res, n, capN)
 				}
@@ -295,9 +291,9 @@ func (e *Enumerator) runLevelChunks(res *Result, scratches []*scratch, nodes []u
 }
 
 // streamIndexOrder is the sequential driver for stateful policies: nodes are
-// visited in topological index order exactly as Run's sequential path (so
-// e.g. a ShufflePolicy consumes its RNG in the same sequence), and the sink
-// fires for each level as soon as the completed prefix covers it.
+// visited in topological index order (so e.g. a ShufflePolicy consumes its
+// RNG in a fixed, reproducible sequence), and the sink fires for each level
+// as soon as the completed prefix covers it.
 func (e *Enumerator) streamIndexOrder(st *streamState, capN int) error {
 	g := e.G
 	var s *scratch

@@ -12,7 +12,7 @@ import (
 
 // snapshotStream runs streaming enumeration and deep-copies every level at
 // sink time — the only moment the cut lists are guaranteed alive — so the
-// snapshot can be compared against a two-phase Run afterwards. Any
+// snapshot can be compared against Run's retained lists afterwards. Any
 // premature level retirement would corrupt later merges and fail the
 // comparison.
 func snapshotStream(t *testing.T, e *Enumerator) *Result {
@@ -49,7 +49,9 @@ func snapshotStream(t *testing.T, e *Enumerator) *Result {
 
 // TestRunStreamMatchesRun is the streaming determinism property test: for
 // every graph, parallel-safe policy, worker count and arena mode, the
-// per-level streamed cut sets must be byte-identical to a two-phase Run.
+// per-level streamed cut sets must be byte-identical to the sequential,
+// heap-backed lists Run retains — so neither the worker fan-out nor arena
+// recycling ever changes what a sink observes.
 func TestRunStreamMatchesRun(t *testing.T) {
 	graphs := []*aig.AIG{
 		circuits.TrainRC16(),

@@ -103,41 +103,6 @@ func LoadFile(path string) (*Dataset, error) {
 	return d, nil
 }
 
-// Balanced returns a class-balanced resampling of the dataset: every class
-// with at least one sample is up-sampled (with replacement) to the size of
-// the largest class. Training on delay-decile labels is heavily
-// prior-dominated otherwise — see DESIGN.md.
-func (d *Dataset) Balanced(seed int64) *Dataset {
-	byClass := make([][]int, d.Classes)
-	maxN := 0
-	for i, y := range d.Y {
-		byClass[y] = append(byClass[y], i)
-		if len(byClass[y]) > maxN {
-			maxN = len(byClass[y])
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := &Dataset{Classes: d.Classes}
-	for _, idx := range byClass {
-		if len(idx) == 0 {
-			continue
-		}
-		for k := 0; k < maxN; k++ {
-			i := idx[k%len(idx)]
-			if k >= len(idx) {
-				i = idx[rng.Intn(len(idx))]
-			}
-			out.X = append(out.X, d.X[i])
-			out.Y = append(out.Y, d.Y[i])
-		}
-	}
-	rng.Shuffle(out.Len(), func(i, j int) {
-		out.X[i], out.X[j] = out.X[j], out.X[i]
-		out.Y[i], out.Y[j] = out.Y[j], out.Y[i]
-	})
-	return out
-}
-
 // Split partitions the dataset into train/validation subsets after a
 // seeded shuffle. frac is the training fraction (e.g. 0.8); it is clamped
 // to [0, 1], so frac 0 yields an empty training set and frac 1 an empty
@@ -347,9 +312,7 @@ func runOneMap(g *aig.AIG, cfg Config, pool *cuts.Pool, policySeed int64) MapOut
 	}
 	// Workers: 1 — the mappings themselves already saturate the worker
 	// pool, and the shuffle policy's RNG sequence requires sequential
-	// enumeration anyway. The streaming pipeline is byte-identical to
-	// two-phase Map, so labels depend only on (seed, circuit, index) as
-	// before.
+	// enumeration anyway, so labels depend only on (seed, circuit, index).
 	res, err := mapper.MapStream(g, mapper.Options{Library: cfg.Library, Policy: policy, Workers: 1, Pool: pool})
 	if err != nil {
 		return MapOutcome{Skipped: true, Err: err.Error()}

@@ -127,34 +127,6 @@ func TestTwoCircuitGeneration(t *testing.T) {
 	}
 }
 
-func TestBalanced(t *testing.T) {
-	ds := genSmall(t, 20)
-	bal := ds.Balanced(5)
-	h := bal.ClassHistogram()
-	// Every non-empty class is brought to the same count.
-	max := 0
-	for _, c := range ds.ClassHistogram() {
-		if c > max {
-			max = c
-		}
-	}
-	for cls, c := range h {
-		if c != 0 && c != max {
-			t.Fatalf("class %d has %d samples after balancing, want %d", cls, c, max)
-		}
-	}
-	if bal.Len() <= ds.Len() {
-		t.Fatalf("balancing should upsample: %d <= %d", bal.Len(), ds.Len())
-	}
-	// Deterministic per seed.
-	b2 := ds.Balanced(5)
-	for i := range bal.Y {
-		if bal.Y[i] != b2.Y[i] {
-			t.Fatalf("balanced resampling not deterministic")
-		}
-	}
-}
-
 func TestMetricLabelling(t *testing.T) {
 	gen := func(m Metric) *Dataset {
 		ds, err := Generate(Config{

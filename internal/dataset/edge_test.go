@@ -69,46 +69,6 @@ func TestSplitEdgeCases(t *testing.T) {
 	})
 }
 
-func TestBalancedEdgeCases(t *testing.T) {
-	t.Run("empty dataset", func(t *testing.T) {
-		empty := &Dataset{Classes: 5}
-		b := empty.Balanced(1)
-		if b.Len() != 0 {
-			t.Errorf("balanced empty dataset has %d samples", b.Len())
-		}
-	})
-	t.Run("single class", func(t *testing.T) {
-		d := &Dataset{Classes: 4}
-		for i := 0; i < 6; i++ {
-			d.X = append(d.X, []float64{float64(i)})
-			d.Y = append(d.Y, 2)
-		}
-		b := d.Balanced(1)
-		if b.Len() != 6 {
-			t.Errorf("single-class balance: %d samples, want 6", b.Len())
-		}
-		for _, y := range b.Y {
-			if y != 2 {
-				t.Fatalf("balance invented class %d", y)
-			}
-		}
-	})
-	t.Run("upsamples minority", func(t *testing.T) {
-		d := &Dataset{Classes: 2}
-		for i := 0; i < 9; i++ {
-			d.X = append(d.X, []float64{float64(i)})
-			d.Y = append(d.Y, 0)
-		}
-		d.X = append(d.X, []float64{99})
-		d.Y = append(d.Y, 1)
-		b := d.Balanced(1)
-		hist := b.ClassHistogram()
-		if hist[0] != 9 || hist[1] != 9 {
-			t.Errorf("balanced histogram %v, want [9 9]", hist)
-		}
-	})
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	d := sampleDataset(7, 3)
 	var buf bytes.Buffer

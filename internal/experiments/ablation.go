@@ -68,7 +68,7 @@ func RunAblation(p Profile, lib *library.Library, numDesigns int, progress func(
 		progress(fmt.Sprintf("ablation: %s", d.Name))
 		row := make([]AblationCell, len(policies))
 		for pi, pol := range policies {
-			res, err := mapper.Map(g, mapper.Options{Library: lib, Policy: pol})
+			res, err := mapper.MapStream(g, mapper.Options{Library: lib, Policy: pol})
 			if err != nil {
 				return nil, fmt.Errorf("ablation: %s/%s: %w", d.Name, pol.Name(), err)
 			}

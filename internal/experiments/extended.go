@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 
 	"slap/internal/aig"
 	"slap/internal/circuits"
 	"slap/internal/core"
-	"slap/internal/cuts"
 	"slap/internal/library"
-	"slap/internal/mapper"
 )
 
 // ExtendedDesigns returns the EPFL-style arithmetic blocks the paper
@@ -39,33 +36,7 @@ func ExtendedDesigns(p Profile) []Design {
 // RunExtended maps the extended designs under the three flows, producing a
 // Table-II-shaped result for the blocks the paper could not run.
 func RunExtended(p Profile, s *core.SLAP, lib *library.Library, progress func(string)) (*Table2, error) {
-	if progress == nil {
-		progress = func(string) {}
-	}
-	t := &Table2{ProfileName: p.Name + "-extended"}
-	for _, d := range ExtendedDesigns(p) {
-		g := d.Build()
-		progress(fmt.Sprintf("extended: %s (%d ands)", d.Name, g.NumAnds()))
-		abc, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
-		if err != nil {
-			return nil, fmt.Errorf("extended: %s/abc: %w", d.Name, err)
-		}
-		unl, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.UnlimitedPolicy{}})
-		if err != nil {
-			return nil, fmt.Errorf("extended: %s/unlimited: %w", d.Name, err)
-		}
-		sl, err := s.Map(g)
-		if err != nil {
-			return nil, fmt.Errorf("extended: %s/slap: %w", d.Name, err)
-		}
-		t.Rows = append(t.Rows, Table2Row{
-			Circuit: d.Name,
-			ABC:     QoR{Area: abc.Area, Delay: abc.Delay, Cuts: abc.CutsConsidered},
-			Unl:     QoR{Area: unl.Area, Delay: unl.Delay, Cuts: unl.CutsConsidered},
-			SLAP:    QoR{Area: sl.Area, Delay: sl.Delay, Cuts: sl.CutsConsidered},
-		})
-	}
-	return t, nil
+	return runTable("extended", p.Name+"-extended", ExtendedDesigns(p), s, lib, progress)
 }
 
 // RenderExtended labels the extended table.

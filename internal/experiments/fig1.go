@@ -40,7 +40,7 @@ func RunFig1(p Profile, build func() *aig.AIG, lib *library.Library, progress fu
 	g := build()
 	progress(fmt.Sprintf("fig1: %s (%d ands), %d samples", g.Name, g.NumAnds(), p.Fig1Samples))
 
-	def, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+	def, err := mapper.MapStream(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
 	if err != nil {
 		return nil, fmt.Errorf("fig1: default map: %w", err)
 	}
@@ -63,7 +63,7 @@ func RunFig1(p Profile, build func() *aig.AIG, lib *library.Library, progress fu
 				Rng:   rand.New(rand.NewSource(p.Seed + int64(i))),
 				Limit: p.ShuffleLimit,
 			}
-			res, err := mapper.Map(g, mapper.Options{Library: lib, Policy: policy})
+			res, err := mapper.MapStream(g, mapper.Options{Library: lib, Policy: policy})
 			if err != nil {
 				errs[i] = err
 				return

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -41,24 +42,30 @@ type Table2 struct {
 // RunTable2 maps every design under the three flows. The SLAP instance must
 // already be trained.
 func RunTable2(p Profile, s *core.SLAP, lib *library.Library, progress func(string)) (*Table2, error) {
+	return runTable("table2", p.Name, Designs(p), s, lib, progress)
+}
+
+// runTable maps each design under the ABC, Unlimited and SLAP flows; tag
+// prefixes progress lines and errors.
+func runTable(tag, profile string, designs []Design, s *core.SLAP, lib *library.Library, progress func(string)) (*Table2, error) {
 	if progress == nil {
 		progress = func(string) {}
 	}
-	t := &Table2{ProfileName: p.Name}
-	for _, d := range Designs(p) {
+	t := &Table2{ProfileName: profile}
+	for _, d := range designs {
 		g := d.Build()
-		progress(fmt.Sprintf("table2: %s (%d ands)", d.Name, g.NumAnds()))
-		abc, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+		progress(fmt.Sprintf("%s: %s (%d ands)", tag, d.Name, g.NumAnds()))
+		abc, err := mapper.MapStream(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
 		if err != nil {
-			return nil, fmt.Errorf("table2: %s/abc: %w", d.Name, err)
+			return nil, fmt.Errorf("%s: %s/abc: %w", tag, d.Name, err)
 		}
-		unl, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.UnlimitedPolicy{}})
+		unl, err := mapper.MapStream(g, mapper.Options{Library: lib, Policy: cuts.UnlimitedPolicy{}})
 		if err != nil {
-			return nil, fmt.Errorf("table2: %s/unlimited: %w", d.Name, err)
+			return nil, fmt.Errorf("%s: %s/unlimited: %w", tag, d.Name, err)
 		}
-		sl, err := s.Map(g)
+		sl, err := s.MapStreamContext(context.Background(), g)
 		if err != nil {
-			return nil, fmt.Errorf("table2: %s/slap: %w", d.Name, err)
+			return nil, fmt.Errorf("%s: %s/slap: %w", tag, d.Name, err)
 		}
 		t.Rows = append(t.Rows, Table2Row{
 			Circuit: d.Name,

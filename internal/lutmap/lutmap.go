@@ -5,8 +5,8 @@
 //
 // The paper argues its findings "can be extended to benefit FPGA-mapping
 // ... as the nature of the problem is the same"; this package demonstrates
-// exactly that: any cuts.Policy — including the SLAP ML filter via
-// precomputed cut sets — plugs into LUT mapping unchanged.
+// exactly that: any cuts.Policy — and the SLAP ML filter, which feeds its
+// filtered lists into a Stream — plugs into LUT mapping unchanged.
 package lutmap
 
 import (
@@ -26,17 +26,13 @@ type Options struct {
 	Policy cuts.Policy
 	// MergeCap bounds per-node cut lists during enumeration (0 = default).
 	MergeCap int
-	// CutSets supplies precomputed (e.g. ML-filtered) cut lists, bypassing
-	// enumeration.
-	CutSets *cuts.Result
 	// NoAreaRecovery disables the area-flow pass.
 	NoAreaRecovery bool
 	// Workers bounds cut-enumeration parallelism: 0 = one worker per CPU
 	// core, 1 = sequential (see cuts.Enumerator.Workers).
 	Workers int
-	// Pool, when set, lets the streaming path (MapStream) check cut-arena
-	// storage in and out across runs of the same graph shape. Ignored by
-	// the two-phase Map.
+	// Pool, when set, lets MapStream check cut-arena storage in and out
+	// across runs of the same graph shape.
 	Pool *cuts.Pool
 	// Rounds is the total number of selection rounds. Values <= 1 keep the
 	// classic schedule (depth pass + one area-flow pass unless
@@ -51,13 +47,8 @@ type Options struct {
 	// optimum.
 	DelayFactor float64
 	// Choices exposes functional equivalence classes to cut enumeration
-	// (see cuts.ChoiceSource and internal/choice). Ignored when CutSets is
-	// set.
+	// (see cuts.ChoiceSource and internal/choice).
 	Choices cuts.ChoiceSource
-	// ExtraCuts supplies per-node recovery-only cuts joining each node's
-	// list after round 1, so the depth round stays byte-identical to a
-	// single-pass run. Only consulted when Rounds > 1.
-	ExtraCuts [][]cuts.Cut
 }
 
 // LUT is one lookup table of the mapped network.
@@ -79,8 +70,7 @@ type Result struct {
 	// CutsConsidered counts cuts exposed to the mapper.
 	CutsConsidered int
 	// PeakCuts is the maximum number of simultaneously live cuts during
-	// enumeration (equal to CutsConsidered on the two-phase path; the
-	// streaming path reports the widest live level window).
+	// enumeration: the widest live level window.
 	PeakCuts int
 	// PolicyName records the policy.
 	PolicyName string
@@ -104,8 +94,7 @@ type RoundStat struct {
 	// Depth is the cover depth after the round.
 	Depth int32
 	// CutsConsidered counts cuts examined this round (enumeration total for
-	// round 1, selection candidates for recovery rounds; identical across
-	// the streaming and two-phase paths).
+	// round 1, selection candidates for recovery rounds).
 	CutsConsidered int
 	// PeakCuts is the enumeration peak for round 1, the live candidate
 	// count for recovery rounds.
@@ -121,8 +110,7 @@ type lutChoice struct {
 	valid  bool
 }
 
-// lutMapping holds the per-node selection state shared by the two-phase
-// and streaming flows.
+// lutMapping holds the per-node selection state of a Stream.
 type lutMapping struct {
 	g         *aig.AIG
 	sets      [][]cuts.Cut
@@ -148,9 +136,6 @@ func (lm *lutMapping) configureRounds(opt *Options) {
 	lm.delayFactor = opt.DelayFactor
 	if lm.delayFactor < 1 {
 		lm.delayFactor = 1
-	}
-	if lm.rounds > 1 {
-		lm.extras = opt.ExtraCuts
 	}
 }
 
@@ -249,7 +234,7 @@ func (lm *lutMapping) selectPass(required []int32) {
 
 // finish runs the area-recovery pass (unless disabled), extracts the cover
 // and builds the LUT network. The depth-optimal pass must already have run
-// (Map's selectPass(nil), or incrementally in the streaming flow).
+// (incrementally, inside Stream.ConsumeNode).
 func (lm *lutMapping) finish(policyName string, cutsConsidered, peakCuts int, noAreaRecovery bool) (*Result, error) {
 	g := lm.g
 	n := g.NumNodes()
@@ -370,8 +355,8 @@ func (lm *lutMapping) computeRequired(target int32) []int32 {
 // depth scaled by the delay factor, and each round re-selects by area flow
 // with load estimates refreshed from the previous cover; the final round
 // adds an exact-area (ref/deref) refinement. Every pass is a sequential
-// sweep, so multi-round results stay byte-identical across worker counts,
-// streaming modes and arena pools.
+// sweep, so multi-round results stay byte-identical across worker counts
+// and arena pools.
 func (lm *lutMapping) recoveryRounds(round1Cuts, enumPeak int) []RoundStat {
 	stats := make([]RoundStat, 0, lm.rounds)
 	luts, depth := lm.coverStats()
@@ -563,39 +548,6 @@ func (lm *lutMapping) exactAreaPass(required []int32) {
 	}
 }
 
-// Map covers g with K-feasible LUTs minimising depth, then recovers area
-// under depth constraints.
-func Map(g *aig.AIG, opt Options) (*Result, error) {
-	policyName := "exhaustive"
-	var res *cuts.Result
-	if opt.CutSets != nil {
-		res = opt.CutSets
-		policyName = "precomputed"
-	} else {
-		e := &cuts.Enumerator{G: g, Policy: opt.Policy, MergeCap: opt.MergeCap, Workers: opt.Workers, Choices: opt.Choices}
-		res = e.Run()
-		if opt.Policy != nil {
-			policyName = opt.Policy.Name()
-		}
-	}
-	sets := res.Sets
-	ensureFaninCuts(g, sets)
-
-	lm := newLutMapping(g)
-	lm.sets = sets
-	lm.configureRounds(&opt)
-
-	// Pass 1: depth-optimal choice per node.
-	lm.selectPass(nil)
-
-	total := totalCuts(g, sets)
-	peak := res.PeakCuts
-	if peak == 0 {
-		peak = res.TotalCuts
-	}
-	return lm.finish(policyName, total, peak, opt.NoAreaRecovery)
-}
-
 func nodeDepth(g *aig.AIG, depth []int32, n uint32) int32 {
 	if g.IsAnd(n) {
 		return depth[n]
@@ -610,42 +562,6 @@ func containsLeaf(c *cuts.Cut, n uint32) bool {
 		}
 	}
 	return false
-}
-
-func totalCuts(g *aig.AIG, sets [][]cuts.Cut) int {
-	total := 0
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		if g.IsAnd(n) {
-			total += len(sets[n])
-		}
-	}
-	return total
-}
-
-// ensureFaninCuts guarantees every AND node keeps a usable non-trivial cut
-// (the elementary fanin cut), mirroring the ASIC mapper's fallback.
-func ensureFaninCuts(g *aig.AIG, sets [][]cuts.Cut) {
-	e := &cuts.Enumerator{G: g}
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		if !g.IsAnd(n) {
-			continue
-		}
-		has := false
-		for i := range sets[n] {
-			if !containsLeaf(&sets[n][i], n) {
-				has = true
-				break
-			}
-		}
-		if !has {
-			f0, f1 := g.Fanins(n)
-			a, b := f0.Node(), f1.Node()
-			if a > b {
-				a, b = b, a
-			}
-			sets[n] = append(sets[n], e.MakeCut(n, []uint32{a, b}))
-		}
-	}
 }
 
 // Simulate evaluates the LUT network on 64 packed input patterns and

@@ -11,7 +11,7 @@ import (
 
 func mapLUT(t testing.TB, g *aig.AIG, p cuts.Policy) *Result {
 	t.Helper()
-	res, err := Map(g, Options{Policy: p})
+	res, err := MapStream(g, Options{Policy: p})
 	if err != nil {
 		t.Fatalf("lutmap(%s): %v", g.Name, err)
 	}
@@ -57,11 +57,11 @@ func TestLUTDepthBeatsAIGDepth(t *testing.T) {
 
 func TestLUTAreaRecoveryReducesLUTs(t *testing.T) {
 	g := circuits.CarryLookaheadAdder(16)
-	with, err := Map(g, Options{Policy: cuts.DefaultPolicy{}})
+	with, err := MapStream(g, Options{Policy: cuts.DefaultPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Map(g, Options{Policy: cuts.DefaultPolicy{}, NoAreaRecovery: true})
+	without, err := MapStream(g, Options{Policy: cuts.DefaultPolicy{}, NoAreaRecovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,17 +87,13 @@ func TestLUTFeasibilityRespectsK(t *testing.T) {
 	}
 }
 
-func TestLUTPrecomputedCutSets(t *testing.T) {
-	// The SLAP read_cuts flow plugs into LUT mapping unchanged: filtered
-	// cut sets in, LUT network out.
+func TestLUTPrecomputedListsFeedStream(t *testing.T) {
+	// Lists materialised up front (as the SLAP filter's materialising
+	// consumers hold them) plug into LUT mapping unchanged: a Stream fed in
+	// ascending node order.
 	g := circuits.TrainRC16()
-	e := &cuts.Enumerator{G: g, Policy: cuts.DefaultPolicy{}}
-	sets := e.Run()
-	res, err := Map(g, Options{CutSets: sets})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PolicyName != "precomputed" {
+	res := mapLUTTwoPhase(t, g, Options{Policy: cuts.DefaultPolicy{}})
+	if res.PolicyName != (cuts.DefaultPolicy{}).Name() {
 		t.Fatalf("policy name %q", res.PolicyName)
 	}
 	if err := res.EquivalentTo(g, 4, rand.New(rand.NewSource(5))); err != nil {
@@ -107,7 +103,7 @@ func TestLUTPrecomputedCutSets(t *testing.T) {
 
 func TestLUTTrivialOnlyFallback(t *testing.T) {
 	g := circuits.TrainRC16()
-	res, err := Map(g, Options{Policy: dropAll{}})
+	res, err := MapStream(g, Options{Policy: dropAll{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +121,7 @@ func BenchmarkLUTMap(b *testing.B) {
 	g := circuits.CarryLookaheadAdder(32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Map(g, Options{Policy: cuts.DefaultPolicy{}}); err != nil {
+		if _, err := MapStream(g, Options{Policy: cuts.DefaultPolicy{}}); err != nil {
 			b.Fatal(err)
 		}
 	}

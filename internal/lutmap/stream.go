@@ -1,7 +1,7 @@
 // Streaming (fused) LUT mapping: the depth-optimal selection pass runs
 // inside the cut-enumeration wavefront, with each level's cut storage
-// retired as soon as its consumers are merged. Results are byte-identical
-// to the two-phase Map (see mapper/stream.go for the ASIC analogue).
+// retired as soon as its consumers are merged (see mapper/stream.go for the
+// ASIC analogue). Stream is the only way into the LUT mapper.
 package lutmap
 
 import (
@@ -35,7 +35,6 @@ func NewStream(g *aig.AIG, opt Options) *Stream {
 	lm := newLutMapping(g)
 	lm.sets = make([][]cuts.Cut, g.NumNodes())
 	lm.configureRounds(&opt)
-	lm.extras = nil // streaming extras arrive through ConsumeExtras
 	return &Stream{
 		lm:         lm,
 		noAreaRec:  opt.NoAreaRecovery,
@@ -60,9 +59,10 @@ func (st *Stream) internLeaves(ls []uint32) []uint32 {
 // ConsumeNode ingests the finalised (borrowed) cut list of AND node n.
 // Every non-self cut is LUT-implementable and is copied into stream-owned
 // storage; self-referential trivial cuts contribute nothing to any pass
-// and are dropped (they are still counted, matching Map's accounting,
-// which keeps them in the lists). The depth-optimal selection runs on the
-// spot — every leaf sits at a strictly lower, already-final level.
+// and are dropped (they still count toward CutsConsidered). A node left
+// with no usable cut gets the elementary fanin cut, mirroring the ASIC
+// mapper's fallback. The depth-optimal selection runs on the spot — every
+// leaf sits at a strictly lower, already-final level.
 func (st *Stream) ConsumeNode(n uint32, cs []cuts.Cut) {
 	lm := st.lm
 	st.cutsSeen += len(cs)
@@ -86,7 +86,7 @@ func (st *Stream) ConsumeNode(n uint32, cs []cuts.Cut) {
 			list = append(list, cc)
 		}
 	} else {
-		// ensureFaninCuts' fallback: the elementary fanin cut.
+		// Fallback: the elementary fanin cut.
 		g := lm.g
 		f0, f1 := g.Fanins(n)
 		a, b := f0.Node(), f1.Node()
@@ -100,10 +100,10 @@ func (st *Stream) ConsumeNode(n uint32, cs []cuts.Cut) {
 	lm.selectNode(n, nil)
 }
 
-// ConsumeExtras ingests recovery-only cuts for node n (see
-// Options.ExtraCuts): non-self cuts are copied into stream-owned storage
-// and join the node's list after the depth round completes. No-op unless
-// Rounds > 1.
+// ConsumeExtras ingests recovery-only cuts for node n (the multi-round
+// engine's wider pool): non-self cuts are copied into stream-owned storage
+// and join the node's list after the depth round completes, so the depth
+// round stays byte-identical to a single-pass run. No-op unless Rounds > 1.
 func (st *Stream) ConsumeExtras(n uint32, cs []cuts.Cut) {
 	lm := st.lm
 	if lm.rounds <= 1 {
@@ -136,15 +136,13 @@ func (st *Stream) Finish() (*Result, error) {
 	return st.lm.finish(st.policyName, st.cutsSeen, st.peakCuts, st.noAreaRec)
 }
 
-// MapStream runs the fused streaming LUT-mapping flow on g, byte-identical
-// to Map for every policy (stateful policies degrade to the sequential
-// index-order enumeration driver). When opt.Pool is set, cut storage is
-// recycled across runs of the same graph shape.
+// MapStream covers g with K-feasible LUTs minimising depth, then recovers
+// area under depth constraints, with enumeration and selection fused per
+// wavefront level. Results are identical for every worker count (stateful
+// policies degrade to the sequential index-order enumeration driver). When
+// opt.Pool is set, cut storage is recycled across runs of the same graph
+// shape.
 func MapStream(g *aig.AIG, opt Options) (*Result, error) {
-	if opt.CutSets != nil {
-		// Precomputed cut lists are already materialised; stream nothing.
-		return Map(g, opt)
-	}
 	st := NewStream(g, opt)
 	var arena *cuts.Arena
 	if opt.Pool != nil {

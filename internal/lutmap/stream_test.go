@@ -37,6 +37,25 @@ func requireSameLUTMapping(t *testing.T, name string, want, got *Result) {
 	}
 }
 
+// mapLUTTwoPhase maps g in two phases: Run collects every node's
+// post-policy list, then the lists feed a Stream in ascending node order.
+func mapLUTTwoPhase(t testing.TB, g *aig.AIG, opt Options) *Result {
+	t.Helper()
+	res := (&cuts.Enumerator{G: g, Policy: opt.Policy, MergeCap: opt.MergeCap, Workers: opt.Workers, Choices: opt.Choices}).Run()
+	st := NewStream(g, opt)
+	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
+		if g.IsAnd(n) {
+			st.ConsumeNode(n, res.Sets[n])
+		}
+	}
+	st.SetPeakCuts(res.PeakCuts)
+	out, err := st.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestLUTStreamingMatchesTwoPhase mirrors the ASIC mapper's determinism
 // matrix for the LUT flow.
 func TestLUTStreamingMatchesTwoPhase(t *testing.T) {
@@ -58,10 +77,7 @@ func TestLUTStreamingMatchesTwoPhase(t *testing.T) {
 	pool := cuts.NewPool(4)
 	for _, g := range graphs {
 		for _, pc := range policies {
-			want, err := Map(g, Options{Policy: pc.mk(), Workers: 1})
-			if err != nil {
-				t.Fatalf("%s/%s: Map: %v", g.Name, pc.name, err)
-			}
+			want := mapLUTTwoPhase(t, g, Options{Policy: pc.mk(), Workers: 1})
 			for _, workers := range []int{1, 4} {
 				for _, pooled := range []bool{false, true} {
 					opt := Options{Policy: pc.mk(), Workers: workers}

@@ -5,11 +5,10 @@
 // edit would get back exactly the list it had. MapDelta aligns the new
 // graph against a Snapshot of the baseline by ordered cone hash, walks the
 // dirty frontier (an edited node dirties its entire fanout cone, exactly
-// the propagation the level-retirement wavefront bounds), reuses the
-// snapshot's cut lists for clean nodes, re-runs the merge/policy pipeline
-// only on dirty ones, and then performs the unchanged selection, area
-// recovery, buffering and STA finish. The result is byte-identical to a
-// full map of the edited graph.
+// the propagation the level-retirement wavefront bounds), and runs the
+// ordinary MapStream pipeline with the snapshot's cut lists installed for
+// clean nodes, so only dirty ones re-run the merge/policy pipeline. The
+// result is byte-identical to a full map of the edited graph.
 package mapper
 
 import (
@@ -22,8 +21,8 @@ import (
 )
 
 // ErrDeltaIneligible reports that the mapping options cannot support delta
-// remapping (stateful or non-cone-local policy, or precomputed cut sets);
-// callers should fall back to a full map.
+// remapping (stateful or non-cone-local policy, a choice source, or no
+// snapshot); callers should fall back to a full map.
 var ErrDeltaIneligible = errors.New("mapper: options not eligible for delta remapping")
 
 // ErrSnapshotMismatch reports that the snapshot was captured under a
@@ -71,9 +70,8 @@ const cutBytes = int64(unsafe.Sizeof(cuts.Cut{}))
 
 // Snapshot is a reusable record of one full mapping run: the baseline
 // graph's ordered cone hashes plus a deep copy of every AND node's
-// post-policy cut list (captured via Options.CaptureCuts before the
-// mapper's fallback pass mutates them). It is immutable after the run and
-// safe for concurrent MapDelta calls.
+// post-policy cut list (captured via Options.CaptureCuts). It is immutable
+// after the run and safe for concurrent MapDelta calls.
 type Snapshot struct {
 	// EnumSig identifies the policy/merge-cap configuration the lists were
 	// enumerated under; MapDelta refuses mismatched options.
@@ -90,9 +88,6 @@ type Snapshot struct {
 // produces the baseline result. Returns nil when the options are not
 // ECO-eligible (callers may still map, they just cannot delta-remap later).
 func NewSnapshot(g *aig.AIG, opt Options) *Snapshot {
-	if opt.CutSets != nil {
-		return nil
-	}
 	sig := enumSig(opt.Policy, opt.MergeCap)
 	if sig == "" {
 		return nil
@@ -157,15 +152,16 @@ type DeltaStats struct {
 // MapDelta maps g by reusing the snapshot of a structurally similar
 // baseline: clean nodes (cone hash matched, all fanins clean) take their
 // cut lists from the snapshot via the alignment's id translation, dirty
-// nodes re-run the merge/policy pipeline, and the combined lists feed the
-// standard selection/area-recovery/buffer/STA finish. The Result is
-// byte-identical to Map(g, opt) — same netlist, QoR and counters — except
-// PeakCuts, which always reports the two-phase (fully materialised) value.
+// nodes re-run the merge/policy pipeline, and everything else is the
+// ordinary MapStream flow (including its Workers and Pool). The Result is
+// byte-identical to MapStream(g, opt) — same netlist, QoR and counters —
+// except PeakCuts, which counts the installed lists as live for their
+// whole level window like any other.
 func MapDelta(g *aig.AIG, opt Options, snap *Snapshot) (*Result, *DeltaStats, error) {
 	if opt.Library == nil {
 		return nil, nil, fmt.Errorf("mapper: Options.Library is required")
 	}
-	if snap == nil || opt.CutSets != nil {
+	if snap == nil || opt.Choices != nil {
 		return nil, nil, ErrDeltaIneligible
 	}
 	sig := enumSig(opt.Policy, opt.MergeCap)
@@ -180,7 +176,9 @@ func MapDelta(g *aig.AIG, opt Options, snap *Snapshot) (*Result, *DeltaStats, er
 	clean := cleanNodes(g, al)
 
 	// Translate the snapshot's lists for clean nodes through the (monotone)
-	// alignment. Leaves live in one contiguous arena sized exactly.
+	// alignment up front, so the enumerator's reuse hook — called from
+	// every wavefront worker — is a read-only lookup. Leaves live in one
+	// contiguous arena sized exactly.
 	st := &DeltaStats{}
 	var leafNeed int
 	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
@@ -192,12 +190,15 @@ func MapDelta(g *aig.AIG, opt Options, snap *Snapshot) (*Result, *DeltaStats, er
 			for i := range snap.sets[al.NewToOld[n]] {
 				leafNeed += len(snap.sets[al.NewToOld[n]][i].Leaves)
 			}
+		} else {
+			st.DirtyAnds++
 		}
 	}
 	leaves := make([]uint32, 0, leafNeed)
-	reuseList := func(n uint32) []cuts.Cut {
-		if !clean[n] {
-			return nil
+	reused := make([][]cuts.Cut, g.NumNodes())
+	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
+		if !g.IsAnd(n) || !clean[n] {
+			continue
 		}
 		old := snap.sets[al.NewToOld[n]]
 		list := make([]cuts.Cut, len(old))
@@ -211,32 +212,19 @@ func MapDelta(g *aig.AIG, opt Options, snap *Snapshot) (*Result, *DeltaStats, er
 			c.Sig = cuts.LeafSig(c.Leaves)
 			list[i] = c
 		}
+		reused[n] = list
 		st.ReusedCuts += len(list)
-		return list
 	}
-
-	e := &cuts.Enumerator{G: g, Policy: opt.Policy, MergeCap: opt.MergeCap}
-	res := e.RunWithReuse(reuseList)
-	st.DirtyAnds = countDirty(g, clean)
 	if st.TotalAnds > 0 {
 		st.DirtyFraction = float64(st.DirtyAnds) / float64(st.TotalAnds)
 	}
 
-	mopt := opt
-	mopt.CutSets = res
-	mopt.CaptureCuts = nil
-	mres, err := Map(g, mopt)
+	opt.CaptureCuts = nil
+	res, err := mapStream(g, opt, func(n uint32) []cuts.Cut { return reused[n] })
 	if err != nil {
 		return nil, nil, err
 	}
-	// Map reports "precomputed" for supplied cut sets; a delta remap is
-	// semantically the original policy's run.
-	if opt.Policy != nil {
-		mres.PolicyName = opt.Policy.Name()
-	} else {
-		mres.PolicyName = "exhaustive"
-	}
-	return mres, st, nil
+	return res, st, nil
 }
 
 // cleanNodes computes the clean set: a node is clean when its ordered cone
@@ -258,14 +246,4 @@ func cleanNodes(g *aig.AIG, al *aig.Alignment) []bool {
 		clean[n] = true
 	}
 	return clean
-}
-
-func countDirty(g *aig.AIG, clean []bool) int {
-	dirty := 0
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		if g.IsAnd(n) && !clean[n] {
-			dirty++
-		}
-	}
-	return dirty
 }

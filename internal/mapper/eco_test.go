@@ -21,8 +21,7 @@ func netlistBytes(t *testing.T, r *Result) []byte {
 }
 
 // requireSameResult pins byte identity between a delta remap and a full
-// map: netlist bytes, QoR and all counters except PeakCuts (the streaming
-// baseline reports a live-window peak the two-phase delta path cannot).
+// map: netlist bytes, QoR, counters and the cover.
 func requireSameResult(t *testing.T, full, delta *Result) {
 	t.Helper()
 	if fb, db := netlistBytes(t, full), netlistBytes(t, delta); !bytes.Equal(fb, db) {
@@ -55,9 +54,12 @@ func requireSameResult(t *testing.T, full, delta *Result) {
 	}
 }
 
-// TestMapDeltaByteIdentical is the tentpole pin: across policies × workers
-// × streaming on/off, delta-remapping a 5%-edited design yields exactly
-// the result of a cold full map, while actually skipping work.
+// TestMapDeltaByteIdentical is the tentpole pin: across policies, baseline
+// capture flows (fused, or two-phase from materialised lists) and worker
+// counts, delta-remapping a 5%-edited design yields exactly the result of a
+// cold full map, while actually skipping work. MapDelta runs the parallel
+// wavefront with the reuse hook, so every subtest remaps at workers
+// {1, 2, 4, 7}; run under -race this pins the hook as a read-only lookup.
 func TestMapDeltaByteIdentical(t *testing.T) {
 	lib := library.ASAP7ish()
 	base := circuits.ArrayMultiplier(8)
@@ -97,7 +99,7 @@ func TestMapDeltaByteIdentical(t *testing.T) {
 					if streaming {
 						baseRes, err = MapStream(base, capOpt)
 					} else {
-						baseRes, err = Map(base, capOpt)
+						baseRes = mapTwoPhase(t, base, capOpt)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -109,27 +111,31 @@ func TestMapDeltaByteIdentical(t *testing.T) {
 						t.Fatal("snapshot captured nothing")
 					}
 
-					full, err := Map(edited, opt)
+					full, err := MapStream(edited, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					delta, st, err := MapDelta(edited, opt, snap)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireSameResult(t, full, delta)
-					if delta.PeakCuts != full.PeakCuts {
-						t.Fatalf("two-phase peak differs: %d vs %d", delta.PeakCuts, full.PeakCuts)
-					}
-					if st.DirtyAnds == 0 || st.DirtyAnds >= st.TotalAnds {
-						t.Fatalf("dirty cone %d/%d ANDs: edit not detected or nothing reused",
-							st.DirtyAnds, st.TotalAnds)
-					}
-					if st.DirtyFraction > 0.9 {
-						t.Fatalf("dirty fraction %.2f too high for a 5%% edit", st.DirtyFraction)
-					}
-					if st.ReusedCuts == 0 {
-						t.Fatal("no cuts reused")
+					for _, dw := range []int{1, 2, 4, 7} {
+						dopt := opt
+						dopt.Workers = dw
+						delta, st, err := MapDelta(edited, dopt, snap)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireSameResult(t, full, delta)
+						if delta.PeakCuts != full.PeakCuts {
+							t.Fatalf("workers=%d: peak differs: %d vs %d", dw, delta.PeakCuts, full.PeakCuts)
+						}
+						if st.DirtyAnds == 0 || st.DirtyAnds >= st.TotalAnds {
+							t.Fatalf("dirty cone %d/%d ANDs: edit not detected or nothing reused",
+								st.DirtyAnds, st.TotalAnds)
+						}
+						if st.DirtyFraction > 0.9 {
+							t.Fatalf("dirty fraction %.2f too high for a 5%% edit", st.DirtyFraction)
+						}
+						if st.ReusedCuts == 0 {
+							t.Fatal("no cuts reused")
+						}
 					}
 				})
 			}
@@ -146,7 +152,7 @@ func TestMapDeltaIdenticalGraph(t *testing.T) {
 	snap := NewSnapshot(g, opt)
 	capOpt := opt
 	capOpt.CaptureCuts = snap.Capture
-	full, err := Map(g, capOpt)
+	full, err := MapStream(g, capOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

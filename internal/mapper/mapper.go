@@ -12,7 +12,6 @@
 package mapper
 
 import (
-	"fmt"
 	"math"
 
 	"slap/internal/aig"
@@ -30,10 +29,6 @@ type Options struct {
 	Policy cuts.Policy
 	// MergeCap bounds per-node cut lists during enumeration (0 = default).
 	MergeCap int
-	// CutSets supplies precomputed (e.g. ML-filtered) cut lists, bypassing
-	// enumeration — the paper's read_cuts flow. When set, Policy and
-	// MergeCap are ignored.
-	CutSets *cuts.Result
 	// NoAreaRecovery disables the area-flow and exact-area passes,
 	// producing the pure delay-optimal cover.
 	NoAreaRecovery bool
@@ -46,16 +41,13 @@ type Options struct {
 	// core, 1 = sequential. Parallel and sequential enumeration produce
 	// identical cut sets (see cuts.Enumerator.Workers).
 	Workers int
-	// Pool, when set, lets the streaming path (MapStream) check cut-arena
-	// storage in and out across runs of the same graph shape. Ignored by the
-	// two-phase Map.
+	// Pool, when set, lets MapStream check cut-arena storage in and out
+	// across runs of the same graph shape.
 	Pool *cuts.Pool
 	// CaptureCuts, when set, observes every AND node's finalised
-	// post-policy cut list exactly once, before the mapper's fallback pass
-	// can mutate it and (on the streaming path) before the enumerator
-	// retires its storage — the hook must copy anything it keeps. Invoked
-	// from a single goroutine. Ignored when CutSets is supplied. Snapshot.
-	// Capture fits this hook to record an ECO baseline.
+	// post-policy cut list exactly once, before the enumerator retires its
+	// storage — the hook must copy anything it keeps. Invoked from a single
+	// goroutine. Snapshot.Capture fits this hook to record an ECO baseline.
 	CaptureCuts func(n uint32, cs []cuts.Cut)
 	// Rounds is the total number of selection rounds. Values <= 1 keep the
 	// classic schedule (delay pass + the two recovery passes unless
@@ -71,13 +63,8 @@ type Options struct {
 	DelayFactor float64
 	// Choices exposes functional equivalence classes to cut enumeration so
 	// matching sees the union of each class's structural variants (see
-	// cuts.ChoiceSource and internal/choice). Ignored when CutSets is set.
+	// cuts.ChoiceSource and internal/choice).
 	Choices cuts.ChoiceSource
-	// ExtraCuts supplies per-node recovery-only cuts (indexed by node id):
-	// they join the node's list after round 1 completes, so the delay round
-	// stays byte-identical to a single-pass run while later rounds select
-	// from a wider, still model-vetted pool. Only consulted when Rounds > 1.
-	ExtraCuts [][]cuts.Cut
 }
 
 // DefaultMaxFanout is the post-mapping fanout bound.
@@ -95,9 +82,7 @@ type Result struct {
 	// paper's "Cuts Used" memory-footprint metric.
 	CutsConsidered int
 	// PeakCuts is the maximum number of simultaneously live cuts during
-	// enumeration. Equal to CutsConsidered for the two-phase path (which
-	// materialises everything); the streaming path reports the widest live
-	// level window.
+	// enumeration: the widest live level window.
 	PeakCuts int
 	// MatchAttempts counts (cut, gate) pairs evaluated.
 	MatchAttempts int
@@ -133,7 +118,7 @@ type RoundStat struct {
 	EstDelay float64
 	// CutsConsidered counts cuts exposed to matching this round: the full
 	// enumeration total for round 1, matchable candidates examined for
-	// recovery rounds. Identical across the streaming and two-phase paths.
+	// recovery rounds.
 	CutsConsidered int
 	// PeakCuts is the enumeration peak for round 1 and the live matchable
 	// candidate count for recovery rounds.
@@ -200,13 +185,10 @@ func (m *mapping) configureRounds(opt *Options) {
 	if m.delayFactor < 1 {
 		m.delayFactor = 1
 	}
-	if m.rounds > 1 {
-		m.extras = opt.ExtraCuts
-	}
 }
 
-// newMapping builds the per-node selection state shared by the two-phase
-// and streaming flows. m.sets is left for the caller to install.
+// newMapping builds the per-node selection state. m.sets is left for the
+// caller to install.
 func newMapping(g *aig.AIG, lib *library.Library, maxFanout int) *mapping {
 	if maxFanout == 0 {
 		maxFanout = DefaultMaxFanout
@@ -234,52 +216,10 @@ func newMapping(g *aig.AIG, lib *library.Library, maxFanout int) *mapping {
 	return m
 }
 
-// Map runs the full mapping flow on g.
-func Map(g *aig.AIG, opt Options) (*Result, error) {
-	if opt.Library == nil {
-		return nil, fmt.Errorf("mapper: Options.Library is required")
-	}
-	policyName := "exhaustive"
-	var res *cuts.Result
-	if opt.CutSets != nil {
-		res = opt.CutSets
-		policyName = "precomputed"
-	} else {
-		e := &cuts.Enumerator{G: g, Policy: opt.Policy, MergeCap: opt.MergeCap, Workers: opt.Workers, Choices: opt.Choices}
-		res = e.Run()
-		if opt.Policy != nil {
-			policyName = opt.Policy.Name()
-		}
-	}
-
-	if opt.CaptureCuts != nil && opt.CutSets == nil {
-		for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-			if g.IsAnd(n) {
-				opt.CaptureCuts(n, res.Sets[n])
-			}
-		}
-	}
-
-	m := newMapping(g, opt.Library, opt.MaxFanout)
-	m.sets = res.Sets
-	m.configureRounds(&opt)
-
-	cutsConsidered := m.ensureMappable()
-	cutsConsidered += totalCuts(g, res)
-
-	// Pass 1: delay-optimal mapping.
-	m.selectAll(selectDelay)
-	peak := res.PeakCuts
-	if peak == 0 {
-		peak = res.TotalCuts
-	}
-	return m.finish(opt.NoAreaRecovery, policyName, cutsConsidered, peak)
-}
-
 // finish runs everything downstream of the delay pass — area recovery,
-// netlist construction, buffering, cover extraction and STA — and is shared
-// by Map and the streaming Stream.Finish (whose delay pass happened
-// incrementally inside the wavefront).
+// netlist construction, buffering, cover extraction and STA — for
+// Stream.Finish, whose delay pass happened incrementally inside the
+// wavefront.
 func (m *mapping) finish(noAreaRecovery bool, policyName string, cutsConsidered, peakCuts int) (*Result, error) {
 	var roundStats []RoundStat
 	switch {
@@ -337,8 +277,8 @@ func (m *mapping) finish(noAreaRecovery bool, policyName string, cutsConsidered,
 // area flow with load estimates refreshed from the previous round's cover —
 // the final round adds an exact-area refinement. Every pass is a sequential
 // sweep over the retained cut lists, so results are byte-identical for any
-// worker count, streaming mode or arena pool: parallelism only ever touched
-// enumeration, which is already finished.
+// worker count or arena pool: parallelism only ever touched enumeration,
+// which is already finished.
 func (m *mapping) recoveryRounds(round1Cuts, enumPeak int) []RoundStat {
 	stats := make([]RoundStat, 0, m.rounds)
 	stats = append(stats, RoundStat{
@@ -413,50 +353,6 @@ func (m *mapping) updateFlowRefs() {
 			m.flowRef[n] = float64(r)
 		}
 	}
-}
-
-func totalCuts(g *aig.AIG, res *cuts.Result) int {
-	total := 0
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		if g.IsAnd(n) {
-			total += len(res.Sets[n])
-		}
-	}
-	return total
-}
-
-// ensureMappable guarantees every AND node has at least one matchable
-// non-trivial cut by appending the elementary fanin cut when a policy
-// filtered everything else away (ABC always keeps this cut; SLAP's
-// "trivial cut only" nodes still need it to be coverable as leaves of
-// larger cuts, and as roots when nothing else covers them). Returns the
-// number of fallback cuts added.
-func (m *mapping) ensureMappable() int {
-	added := 0
-	for n := uint32(1); n < uint32(m.g.NumNodes()); n++ {
-		if !m.g.IsAnd(n) {
-			continue
-		}
-		if m.hasMatchableCut(n) {
-			continue
-		}
-		m.sets[n] = append(m.sets[n], m.faninCut(n))
-		added++
-	}
-	return added
-}
-
-func (m *mapping) hasMatchableCut(n uint32) bool {
-	for i := range m.sets[n] {
-		c := &m.sets[n][i]
-		if containsLeaf(c, n) {
-			continue // trivial/self-referential cut cannot be matched
-		}
-		if len(m.lib.Matches(c.TT)) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // faninCut builds the elementary cut {fanin0, fanin1} of an AND node.

@@ -12,9 +12,9 @@ import (
 
 func mapCircuit(t testing.TB, g *aig.AIG, p cuts.Policy) *Result {
 	t.Helper()
-	res, err := Map(g, Options{Library: library.ASAP7ish(), Policy: p})
+	res, err := MapStream(g, Options{Library: library.ASAP7ish(), Policy: p})
 	if err != nil {
-		t.Fatalf("Map(%s, %v): %v", g.Name, p, err)
+		t.Fatalf("MapStream(%s, %v): %v", g.Name, p, err)
 	}
 	return res
 }
@@ -90,11 +90,11 @@ func TestMapEquivalenceAcrossPoliciesAndCircuits(t *testing.T) {
 func TestAreaRecoveryReducesArea(t *testing.T) {
 	g := circuits.TrainCLA16()
 	lib := library.ASAP7ish()
-	noRec, err := Map(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}, NoAreaRecovery: true})
+	noRec, err := MapStream(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}, NoAreaRecovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Map(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+	rec, err := MapStream(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestAreaRecoveryReducesArea(t *testing.T) {
 func TestUnlimitedConsidersMoreCutsThanDefault(t *testing.T) {
 	g := circuits.TrainCLA16()
 	lib := library.ASAP7ish()
-	def, err := Map(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+	def, err := MapStream(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unl, err := Map(g, Options{Library: lib, Policy: cuts.UnlimitedPolicy{}})
+	unl, err := MapStream(g, Options{Library: lib, Policy: cuts.UnlimitedPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestShuffleSeedsProduceQoRSpread(t *testing.T) {
 	delays := make(map[int64]float64)
 	distinct := map[float64]bool{}
 	for seed := int64(0); seed < 8; seed++ {
-		res, err := Map(g, Options{
+		res, err := MapStream(g, Options{
 			Library: lib,
 			Policy:  &cuts.ShufflePolicy{Rng: rand.New(rand.NewSource(seed)), Limit: 4},
 		})
@@ -150,16 +150,13 @@ func TestShuffleSeedsProduceQoRSpread(t *testing.T) {
 	}
 }
 
-func TestPrecomputedCutSets(t *testing.T) {
+// TestPrecomputedListsFeedStream maps lists materialised up front by Run:
+// a Stream fed in ascending node order is the entry point every
+// materialising consumer uses.
+func TestPrecomputedListsFeedStream(t *testing.T) {
 	g := circuits.TrainRC16()
-	lib := library.ASAP7ish()
-	e := &cuts.Enumerator{G: g, Policy: cuts.DefaultPolicy{}}
-	res := e.Run()
-	out, err := Map(g, Options{Library: lib, CutSets: res})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.PolicyName != "precomputed" {
+	out := mapTwoPhase(t, g, Options{Library: library.ASAP7ish(), Policy: cuts.DefaultPolicy{}})
+	if out.PolicyName != (cuts.DefaultPolicy{}).Name() {
 		t.Fatalf("PolicyName = %q", out.PolicyName)
 	}
 	if err := out.Netlist.EquivalentTo(g, 4, rand.New(rand.NewSource(6))); err != nil {
@@ -167,11 +164,11 @@ func TestPrecomputedCutSets(t *testing.T) {
 	}
 }
 
-func TestTrivialOnlyCutSetsStillMappable(t *testing.T) {
+func TestTrivialOnlyPolicyStillMappable(t *testing.T) {
 	// A policy that keeps only the trivial cut forces the mapper's
 	// elementary-fanin-cut fallback on every node.
 	g := circuits.TrainRC16()
-	out, err := Map(g, Options{Library: library.ASAP7ish(), Policy: trivialOnlyPolicy{}})
+	out, err := MapStream(g, Options{Library: library.ASAP7ish(), Policy: trivialOnlyPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +188,14 @@ func TestMaxFanoutBuffering(t *testing.T) {
 	lib := library.ASAP7ish()
 	// The S-box-style BDD logic of AES creates very high-fanout nets.
 	g := circuits.ArrayMultiplier(10)
-	buffered, err := Map(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+	buffered, err := MapStream(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := buffered.Netlist.MaxFanout(); got > DefaultMaxFanout {
 		t.Fatalf("default flow left fanout %d > %d", got, DefaultMaxFanout)
 	}
-	unbuffered, err := Map(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}, MaxFanout: -1})
+	unbuffered, err := MapStream(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}, MaxFanout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +214,7 @@ func TestMaxFanoutBuffering(t *testing.T) {
 func TestEstimatedDelayTracksSTA(t *testing.T) {
 	lib := library.ASAP7ish()
 	g := circuits.CarryLookaheadAdder(24)
-	res, err := Map(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+	res, err := MapStream(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +230,7 @@ func TestEstimatedDelayTracksSTA(t *testing.T) {
 
 func TestMissingLibraryRejected(t *testing.T) {
 	g := circuits.TrainRC16()
-	if _, err := Map(g, Options{}); err == nil {
+	if _, err := MapStream(g, Options{}); err == nil {
 		t.Fatalf("Map without a library must fail")
 	}
 }
@@ -248,11 +245,11 @@ func TestADP(t *testing.T) {
 func TestDelayDominatedByCriticalPath(t *testing.T) {
 	// The mapped delay of a ripple adder must grow with width.
 	lib := library.ASAP7ish()
-	d8, err := Map(circuits.RippleCarryAdder(8), Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+	d8, err := MapStream(circuits.RippleCarryAdder(8), Options{Library: lib, Policy: cuts.DefaultPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d32, err := Map(circuits.RippleCarryAdder(32), Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+	d32, err := MapStream(circuits.RippleCarryAdder(32), Options{Library: lib, Policy: cuts.DefaultPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +263,7 @@ func BenchmarkMapDefault(b *testing.B) {
 	lib := library.ASAP7ish()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Map(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}}); err != nil {
+		if _, err := MapStream(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -277,7 +274,7 @@ func BenchmarkMapUnlimited(b *testing.B) {
 	lib := library.ASAP7ish()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Map(g, Options{Library: lib, Policy: cuts.UnlimitedPolicy{}}); err != nil {
+		if _, err := MapStream(g, Options{Library: lib, Policy: cuts.UnlimitedPolicy{}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -306,7 +303,7 @@ func TestMapRandomAIGsProperty(t *testing.T) {
 			g.AddPO("", l)
 			nPOs++
 		}
-		res, err := Map(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+		res, err := MapStream(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -5,7 +5,8 @@
 // the elementary fanin fallback), and runs the delay-optimal selection pass
 // incrementally. The enumerator is then free to retire the level's cut
 // storage, so peak cut memory is the widest live window rather than the
-// whole graph — with results byte-identical to the two-phase Map.
+// whole graph. Stream is the only way into the mapper: every flow feeds it
+// node lists in topological order and calls Finish.
 package mapper
 
 import (
@@ -30,9 +31,9 @@ type Stream struct {
 
 	leafArena []uint32
 
-	// seen counts every cut handed to ConsumeNode plus one per fallback,
-	// reproducing Map's CutsConsidered accounting (which counts the
-	// post-fallback lists and the fallbacks themselves).
+	// seen counts every cut handed to ConsumeNode plus one per fallback;
+	// CutsConsidered adds the fallbacks once more (each is both an added
+	// cut and a member of its node's final list).
 	seen      int
 	fallbacks int
 	peakCuts  int
@@ -50,7 +51,6 @@ func NewStream(g *aig.AIG, opt Options) (*Stream, error) {
 	m := newMapping(g, opt.Library, opt.MaxFanout)
 	m.sets = make([][]cuts.Cut, g.NumNodes())
 	m.configureRounds(&opt)
-	m.extras = nil // streaming extras arrive through ConsumeExtras
 	return &Stream{m: m, noAreaRec: opt.NoAreaRecovery, policyName: policyName}, nil
 }
 
@@ -72,11 +72,12 @@ func (st *Stream) internLeaves(ls []uint32) []uint32 {
 // only borrowed (the enumerator may recycle them once this returns):
 // matchable ones are copied into stream-owned storage. Retaining only
 // matchable cuts is exact — unmatchable and self-referential cuts
-// contribute zero match candidates to every selection pass of Map and can
-// never be chosen — and the fanin-cut fallback mirrors ensureMappable.
-// The delay-optimal selection (Map's pass 1) runs on the spot: every leaf
-// of every cut sits at a strictly lower level, so its arrival and flow are
-// already final.
+// contribute zero match candidates to every selection pass and can never
+// be chosen. A node left without a matchable cut (a policy filtered
+// everything else away) gets the elementary fanin cut, as ABC always keeps
+// it, so the node stays coverable. The delay-optimal selection pass runs
+// on the spot: every leaf of every cut sits at a strictly lower level, so
+// its arrival and flow are already final.
 func (st *Stream) ConsumeNode(n uint32, cs []cuts.Cut) {
 	m := st.m
 	st.seen += len(cs)
@@ -104,16 +105,15 @@ func (st *Stream) ConsumeNode(n uint32, cs []cuts.Cut) {
 			list = append(list, cc)
 		}
 	} else {
-		// ensureMappable's fallback: keep the elementary fanin cut so the
-		// node stays coverable (it is counted as both an added cut and a
-		// member of the final list, as in the two-phase flow).
+		// Fallback: keep the elementary fanin cut so the node stays
+		// coverable (counted as both an added cut and a list member).
 		list = []cuts.Cut{m.faninCut(n)}
 		st.fallbacks++
 		st.seen++
 	}
 	m.sets[n] = list
 
-	// Map's pass 1 (selectDelay) for this node, candidate order preserved.
+	// The delay pass (selectDelay) for this node, candidate order preserved.
 	bestC := chosen{}
 	for ci := range list {
 		c := &list[ci]
@@ -134,8 +134,9 @@ func (st *Stream) ConsumeNode(n uint32, cs []cuts.Cut) {
 	m.flow[n] = bestC.flow
 }
 
-// ConsumeExtras ingests recovery-only cuts for node n (the multi-round
-// engine's wider pool — see Options.ExtraCuts). The cuts are borrowed like
+// ConsumeExtras ingests recovery-only cuts for node n: the multi-round
+// engine's wider pool, which joins the node's list after round 1 so later
+// rounds select from more candidates. The cuts are borrowed like
 // ConsumeNode's: matchable ones are copied into stream-owned storage and
 // join the node's list only after round 1 completes, so the delay round
 // stays byte-identical to a single-pass run. No-op unless Rounds > 1.
@@ -174,17 +175,18 @@ func (st *Stream) Finish() (*Result, error) {
 
 // MapStream runs the fused streaming mapping flow on g: cut enumeration
 // and Boolean matching pipelined per wavefront level, with per-level cut
-// storage retired as soon as its consumers are merged. The Result — delay,
-// area, counters, cover, netlist — is byte-identical to Map for every
-// policy (stateful policies degrade to the sequential index-order driver,
-// see cuts.Enumerator.RunStream). When opt.Pool is set, cut storage is
-// checked out of the arena pool and recycled across runs of the same
-// graph.
+// storage retired as soon as its consumers are merged. Results are
+// identical for every worker count and with or without a pool (stateful
+// policies degrade to the sequential index-order driver, see
+// cuts.Enumerator.RunStream). When opt.Pool is set, cut storage is checked
+// out of the arena pool and recycled across runs of the same graph.
 func MapStream(g *aig.AIG, opt Options) (*Result, error) {
-	if opt.CutSets != nil {
-		// Precomputed cut lists are already materialised; stream nothing.
-		return Map(g, opt)
-	}
+	return mapStream(g, opt, nil)
+}
+
+// mapStream is MapStream with an optional enumeration reuse hook (see
+// cuts.Enumerator.Reuse), through which MapDelta installs its clean lists.
+func mapStream(g *aig.AIG, opt Options, reuse func(uint32) []cuts.Cut) (*Result, error) {
 	st, err := NewStream(g, opt)
 	if err != nil {
 		return nil, err
@@ -194,7 +196,7 @@ func MapStream(g *aig.AIG, opt Options) (*Result, error) {
 		arena = opt.Pool.Get(g)
 		defer opt.Pool.Put(arena)
 	}
-	e := &cuts.Enumerator{G: g, Policy: opt.Policy, MergeCap: opt.MergeCap, Workers: opt.Workers, Arena: arena, Choices: opt.Choices}
+	e := &cuts.Enumerator{G: g, Policy: opt.Policy, MergeCap: opt.MergeCap, Workers: opt.Workers, Arena: arena, Choices: opt.Choices, Reuse: reuse}
 	res, err := e.RunStream(func(_ int32, nodes []uint32, sets [][]cuts.Cut) error {
 		for _, n := range nodes {
 			if opt.CaptureCuts != nil {

@@ -56,8 +56,34 @@ func requireSameMapping(t *testing.T, name string, want, got *Result) {
 	}
 }
 
+// mapTwoPhase maps g in two phases, the way materialising consumers do:
+// Run collects every node's post-policy list, then the lists feed a Stream
+// in ascending node order (a topological order).
+func mapTwoPhase(t testing.TB, g *aig.AIG, opt Options) *Result {
+	t.Helper()
+	res := (&cuts.Enumerator{G: g, Policy: opt.Policy, MergeCap: opt.MergeCap, Workers: opt.Workers, Choices: opt.Choices}).Run()
+	st, err := NewStream(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
+		if g.IsAnd(n) {
+			if opt.CaptureCuts != nil {
+				opt.CaptureCuts(n, res.Sets[n])
+			}
+			st.ConsumeNode(n, res.Sets[n])
+		}
+	}
+	st.SetPeakCuts(res.PeakCuts)
+	out, err := st.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestStreamingMatchesTwoPhase is the fused-pipeline determinism matrix:
-// streaming MapStream must reproduce two-phase Map byte for byte across
+// MapStream must reproduce the two-phase composition byte for byte across
 // graphs, policies (including the stateful ShufflePolicy, which exercises
 // the sequential degradation gate), worker counts, and arena pooling.
 func TestStreamingMatchesTwoPhase(t *testing.T) {
@@ -84,10 +110,7 @@ func TestStreamingMatchesTwoPhase(t *testing.T) {
 	pool := cuts.NewPool(4)
 	for _, g := range graphs {
 		for _, pc := range policies {
-			want, err := Map(g, Options{Library: lib, Policy: pc.mk(), Workers: 1})
-			if err != nil {
-				t.Fatalf("%s/%s: Map: %v", g.Name, pc.name, err)
-			}
+			want := mapTwoPhase(t, g, Options{Library: lib, Policy: pc.mk(), Workers: 1})
 			for _, workers := range []int{1, 2, 4, 7} {
 				for _, pooled := range []bool{false, true} {
 					opt := Options{Library: lib, Policy: pc.mk(), Workers: workers}
@@ -113,10 +136,7 @@ func TestStreamingMatchesTwoPhase(t *testing.T) {
 func TestStreamingNoAreaRecovery(t *testing.T) {
 	lib := library.ASAP7ish()
 	g := circuits.BoothMultiplier(8)
-	want, err := Map(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}, NoAreaRecovery: true, Workers: 1})
-	if err != nil {
-		t.Fatalf("Map: %v", err)
-	}
+	want := mapTwoPhase(t, g, Options{Library: lib, Policy: cuts.DefaultPolicy{}, NoAreaRecovery: true, Workers: 1})
 	got, err := MapStream(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}, NoAreaRecovery: true, Workers: 2})
 	if err != nil {
 		t.Fatalf("MapStream: %v", err)
@@ -133,10 +153,7 @@ func TestStreamingPeakBelowTotal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MapStream: %v", err)
 	}
-	two, err := Map(g, Options{Library: lib, Workers: 1})
-	if err != nil {
-		t.Fatalf("Map: %v", err)
-	}
+	two := mapTwoPhase(t, g, Options{Library: lib, Workers: 1})
 	if r.PeakCuts >= two.PeakCuts {
 		t.Fatalf("streaming peak %d not below two-phase peak %d", r.PeakCuts, two.PeakCuts)
 	}

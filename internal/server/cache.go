@@ -35,30 +35,16 @@ type asicServed struct {
 // tries to delta-remap against the nearest cached relative. Every fresh
 // result is cached with its ECO snapshot so edit chains keep remapping
 // incrementally.
-func (s *Server) cachedMapASIC(ctx context.Context, req *MapRequest, g *aig.AIG, lib *library.Library, model *nn.Model, workers int, policy string, cutPolicy cuts.Policy, streaming bool) (*asicServed, error) {
+func (s *Server) cachedMapASIC(ctx context.Context, req *MapRequest, g *aig.AIG, lib *library.Library, model *nn.Model, workers int, policy string, cutPolicy cuts.Policy) (*asicServed, error) {
 	if policy == "slap" {
-		sl := core.New(model, lib)
-		sl.Workers = workers
-		sl.Batch = s.batcherFor(model)
-		sl.Rounds = req.Rounds
-		sl.DelayFactor = req.DelayFactor
-		sl.Choices = req.Choices
-		sl.ChoiceOpts = s.cfg.ChoiceOptions
-		sl.Views = s.views
-		if streaming {
-			sl.Pool = s.pool
-		}
+		sl := s.slapFor(req, model, lib, workers)
 		var verify func(*mapper.Result) bool
 		if req.Verify {
 			verify = func(r *mapper.Result) bool {
 				return r.Netlist.EquivalentTo(g, 8, rand.New(rand.NewSource(99))) == nil
 			}
 		}
-		res, out, err := sl.MapCached(ctx, g, s.cache, core.CachedOptions{
-			Streaming: streaming,
-			ECO:       s.cfg.ECO,
-			Verify:    verify,
-		})
+		res, out, err := sl.MapCached(ctx, g, s.cache, core.CachedOptions{ECO: s.cfg.ECO, Verify: verify})
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +61,7 @@ func (s *Server) cachedMapASIC(ctx context.Context, req *MapRequest, g *aig.AIG,
 	}
 
 	// Non-slap policies cache at the mapper level. The signature pins every
-	// option that shapes the result; scheduling knobs (workers, streaming)
+	// option that shapes the result; scheduling knobs (workers, arena pool)
 	// stay out because they cannot change the output bytes.
 	limit := req.Limit
 	seed := int64(0)
@@ -137,17 +123,11 @@ func (s *Server) cachedMapASIC(ctx context.Context, req *MapRequest, g *aig.AIG,
 			snap = mapper.NewSnapshot(g, opt) // nil for non-ECO-eligible policies (shuffle)
 		}
 		capOpt := opt
+		capOpt.Pool = s.pool
 		if snap != nil {
 			capOpt.CaptureCuts = snap.Capture
 		}
-		var res *mapper.Result
-		var err error
-		if streaming {
-			capOpt.Pool = s.pool
-			res, err = mapper.MapStream(mg, capOpt)
-		} else {
-			res, err = mapper.Map(mg, capOpt)
-		}
+		res, err := mapper.MapStream(mg, capOpt)
 		if err != nil {
 			return nil, err
 		}

@@ -153,7 +153,7 @@ func TestMapResultCacheECO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mapper.Map(g2, mapper.Options{Library: library.ASAP7ish(), Policy: cuts.DefaultPolicy{}})
+	want, err := mapper.MapStream(g2, mapper.Options{Library: library.ASAP7ish(), Policy: cuts.DefaultPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,8 +72,7 @@ type Metrics struct {
 	flushesByCause map[infer.FlushReason]int64
 	// peakCutsMax is the largest simultaneously-live cut count any single
 	// mapping reported — the streaming pipeline's working-set high-water
-	// mark (two-phase mappings report their total, so the gauge also shows
-	// how much the fused flow saves).
+	// mark.
 	peakCutsMax int64
 	// ECO delta-remap telemetry: dirty-cone-fraction histogram.
 	dirtyBuckets []int64

@@ -66,9 +66,6 @@ type Config struct {
 	// observed arrival rate (EWMA), clamped to BatchWait; the current value
 	// is exported on /metrics.
 	AdaptiveBatchWait bool
-	// DisableStreaming falls back to the two-phase enumerate-then-match
-	// pipeline for every mapping instead of the fused streaming flow.
-	DisableStreaming bool
 	// ArenaCache is how many cut arenas the server caches across mapping
 	// requests, keyed by graph identity, so repeated mappings of the same
 	// design reuse cut storage instead of reallocating it
@@ -242,6 +239,22 @@ func (s *Server) Close() {
 		v.(*infer.Coalescer).Close()
 		return true
 	})
+}
+
+// slapFor configures the SLAP flow of one mapping request: the request's
+// round/choice knobs, the granted workers, the model's shared batcher and
+// the server's arena pool and view cache.
+func (s *Server) slapFor(req *MapRequest, model *nn.Model, lib *library.Library, workers int) *core.SLAP {
+	sl := core.New(model, lib)
+	sl.Workers = workers
+	sl.Batch = s.batcherFor(model)
+	sl.Rounds = req.Rounds
+	sl.DelayFactor = req.DelayFactor
+	sl.Choices = req.Choices
+	sl.ChoiceOpts = s.cfg.ChoiceOptions
+	sl.Views = s.views
+	sl.Pool = s.pool
+	return sl
 }
 
 // batcherFor returns the shared batched-inference hook for model, creating
@@ -853,48 +866,34 @@ func (s *Server) executeMap(ctx context.Context, req *MapRequest, g *aig.AIG, li
 		return nil, fmt.Errorf("unknown policy %q (want default, unlimited, shuffle or slap)", policy)
 	}
 
-	streaming := !s.cfg.DisableStreaming
 	resp := &MapResponse{Target: target, Workers: workers}
 	switch target {
 	case "lut":
 		var res *lutmap.Result
 		var err error
 		if policy == "slap" {
-			sl := core.New(model, lib)
-			sl.Workers = workers
-			sl.Batch = s.batcherFor(model)
-			sl.Rounds = req.Rounds
-			sl.DelayFactor = req.DelayFactor
-			sl.Choices = req.Choices
-			sl.ChoiceOpts = s.cfg.ChoiceOptions
-			sl.Views = s.views
-			if streaming {
-				sl.Pool = s.pool
-				res, err = sl.MapLUTStreamContext(ctx, g)
-			} else {
-				res, err = sl.MapLUTContext(ctx, g)
-			}
+			res, err = s.slapFor(req, model, lib, workers).MapLUTStreamContext(ctx, g)
 		} else {
 			mg, ch, cerr := s.requestChoiceView(ctx, g, req.Choices)
 			if cerr != nil {
 				return nil, cerr
 			}
-			opt := lutmap.Options{
-				Policy: cutPolicy, Workers: workers,
+			res, err = lutmap.MapStream(mg, lutmap.Options{
+				Policy: cutPolicy, Workers: workers, Pool: s.pool,
 				Rounds: req.Rounds, DelayFactor: req.DelayFactor, Choices: ch,
-			}
-			if streaming {
-				opt.Pool = s.pool
-				res, err = lutmap.MapStream(mg, opt)
-			} else {
-				res, err = lutmap.Map(mg, opt)
-			}
+			})
 		}
 		if err != nil {
 			return nil, err
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
+		}
+		if req.Verify {
+			if err := res.EquivalentTo(g, 8, rand.New(rand.NewSource(99))); err != nil {
+				return nil, fmt.Errorf("equivalence check failed: %w", err)
+			}
+			resp.Verified = true
 		}
 		resp.Policy = res.PolicyName
 		resp.LUTs = res.NumLUTs()
@@ -907,39 +906,20 @@ func (s *Server) executeMap(ctx context.Context, req *MapRequest, g *aig.AIG, li
 		var served *asicServed
 		var err error
 		if s.cache != nil {
-			served, err = s.cachedMapASIC(ctx, req, g, lib, model, workers, policy, cutPolicy, streaming)
+			served, err = s.cachedMapASIC(ctx, req, g, lib, model, workers, policy, cutPolicy)
 		} else {
 			var res *mapper.Result
 			if policy == "slap" {
-				sl := core.New(model, lib)
-				sl.Workers = workers
-				sl.Batch = s.batcherFor(model)
-				sl.Rounds = req.Rounds
-				sl.DelayFactor = req.DelayFactor
-				sl.Choices = req.Choices
-				sl.ChoiceOpts = s.cfg.ChoiceOptions
-				sl.Views = s.views
-				if streaming {
-					sl.Pool = s.pool
-					res, err = sl.MapStreamContext(ctx, g)
-				} else {
-					res, err = sl.MapContext(ctx, g)
-				}
+				res, err = s.slapFor(req, model, lib, workers).MapStreamContext(ctx, g)
 			} else {
 				mg, ch, cerr := s.requestChoiceView(ctx, g, req.Choices)
 				if cerr != nil {
 					return nil, cerr
 				}
-				opt := mapper.Options{
-					Library: lib, Policy: cutPolicy, Workers: workers,
+				res, err = mapper.MapStream(mg, mapper.Options{
+					Library: lib, Policy: cutPolicy, Workers: workers, Pool: s.pool,
 					Rounds: req.Rounds, DelayFactor: req.DelayFactor, Choices: ch,
-				}
-				if streaming {
-					opt.Pool = s.pool
-					res, err = mapper.MapStream(mg, opt)
-				} else {
-					res, err = mapper.Map(mg, opt)
-				}
+				})
 			}
 			served = &asicServed{res: res}
 		}

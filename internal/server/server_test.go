@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -95,7 +96,7 @@ func TestMapEndpointMatchesCLI(t *testing.T) {
 	lib := library.ASAP7ish()
 
 	t.Run("default", func(t *testing.T) {
-		want, err := mapper.Map(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+		want, err := mapper.MapStream(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func TestMapEndpointMatchesCLI(t *testing.T) {
 			t.Fatal(err)
 		}
 		sl := core.New(model, lib)
-		want, err := sl.Map(g)
+		want, err := sl.MapStreamContext(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,6 +182,39 @@ func TestMapLUTTarget(t *testing.T) {
 	}
 	if got.LUTs <= 0 || got.Depth <= 0 {
 		t.Errorf("implausible LUT mapping: %+v", got)
+	}
+}
+
+// TestMapLUTVerify checks that verify=1 is honoured on the lut target:
+// the LUT network is checked against the submitted circuit and the answer
+// says so, for heuristic and ML policies, with and without choices.
+func TestMapLUTVerify(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, q := range []string{
+		"policy=default&target=lut&verify=1",
+		"policy=default&target=lut&verify=1&choices=1",
+		"policy=slap&model=toy&target=lut&verify=1",
+	} {
+		resp, data := postRaw(t, ts.URL+"/v1/map?"+q, rc16Text(t))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", q, resp.StatusCode, data)
+		}
+		var got MapResponse
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !got.Verified || got.LUTs <= 0 {
+			t.Errorf("%s: verified=%v luts=%d, want a verified LUT network", q, got.Verified, got.LUTs)
+		}
+	}
+	// Without verify=1 the answer must not claim a check that never ran.
+	_, data := postRaw(t, ts.URL+"/v1/map?policy=default&target=lut", rc16Text(t))
+	var got MapResponse
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Verified {
+		t.Error("unverified LUT request reported verified")
 	}
 }
 
@@ -732,13 +766,14 @@ func TestBatchingDisabled(t *testing.T) {
 }
 
 // TestStreamingServerParity maps the same circuit through the default
-// (streaming) server and a DisableStreaming one and requires identical
-// mapping figures and netlist bytes — the HTTP-level view of the fused
-// pipeline's byte-identity guarantee — then checks the arena pool and
-// peak-cut telemetry on /metrics after repeated same-graph requests.
+// server, whose streaming pipeline recycles cut storage through the arena
+// pool, and one with the pool disabled, and requires identical mapping
+// figures and netlist bytes — the HTTP-level view of the pipeline's
+// byte-identity guarantee — then checks the arena pool and peak-cut
+// telemetry on /metrics after repeated same-graph requests.
 func TestStreamingServerParity(t *testing.T) {
 	_, stream := newTestServer(t, Config{AdaptiveBatchWait: true})
-	_, twoPhase := newTestServer(t, Config{DisableStreaming: true})
+	_, unpooled := newTestServer(t, Config{ArenaCache: -1})
 	body := map[string]any{
 		"circuit": rc16Text(t), "policy": "default",
 		"netlist": "blif", "verify": true,
@@ -769,9 +804,9 @@ func TestStreamingServerParity(t *testing.T) {
 		t.Error("streaming mapping did not verify")
 	}
 
-	resp, data := postJSON(t, twoPhase.URL+"/v1/map", body)
+	resp, data := postJSON(t, unpooled.URL+"/v1/map", body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("two-phase map: status %d (%s)", resp.StatusCode, data)
+		t.Fatalf("unpooled map: status %d (%s)", resp.StatusCode, data)
 	}
 	var ref MapResponse
 	if err := json.Unmarshal(data, &ref); err != nil {
@@ -779,11 +814,8 @@ func TestStreamingServerParity(t *testing.T) {
 	}
 	if first.Area != ref.Area || first.Delay != ref.Delay || first.Cells != ref.Cells ||
 		first.CutsConsidered != ref.CutsConsidered || first.MatchAttempts != ref.MatchAttempts ||
-		first.Netlist != ref.Netlist {
-		t.Errorf("streaming response diverged from two-phase: %+v vs %+v", first, ref)
-	}
-	if first.PeakCuts >= ref.PeakCuts {
-		t.Errorf("streaming peak %d not below two-phase total %d", first.PeakCuts, ref.PeakCuts)
+		first.PeakCuts != ref.PeakCuts || first.Netlist != ref.Netlist {
+		t.Errorf("pooled response diverged from unpooled: %+v vs %+v", first, ref)
 	}
 
 	respM, err := http.Get(stream.URL + "/metrics")
@@ -810,11 +842,11 @@ func TestStreamingServerParity(t *testing.T) {
 }
 
 // TestStreamingLUTAndSlapParity covers the remaining policy x target routes:
-// the lut target and the ML slap policy must agree between the streaming and
-// two-phase servers too.
+// the lut target and the ML slap policy must agree between the pooled and
+// unpooled servers too.
 func TestStreamingLUTAndSlapParity(t *testing.T) {
 	srvA, stream := newTestServer(t, Config{})
-	_, twoPhase := newTestServer(t, Config{DisableStreaming: true, Registry: srvA.Registry()})
+	_, unpooled := newTestServer(t, Config{ArenaCache: -1, Registry: srvA.Registry()})
 	for _, body := range []map[string]any{
 		{"circuit": rc16Text(t), "policy": "default", "target": "lut"},
 		{"circuit": rc16Text(t), "policy": "shuffle", "seed": 5, "workers": 2},
@@ -829,9 +861,9 @@ func TestStreamingLUTAndSlapParity(t *testing.T) {
 		if err := json.Unmarshal(data, &got); err != nil {
 			t.Fatal(err)
 		}
-		resp, data = postJSON(t, twoPhase.URL+"/v1/map", body)
+		resp, data = postJSON(t, unpooled.URL+"/v1/map", body)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("two-phase %v: status %d (%s)", body["policy"], resp.StatusCode, data)
+			t.Fatalf("unpooled %v: status %d (%s)", body["policy"], resp.StatusCode, data)
 		}
 		var ref MapResponse
 		if err := json.Unmarshal(data, &ref); err != nil {
@@ -839,7 +871,7 @@ func TestStreamingLUTAndSlapParity(t *testing.T) {
 		}
 		if got.Area != ref.Area || got.Delay != ref.Delay || got.LUTs != ref.LUTs ||
 			got.Depth != ref.Depth || got.CutsConsidered != ref.CutsConsidered {
-			t.Errorf("%v target=%v: streaming %+v diverged from two-phase %+v",
+			t.Errorf("%v target=%v: pooled %+v diverged from unpooled %+v",
 				body["policy"], body["target"], got, ref)
 		}
 	}

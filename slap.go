@@ -15,7 +15,7 @@
 //	res, err := slap.Map(g, slap.MapOptions{Library: lib, Policy: slap.DefaultPolicy{}})
 //
 //	trained, report, err := slap.Train(slap.TrainOptions{Library: lib})
-//	res, err = trained.Map(g)            // ML-filtered mapping
+//	res, err = trained.MapStreamContext(ctx, g) // ML-filtered mapping
 //
 // See the examples/ directory for complete programs and DESIGN.md for the
 // module map and the paper-reproduction notes.
@@ -94,7 +94,7 @@ func ParseLibrary(name string, r io.Reader) (*Library, error) {
 }
 
 // Map runs the technology-mapping flow on g.
-func Map(g *AIG, opt MapOptions) (*MapResult, error) { return mapper.Map(g, opt) }
+func Map(g *AIG, opt MapOptions) (*MapResult, error) { return mapper.MapStream(g, opt) }
 
 // Train generates training data, fits the SLAP classifier and returns the
 // trained instance plus an accuracy report.

@@ -2,6 +2,7 @@ package slap_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -109,7 +110,7 @@ func TestFacadeTrainAndPersist(t *testing.T) {
 	}
 	g.AddPO("f", acc)
 
-	res, err := s2.Map(g)
+	res, err := s2.MapStreamContext(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
