@@ -16,6 +16,7 @@ import (
 	"slap/internal/core"
 	"slap/internal/cuts"
 	"slap/internal/experiments"
+	"slap/internal/infer"
 	"slap/internal/library"
 	"slap/internal/mapcache"
 	"slap/internal/mapper"
@@ -211,19 +212,30 @@ func BenchmarkCutEnumeration(b *testing.B) {
 // BenchmarkEndToEndSLAPMap measures the complete SLAP mapping flow on a
 // mid-size multiplier: matching fused into the enumeration wavefront, cut
 // storage retired level by level, and a pooled arena reused across
-// iterations.
+// iterations. per-sample runs the CNN one cut at a time; batched wires
+// inference as slap-serve does, one engine behind a coalescer, with two
+// mapping workers.
 func BenchmarkEndToEndSLAPMap(b *testing.B) {
 	tr := sharedTraining(b)
 	g := circuits.ArrayMultiplier(8)
-	s := *tr.SLAP
-	s.Pool = cuts.NewPool(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.MapStreamContext(context.Background(), g); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B, s core.SLAP) {
+		s.Pool = cuts.NewPool(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.MapStreamContext(context.Background(), g); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("per-sample", func(b *testing.B) { run(b, *tr.SLAP) })
+	b.Run("batched", func(b *testing.B) {
+		co := infer.NewCoalescer(infer.NewEngine(tr.SLAP.Model, infer.Options{}), infer.CoalescerOptions{})
+		defer co.Close()
+		s := *tr.SLAP
+		s.Batch, s.Workers = co, 2
+		run(b, s)
+	})
 }
 
 // BenchmarkMultiRoundMap compares the classic single-pass SLAP map against

@@ -82,9 +82,7 @@ func main() {
 		drainWait = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
 		jobsDir   = flag.String("jobs-dir", "", "directory for dataset-job shard checkpoints (default: under the system temp dir)")
 		jobKeep   = flag.Duration("job-retention", server.DefaultJobRetention, "how long finished dataset jobs (and their shard directories) are kept; negative keeps them forever")
-		batch     = flag.Int("batch", infer.DefaultMaxBatch, "inference coalescing batch size shared across slap/classify requests (negative disables batching)")
-		batchWait = flag.Duration("batch-wait", infer.DefaultMaxWait, "max wait for an inference batch to fill before flushing")
-		adaptive  = flag.Bool("adaptive-batch-wait", true, "derive the inference flush deadline from the observed arrival rate (clamped to -batch-wait)")
+		batch     = flag.Int("batch", infer.DefaultMaxBatch, "largest batched-inference forward pass for slap/classify requests (negative = per-sample inference)")
 		arenas    = flag.Int("arena-cache", 0, "cut arenas cached across requests for same-graph reuse (0 = default, negative disables)")
 		resCache  = flag.Int64("result-cache", 256, "mapping result cache budget in MiB: exact resubmissions are answered from the cache in O(1) (0 disables)")
 		eco       = flag.Bool("eco", true, "delta-remap edited designs against the nearest cached relative, re-running only the dirty cone (needs -result-cache)")
@@ -123,21 +121,19 @@ func main() {
 	}
 
 	cfg := server.Config{
-		WorkerName:        workerName,
-		WorkerBudget:      *workers,
-		QueueCap:          *queueCap,
-		DefaultTimeout:    *timeout,
-		MaxBodyBytes:      *maxBody,
-		JobsDir:           *jobsDir,
-		JobRetention:      *jobKeep,
-		MaxBatch:          *batch,
-		BatchWait:         *batchWait,
-		AdaptiveBatchWait: *adaptive,
-		ArenaCache:        *arenas,
-		ResultCacheBytes:  *resCache << 20,
-		ECO:               *eco,
-		ChoiceOptions:     choice.Options{Workers: *choiceWorkers, ProofConflicts: *choiceBudget},
-		ChoiceCacheBytes:  choiceCacheBytes(*choiceCache),
+		WorkerName:       workerName,
+		WorkerBudget:     *workers,
+		QueueCap:         *queueCap,
+		DefaultTimeout:   *timeout,
+		MaxBodyBytes:     *maxBody,
+		JobsDir:          *jobsDir,
+		JobRetention:     *jobKeep,
+		MaxBatch:         *batch,
+		ArenaCache:       *arenas,
+		ResultCacheBytes: *resCache << 20,
+		ECO:              *eco,
+		ChoiceOptions:    choice.Options{Workers: *choiceWorkers, ProofConflicts: *choiceBudget},
+		ChoiceCacheBytes: choiceCacheBytes(*choiceCache),
 	}
 	fleet := fleetConfig{name: workerName, advertise: *advertise, coordinator: *coordinator, heartbeat: *heartbeat}
 

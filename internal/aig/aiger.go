@@ -49,7 +49,7 @@ func (g *AIG) WriteAAG(w io.Writer) error {
 // but may contain fewer nodes.
 func ReadAAG(r io.Reader) (*AIG, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24) // grows from 4 KiB up to a 16 MiB line
 	if !sc.Scan() {
 		return nil, fmt.Errorf("aiger: empty input")
 	}

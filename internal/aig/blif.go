@@ -14,7 +14,7 @@ import (
 // supported.
 func ReadBLIF(r io.Reader) (*AIG, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24) // grows from 4 KiB up to a 16 MiB line
 
 	type table struct {
 		inputs []string

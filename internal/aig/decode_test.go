@@ -2,6 +2,8 @@ package aig
 
 import (
 	"bytes"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -85,6 +87,64 @@ func TestFormatForPath(t *testing.T) {
 	for path, want := range cases {
 		if got := FormatForPath(path); got != want {
 			t.Errorf("FormatForPath(%q) = %q, want %q", path, got, want)
+		}
+	}
+}
+
+// TestDecodeAllocBytes bounds the bytes one decode of the 2 KiB rc16
+// design allocates in either format. The line buffer grows with the input,
+// so a decode costs tens of KiB; a fixed 1 MiB line buffer exceeds both
+// bounds.
+func TestDecodeAllocBytes(t *testing.T) {
+	aag, err := os.ReadFile("../server/testdata/rc16.aag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := ReadAAG(bytes.NewReader(aag))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blif bytes.Buffer
+	if err := WriteBLIF(&blif, g); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		format string
+		body   []byte
+		limit  uint64
+	}{
+		{FormatAAG, aag, 64 << 10},
+		{FormatBLIF, blif.Bytes(), 128 << 10},
+	} {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := Decode(tc.format, bytes.NewReader(tc.body)); err != nil {
+				t.Fatalf("%s: %v", tc.format, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > tc.limit {
+			t.Errorf("%s: decoding rc16 allocates %d bytes, want under %d", tc.format, per, tc.limit)
+		}
+	}
+}
+
+// TestDecodeLongLine parses designs whose PI name makes one line longer
+// than 1 MiB, in both formats.
+func TestDecodeLongLine(t *testing.T) {
+	long := strings.Repeat("x", 1<<20+100)
+	for _, tc := range []struct{ format, body string }{
+		{FormatAAG, "aag 1 1 0 1 0\n2\n2\ni0 " + long + "\no0 o\n"},
+		{FormatBLIF, ".model m\n.inputs " + long + "\n.outputs o\n.names " + long + " o\n1 1\n.end\n"},
+	} {
+		g, err := Decode(tc.format, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.format, err)
+		}
+		if g.NumPIs() != 1 || g.PIName(0) != long {
+			t.Fatalf("%s: long PI name lost", tc.format)
 		}
 	}
 }

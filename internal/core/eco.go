@@ -208,9 +208,8 @@ func (s *SLAP) MapStreamCaptureContext(ctx context.Context, g *aig.AIG) (*mapper
 // PeakCuts, which reports the materialised enumeration total.
 //
 // Like ClassifyContext it collects the whole cut universe with Run and
-// filters the dirty nodes in one strided pass, so a batching backend sees
-// one whole-graph submission stream and the request pays no per-level
-// flush waits.
+// filters the dirty nodes in one pass, so the inference workers
+// meet no per-level barrier.
 func (s *SLAP) MapDeltaContext(ctx context.Context, g *aig.AIG, snap *SlapSnapshot) (*mapper.Result, *SlapSnapshot, *mapper.DeltaStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err

@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"slap/internal/aig"
 	"slap/internal/choice"
@@ -121,9 +122,9 @@ func (sc *inferScratch) batch(n int) ([]float64, [][]float64) {
 }
 
 // Batcher classifies batches of cut embeddings. It is satisfied by
-// infer.Engine (direct batched kernels) and infer.Coalescer (cross-caller
-// micro-batching); core declares the interface locally so it does not
-// depend on internal/infer.
+// infer.Engine (one pass per call) and infer.Coalescer (passes of bounded
+// size, reported to a metrics collector); core declares the interface
+// locally so it does not depend on internal/infer.
 type Batcher interface {
 	// PredictBatch returns one probability vector per input, or an error
 	// (e.g. ctx done, backend closed) that fails the whole mapping call.
@@ -291,16 +292,19 @@ func (s *SLAP) inferScratches() []*inferScratch {
 	return scratches
 }
 
-// inferNodes is the one inference worker loop: visit(ctx, i, sc) runs for
-// every index i of nodes, strided across the workers (worker w takes
-// w, w+W, w+2W, ... with scratch w), so a batching backend receives
-// whole-node submissions from every worker at once. The first error
-// cancels the siblings — e.g. a batching backend closing mid-map — and is
-// returned, as is ctx's error once it is done. One worker, or a single
-// node, runs inline.
+// inferNodes is the one inference worker loop: visit(ctx, i, sc) runs once
+// for every index i of nodes, each worker with its own scratch. Workers
+// claim the next unvisited index from a shared counter, and the calling
+// goroutine is one of them, so a worker that is slowed or descheduled (by
+// the garbage collector, or another process on its core) holds up only
+// the node it is on while the others finish the level. Every visit writes
+// only its own node's results, so which worker takes a node never changes
+// the output. The first error cancels the siblings — e.g. a batching
+// backend closing mid-map — and is returned, as is ctx's error once it is
+// done. One worker, or a single node, runs inline.
 func (s *SLAP) inferNodes(ctx context.Context, nodes []uint32, scratches []*inferScratch, visit func(ctx context.Context, i int, sc *inferScratch) error) error {
-	workers := len(scratches)
-	if workers == 1 || len(nodes) < 2 {
+	workers := min(len(scratches), len(nodes))
+	if workers <= 1 {
 		for i := range nodes {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -314,25 +318,31 @@ func (s *SLAP) inferNodes(ctx context.Context, nodes []uint32, scratches []*infe
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
+		next     atomic.Int64
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(nodes); i += workers {
-				if cctx.Err() != nil {
-					return
-				}
-				if err := visit(cctx, i, scratches[w]); err != nil {
-					errOnce.Do(func() { firstErr = err; cancel() })
-					return
-				}
+	work := func(sc *inferScratch) {
+		for cctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(nodes) {
+				return
 			}
-		}(w)
+			if err := visit(cctx, i, sc); err != nil {
+				errOnce.Do(func() { firstErr = err; cancel() })
+				return
+			}
+		}
 	}
+	for _, sc := range scratches[1:workers] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(sc)
+		}()
+	}
+	work(scratches[0])
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return err
@@ -529,9 +539,8 @@ type Classification struct {
 
 // ClassifyContext enumerates all k-cuts of g and predicts each non-trivial
 // cut's QoR class, without filtering or mapping. It materialises the whole
-// cut universe first and then classifies it in one strided pass, so a
-// batching backend receives the same whole-graph submission stream as ever
-// and the request pays no per-level flush waits. Parallelism follows
+// cut universe first and then classifies it in one pass, so the
+// inference workers meet no per-level barrier. Parallelism follows
 // s.Workers; cancellation follows ctx.
 func (s *SLAP) ClassifyContext(ctx context.Context, g *aig.AIG) (*Classification, error) {
 	if err := ctx.Err(); err != nil {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,6 +120,43 @@ func TestFilterNodesStructure(t *testing.T) {
 	}
 }
 
+// TestInferNodesStalledWorker checks the inference worker loop's balance:
+// while one worker is stalled on the first node it claims, the other
+// visits every remaining node, and every node is visited exactly once.
+// Workers that each own a fixed share of the nodes would leave the stalled
+// worker's share unvisited until the timeout.
+func TestInferNodesStalledWorker(t *testing.T) {
+	s := &SLAP{}
+	nodes := make([]uint32, 9)
+	visits := make([]atomic.Int32, len(nodes))
+	var stalled atomic.Bool
+	var rest atomic.Int32
+	released := make(chan struct{})
+	err := s.inferNodes(context.Background(), nodes, []*inferScratch{{}, {}}, func(_ context.Context, i int, _ *inferScratch) error {
+		visits[i].Add(1)
+		if stalled.CompareAndSwap(false, true) {
+			select {
+			case <-released:
+				return nil
+			case <-time.After(5 * time.Second):
+				return fmt.Errorf("only %d of the other %d nodes were visited while node %d stalled", rest.Load(), len(nodes)-1, i)
+			}
+		}
+		if rest.Add(1) == int32(len(nodes)-1) {
+			close(released)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range visits {
+		if v := visits[i].Load(); v != 1 {
+			t.Fatalf("node index %d visited %d times, want 1", i, v)
+		}
+	}
+}
+
 func TestSLAPMapEquivalence(t *testing.T) {
 	s, _ := trainSmall(t)
 	for _, g := range []*aig.AIG{
@@ -225,7 +264,7 @@ func TestSLAPMapLUT(t *testing.T) {
 }
 
 // TestBatchedFilterMatchesPerSample pins the PR's headline guarantee: wiring
-// a batched inference backend (bare Engine or cross-goroutine Coalescer) into
+// a batched inference backend (bare Engine or pass-splitting Coalescer) into
 // SLAP changes throughput only — the surviving cut sets and the mapped QoR
 // are identical to per-sample Predict, because the GEMM kernels keep the
 // per-sample accumulation order.
@@ -241,7 +280,7 @@ func TestBatchedFilterMatchesPerSample(t *testing.T) {
 	}
 
 	eng := infer.NewEngine(s.Model, infer.Options{})
-	co := infer.NewCoalescer(eng, infer.CoalescerOptions{MaxBatch: 32, MaxWait: 200 * time.Microsecond})
+	co := infer.NewCoalescer(eng, infer.CoalescerOptions{MaxBatch: 32})
 	defer co.Close()
 	for _, tc := range []struct {
 		name  string

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"slap/internal/aig"
 	"slap/internal/circuits"
@@ -45,8 +44,8 @@ func requireSameStreamResult(t *testing.T, name string, want, got *mapper.Result
 
 // filterTwoPhase materialises the ML-filtered cut lists of g (or of its
 // choice view) in two phases, the way MapDeltaContext and ClassifyContext
-// work: Run collects the whole exhaustive cut universe, then one strided
-// pass filters every AND node. It returns the mapped graph, the filtered
+// work: Run collects the whole exhaustive cut universe, then one pass
+// filters every AND node. It returns the mapped graph, the filtered
 // lists, the recovery pools (nil unless Rounds > 1), the AND nodes in
 // ascending order and the enumeration peak.
 func filterTwoPhase(t testing.TB, s *SLAP, g *aig.AIG) (*aig.AIG, [][]cuts.Cut, [][]cuts.Cut, []uint32, int) {
@@ -172,7 +171,7 @@ func TestMapStreamBatchedBackend(t *testing.T) {
 	}
 	requireSameStreamResult(t, "engine", want, got)
 
-	co := infer.NewCoalescer(eng, infer.CoalescerOptions{MaxBatch: 32, MaxWait: 200 * time.Microsecond})
+	co := infer.NewCoalescer(eng, infer.CoalescerOptions{MaxBatch: 32})
 	defer co.Close()
 	sCo := untrained(7)
 	sCo.Batch = co

@@ -252,8 +252,10 @@ type PoolStats struct {
 	Evictions int64
 }
 
-// DefaultPoolArenas is the default Pool capacity.
-const DefaultPoolArenas = 8
+// DefaultPoolArenas is the default Pool capacity. Two arenas keep the reuse
+// a server sees, the next request on the same graph, while bounding the
+// cut storage retained between requests.
+const DefaultPoolArenas = 2
 
 // Pool caches Arenas keyed by graph identity so repeated mappings of the
 // same design reuse cut storage across runs. Safe for concurrent use; each

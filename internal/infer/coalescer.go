@@ -2,398 +2,85 @@ package infer
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// FlushReason labels why a batch was flushed to the backend.
-type FlushReason string
-
-// Flush reasons: the batch filled up, the oldest request hit the deadline,
-// or the coalescer drained on Close.
-const (
-	FlushSize     FlushReason = "size"
-	FlushDeadline FlushReason = "deadline"
-	FlushDrain    FlushReason = "drain"
-)
-
-// FlushStats describes one flushed batch for observability hooks.
+// FlushStats describes one forward pass for observability hooks.
 type FlushStats struct {
-	// Size is the number of samples in the flushed batch.
+	// Size is the number of samples in the pass.
 	Size int
-	// Reason is why the flush happened.
-	Reason FlushReason
-	// QueueWait is how long the oldest sample in the batch waited between
-	// submission and flush.
+	// QueueWait is always zero: a pass runs on the submitting goroutine as
+	// soon as it is submitted.
 	QueueWait time.Duration
 }
 
-// Collector receives flush statistics; the server's Metrics implements it
-// to export the batch-size histogram and queue-wait gauges.
+// Collector receives one FlushStats per forward pass. PredictBatch reports
+// from each caller's goroutine, so implementations must be safe for
+// concurrent use; the server's Metrics exports the batch-size histogram.
 type Collector interface {
 	ObserveFlush(FlushStats)
 }
 
 // CoalescerOptions configures a Coalescer.
 type CoalescerOptions struct {
-	// MaxBatch flushes a batch as soon as this many samples are pending
-	// (0 = DefaultMaxBatch). Oversized submissions are split across
-	// flushes.
+	// MaxBatch is the largest forward pass (0 = DefaultMaxBatch). A larger
+	// submission is split into consecutive passes.
 	MaxBatch int
-	// MaxWait flushes whatever is pending once the oldest submission has
-	// waited this long (0 = DefaultMaxWait). This bounds the latency a
-	// lone request pays for batching.
-	MaxWait time.Duration
-	// QueueCap bounds the submission queue (0 = DefaultQueueCap); beyond
-	// it, submitters block — the backpressure that keeps a burst from
-	// buffering unboundedly ahead of the backend.
-	QueueCap int
-	// AdaptiveWait derives the flush deadline from an EWMA of the observed
-	// inter-arrival time instead of always waiting the full MaxWait: the
-	// deadline becomes the expected time for the batch to fill, clamped to
-	// MaxWait. Under fast traffic a lone straggler flushes almost
-	// immediately; under slow traffic the behaviour degrades to the fixed
-	// MaxWait deadline.
+	// AdaptiveWait has no effect: no pass waits for other submissions.
 	AdaptiveWait bool
-	// Collector, when set, observes every flush.
+	// Collector, when set, observes every forward pass.
 	Collector Collector
 }
 
-// Coalescer defaults.
-const (
-	DefaultMaxBatch = 64
-	DefaultMaxWait  = time.Millisecond
-	DefaultQueueCap = 256
-)
+// DefaultMaxBatch is the default largest forward pass.
+const DefaultMaxBatch = 64
 
-// Coalescer merges Predict/PredictBatch calls from many goroutines into
-// batches for a Backend, flushing on size or deadline. One dispatcher
-// goroutine owns all batching state, so the only synchronisation points are
-// the submission channel and each request's done channel.
+// Coalescer runs PredictBatch submissions through a shared Backend on the
+// submitting goroutine, in forward passes of at most MaxBatch samples.
+// Concurrent callers run their passes in parallel: a mapping worker hands
+// over a whole node's cuts, which already fill a GEMM pass, so holding them
+// back to merge with other callers' would only add waiting.
 type Coalescer struct {
 	backend Backend
 	opt     CoalescerOptions
-
-	submit chan *batchReq
-	quit   chan struct{} // closed by Close: stop accepting
-	done   chan struct{} // closed when the dispatcher has drained and exited
-
-	// curWait is the deadline the dispatcher armed most recently, for
-	// observability (/metrics). With AdaptiveWait off it stays at MaxWait.
-	curWait atomic.Int64
-
-	closeOnce sync.Once
+	closed  atomic.Bool
 }
 
-// batchReq is one submission: xs samples that may be served across several
-// flushes. out/err are written only by the dispatcher and read by the
-// submitter only after done is closed.
-type batchReq struct {
-	ctx    context.Context
-	xs     [][]float64
-	out    [][]float64
-	served int
-	err    error
-	done   chan struct{}
-	enq    time.Time
-}
-
-// NewCoalescer starts a coalescer over backend. Call Close to stop its
-// dispatcher and drain pending work.
+// NewCoalescer returns a coalescer over backend.
 func NewCoalescer(backend Backend, opt CoalescerOptions) *Coalescer {
 	if opt.MaxBatch <= 0 {
 		opt.MaxBatch = DefaultMaxBatch
 	}
-	if opt.MaxWait <= 0 {
-		opt.MaxWait = DefaultMaxWait
-	}
-	if opt.QueueCap <= 0 {
-		opt.QueueCap = DefaultQueueCap
-	}
-	c := &Coalescer{
-		backend: backend,
-		opt:     opt,
-		submit:  make(chan *batchReq, opt.QueueCap),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	c.curWait.Store(int64(opt.MaxWait))
-	go c.dispatch()
-	return c
+	return &Coalescer{backend: backend, opt: opt}
 }
 
-// CurrentWait reports the flush deadline most recently armed by the
-// dispatcher. Without AdaptiveWait it is always the configured MaxWait; with
-// it, the value tracks the EWMA-derived expected batch fill time.
-func (c *Coalescer) CurrentWait() time.Duration {
-	return time.Duration(c.curWait.Load())
-}
+// Close marks the coalescer closed: calls already in PredictBatch finish,
+// later calls get ErrClosed. Safe to call more than once.
+func (c *Coalescer) Close() { c.closed.Store(true) }
 
-// Close stops accepting submissions, flushes everything already queued, and
-// waits for the dispatcher to exit. Safe to call more than once.
-func (c *Coalescer) Close() {
-	c.closeOnce.Do(func() { close(c.quit) })
-	<-c.done
-}
-
-// Predict classifies one input through the shared batch stream.
-func (c *Coalescer) Predict(ctx context.Context, x []float64) ([]float64, error) {
-	out, err := c.PredictBatch(ctx, [][]float64{x})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// PredictBatch submits xs as one unit — a mapping worker hands over a whole
-// node's cut embeddings in one call — and blocks until every sample is
-// classified, ctx is done, or the coalescer closes. The samples may be
-// merged with other callers' into shared forward passes.
+// PredictBatch classifies xs in passes of at most MaxBatch samples, in
+// order, and returns one probability vector per input. It checks ctx before
+// each pass and stops at the first cancellation or backend error.
 func (c *Coalescer) PredictBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
-	if len(xs) == 0 {
-		return nil, nil
-	}
-	req := &batchReq{
-		ctx:  ctx,
-		xs:   xs,
-		out:  make([][]float64, len(xs)),
-		done: make(chan struct{}),
-		enq:  time.Now(),
-	}
-	select {
-	case c.submit <- req:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-c.quit:
+	if c.closed.Load() {
 		return nil, ErrClosed
 	}
-	select {
-	case <-req.done:
-		if req.err != nil {
-			return nil, req.err
+	out := make([][]float64, 0, len(xs))
+	for len(xs) > 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		return req.out, nil
-	case <-ctx.Done():
-		// The dispatcher may still classify the samples; the results are
-		// simply dropped with the request.
-		return nil, ctx.Err()
-	case <-c.done:
-		// Dispatcher exited; the request may have been served in the final
-		// drain just before.
-		select {
-		case <-req.done:
-			if req.err != nil {
-				return nil, req.err
-			}
-			return req.out, nil
-		default:
-			return nil, ErrClosed
+		pass := xs[:min(len(xs), c.opt.MaxBatch)]
+		probs, err := c.backend.ForwardBatch(pass)
+		if err != nil {
+			return nil, err
 		}
+		if c.opt.Collector != nil {
+			c.opt.Collector.ObserveFlush(FlushStats{Size: len(pass)})
+		}
+		out = append(out, probs...)
+		xs = xs[len(pass):]
 	}
-}
-
-// pendingReq tracks how much of a submission is still unserved.
-type pendingReq struct {
-	req *batchReq
-	off int
-}
-
-// dispatch is the single-owner batching loop.
-func (c *Coalescer) dispatch() {
-	defer close(c.done)
-
-	var pending []pendingReq
-	samples := 0
-
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	armed := false
-
-	// Adaptive-wait state, dispatcher-local: an EWMA (alpha = 1/5) of the
-	// inter-arrival time between admitted submissions, seeded by the first
-	// observed gap. The deadline for a freshly non-empty queue is the
-	// expected time for the remaining batch slots to fill at that rate,
-	// clamped to MaxWait — fast traffic flushes stragglers in microseconds
-	// instead of parking them for the full fixed deadline.
-	var (
-		ewma     time.Duration
-		haveRate bool
-		lastEnq  time.Time
-		deadline time.Time // absolute flush deadline, valid while armed
-	)
-	nextWait := func() time.Duration {
-		wait := c.opt.MaxWait
-		if c.opt.AdaptiveWait && haveRate {
-			if fill := ewma * time.Duration(c.opt.MaxBatch-samples); fill < wait {
-				wait = fill
-			}
-		}
-		c.curWait.Store(int64(wait))
-		return wait
-	}
-
-	admit := func(req *batchReq) {
-		if c.opt.AdaptiveWait {
-			if !lastEnq.IsZero() {
-				d := req.enq.Sub(lastEnq)
-				if d < 0 {
-					d = 0
-				}
-				if !haveRate {
-					ewma, haveRate = d, true
-				} else {
-					ewma = (d + 4*ewma) / 5
-				}
-			}
-			lastEnq = req.enq
-		}
-		if err := req.ctx.Err(); err != nil {
-			req.err = err
-			close(req.done)
-			return
-		}
-		pending = append(pending, pendingReq{req: req})
-		samples += len(req.xs)
-		wait := nextWait()
-		if !armed {
-			timer.Reset(wait)
-			armed = true
-			deadline = req.enq.Add(wait)
-		} else if c.opt.AdaptiveWait {
-			// Size flushes leave the timer armed at a deadline computed
-			// for an earlier era of traffic; if the rate now says the
-			// batch should flush sooner, tighten it so a straggler never
-			// pays a stale (possibly full-MaxWait) wait.
-			if d := req.enq.Add(wait); d.Before(deadline) {
-				timer.Reset(wait)
-				deadline = d
-			}
-		}
-		for samples >= c.opt.MaxBatch {
-			c.flush(&pending, &samples, c.opt.MaxBatch, FlushSize)
-		}
-	}
-
-	for {
-		var timerC <-chan time.Time
-		if armed {
-			timerC = timer.C
-		}
-		select {
-		case req := <-c.submit:
-			admit(req)
-		case <-timerC:
-			armed = false
-			if samples > 0 {
-				c.flush(&pending, &samples, samples, FlushDeadline)
-			}
-		case <-c.quit:
-			// Serve whatever snuck into the buffered queue before Close,
-			// then flush the lot. Submitters that lose the race see c.done
-			// close and fall back to ErrClosed.
-			for {
-				select {
-				case req := <-c.submit:
-					admit(req)
-					continue
-				default:
-				}
-				break
-			}
-			for samples > 0 {
-				c.flush(&pending, &samples, min(samples, c.opt.MaxBatch), FlushDrain)
-			}
-			return
-		}
-	}
-}
-
-// flush classifies up to take samples from the front of the pending queue
-// and distributes the results. Requests whose context died while queued are
-// dropped without spending backend time on them — the mid-batch
-// cancellation path.
-func (c *Coalescer) flush(pending *[]pendingReq, samples *int, take int, reason FlushReason) {
-	type span struct {
-		req  *batchReq
-		off  int
-		n    int
-		base int // offset of the span inside the flushed batch
-	}
-	var (
-		xs     [][]float64
-		spans  []span
-		oldest time.Time
-	)
-	q := *pending
-	for take > 0 && len(q) > 0 {
-		p := &q[0]
-		if err := p.req.ctx.Err(); err != nil {
-			// Canceled while queued: fail it now, compute nothing for it.
-			*samples -= len(p.req.xs) - p.off
-			p.req.err = err
-			close(p.req.done)
-			q = q[1:]
-			continue
-		}
-		n := len(p.req.xs) - p.off
-		if n > take {
-			n = take
-		}
-		if oldest.IsZero() || p.req.enq.Before(oldest) {
-			oldest = p.req.enq
-		}
-		spans = append(spans, span{req: p.req, off: p.off, n: n, base: len(xs)})
-		xs = append(xs, p.req.xs[p.off:p.off+n]...)
-		p.off += n
-		take -= n
-		*samples -= n
-		if p.off == len(p.req.xs) {
-			q = q[1:]
-		}
-	}
-	if len(q) == 0 {
-		q = nil // let the backing array go once the queue empties
-	}
-	*pending = q
-	if len(xs) == 0 {
-		return
-	}
-
-	wait := time.Duration(0)
-	if !oldest.IsZero() {
-		wait = time.Since(oldest)
-	}
-	out, err := c.backend.ForwardBatch(xs)
-	if c.opt.Collector != nil {
-		c.opt.Collector.ObserveFlush(FlushStats{Size: len(xs), Reason: reason, QueueWait: wait})
-	}
-	if err != nil {
-		for _, sp := range spans {
-			sp.req.err = err
-			close(sp.req.done)
-		}
-		// A split request may still hold its unserved tail at the queue
-		// head; its done channel is closed now, so the tail must go too or
-		// a later flush would close it twice.
-		if last := spans[len(spans)-1].req; len(q) > 0 && q[0].req == last {
-			*samples -= len(last.xs) - q[0].off
-			q = q[1:]
-			if len(q) == 0 {
-				q = nil
-			}
-			*pending = q
-		}
-		return
-	}
-	for _, sp := range spans {
-		copy(sp.req.out[sp.off:sp.off+sp.n], out[sp.base:sp.base+sp.n])
-		sp.req.served += sp.n
-		if sp.req.served == len(sp.req.xs) {
-			close(sp.req.done)
-		}
-	}
+	return out, nil
 }

@@ -11,12 +11,15 @@ import (
 	"time"
 )
 
-// countingBackend wraps a Backend and records every flush it sees.
+// countingBackend wraps a Backend and records every forward pass it sees.
 type countingBackend struct {
-	inner   Backend
-	mu      sync.Mutex
-	batches []int
-	fail    atomic.Bool
+	inner  Backend
+	mu     sync.Mutex
+	passes [][][]float64
+	fail   atomic.Bool
+	// onPass, when set, runs at the start of every pass; an error fails
+	// the pass.
+	onPass func() error
 }
 
 var errBackend = errors.New("backend exploded")
@@ -26,21 +29,26 @@ func (c *countingBackend) InputLen() int { return c.inner.InputLen() }
 
 func (c *countingBackend) ForwardBatch(xs [][]float64) ([][]float64, error) {
 	c.mu.Lock()
-	c.batches = append(c.batches, len(xs))
+	c.passes = append(c.passes, xs)
 	c.mu.Unlock()
+	if c.onPass != nil {
+		if err := c.onPass(); err != nil {
+			return nil, err
+		}
+	}
 	if c.fail.Load() {
 		return nil, errBackend
 	}
 	return c.inner.ForwardBatch(xs)
 }
 
-func (c *countingBackend) sizes() []int {
+func (c *countingBackend) seen() [][][]float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]int(nil), c.batches...)
+	return append([][][]float64(nil), c.passes...)
 }
 
-// statsCollector records flush stats for assertions.
+// statsCollector records pass stats for assertions.
 type statsCollector struct {
 	mu    sync.Mutex
 	stats []FlushStats
@@ -69,10 +77,10 @@ func newTestCoalescer(t *testing.T, opt CoalescerOptions) (*Coalescer, *counting
 }
 
 // TestCoalescerMatchesReference drives many producers through one coalescer
-// and checks every caller gets exactly its own results, regardless of how
-// submissions were merged or split across flushes.
+// and checks every caller gets exactly its own results, however its
+// submission was split into passes.
 func TestCoalescerMatchesReference(t *testing.T) {
-	c, _, ref := newTestCoalescer(t, CoalescerOptions{MaxBatch: 16, MaxWait: 200 * time.Microsecond})
+	c, _, ref := newTestCoalescer(t, CoalescerOptions{MaxBatch: 16})
 	const producers = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, producers)
@@ -82,7 +90,7 @@ func TestCoalescerMatchesReference(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(p)))
 			for iter := 0; iter < 30; iter++ {
-				n := 1 + rng.Intn(40) // often larger than MaxBatch/producer share
+				n := 1 + rng.Intn(40) // often larger than MaxBatch
 				xs := randomBatch(ref.M, n, int64(p*1000+iter))
 				got, err := c.PredictBatch(context.Background(), xs)
 				if err != nil {
@@ -108,51 +116,94 @@ func TestCoalescerMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCoalescerFlushReasons checks the size and deadline triggers and that
-// the Collector sees them labelled correctly.
-func TestCoalescerFlushReasons(t *testing.T) {
+// TestCoalescerSplitsIntoPasses checks a call larger than MaxBatch runs
+// ⌈n/MaxBatch⌉ passes over consecutive slices of its input, in order, and
+// that the Collector sees each pass.
+func TestCoalescerSplitsIntoPasses(t *testing.T) {
 	col := &statsCollector{}
-	c, cb, ref := newTestCoalescer(t, CoalescerOptions{MaxBatch: 8, MaxWait: time.Hour, Collector: col})
-
-	// 16 samples in one submission: two size-triggered flushes, no waiting
-	// on the one-hour deadline.
-	if _, err := c.PredictBatch(context.Background(), randomBatch(ref.M, 16, 1)); err != nil {
+	c, cb, ref := newTestCoalescer(t, CoalescerOptions{MaxBatch: 8, Collector: col})
+	xs := randomBatch(ref.M, 20, 1)
+	if _, err := c.PredictBatch(context.Background(), xs); err != nil {
 		t.Fatal(err)
 	}
-	for _, fs := range col.all() {
-		if fs.Reason != FlushSize || fs.Size != 8 {
-			t.Fatalf("flush %+v, want size-triggered batches of 8", fs)
+	passes := cb.seen()
+	wantSizes := []int{8, 8, 4}
+	if len(passes) != len(wantSizes) {
+		t.Fatalf("backend saw %d passes, want %d", len(passes), len(wantSizes))
+	}
+	for i, p := range passes {
+		if len(p) != wantSizes[i] || &p[0][0] != &xs[8*i][0] {
+			t.Fatalf("pass %d has %d samples, want %d starting at sample %d",
+				i, len(p), wantSizes[i], 8*i)
 		}
 	}
-	if got := cb.sizes(); len(got) != 2 {
-		t.Fatalf("backend saw %v, want two batches", got)
+	stats := col.all()
+	if len(stats) != len(wantSizes) {
+		t.Fatalf("collector saw %d passes, want %d", len(stats), len(wantSizes))
 	}
-
-	// A lone under-sized submission must go out on the deadline.
-	col2 := &statsCollector{}
-	c2, _, _ := newTestCoalescer(t, CoalescerOptions{MaxBatch: 64, MaxWait: time.Millisecond, Collector: col2})
-	t0 := time.Now()
-	if _, err := c2.Predict(context.Background(), randomBatch(ref.M, 1, 2)[0]); err != nil {
-		t.Fatal(err)
-	}
-	if waited := time.Since(t0); waited > time.Second {
-		t.Fatalf("lone sample waited %v, deadline flush broken", waited)
-	}
-	stats := col2.all()
-	if len(stats) != 1 || stats[0].Reason != FlushDeadline || stats[0].Size != 1 {
-		t.Fatalf("stats %+v, want one deadline flush of 1", stats)
-	}
-	if stats[0].QueueWait <= 0 {
-		t.Fatalf("deadline flush reported no queue wait")
+	for i, fs := range stats {
+		if fs.Size != wantSizes[i] || fs.QueueWait != 0 {
+			t.Fatalf("pass %d stats %+v, want size %d and no queue wait", i, fs, wantSizes[i])
+		}
 	}
 }
 
-// TestCoalescerStress is the -race workhorse: many producers, small batches,
+// TestCoalescerConcurrentPasses checks that two callers run their passes at
+// the same time: the backend holds each pass until both are inside it, and
+// gives up after a timeout.
+func TestCoalescerConcurrentPasses(t *testing.T) {
+	c, cb, ref := newTestCoalescer(t, CoalescerOptions{MaxBatch: 8})
+	met := make(chan struct{})
+	var arrived atomic.Int32
+	cb.onPass = func() error {
+		if arrived.Add(1) == 2 {
+			close(met)
+		}
+		select {
+		case <-met:
+			return nil
+		case <-time.After(5 * time.Second):
+			return errors.New("the other caller's pass never started")
+		}
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			if _, err := c.PredictBatch(context.Background(), randomBatch(ref.M, 4, int64(p))); err != nil {
+				t.Errorf("caller %d: %v", p, err)
+			}
+		}(p)
+	}
+	wg.Wait()
+}
+
+// TestCoalescerCancelBetweenPasses cancels the context during the first
+// pass of a three-pass call: the call must fail with the context's error
+// and start no further pass.
+func TestCoalescerCancelBetweenPasses(t *testing.T) {
+	c, cb, ref := newTestCoalescer(t, CoalescerOptions{MaxBatch: 8})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cb.onPass = func() error {
+		cancel()
+		return nil
+	}
+	if _, err := c.PredictBatch(ctx, randomBatch(ref.M, 20, 2)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := len(cb.seen()); n != 1 {
+		t.Fatalf("backend ran %d passes, want 1", n)
+	}
+}
+
+// TestCoalescerStress is the -race workhorse: many producers, small passes,
 // mid-flight cancellations, and a Close racing the tail of the traffic.
 func TestCoalescerStress(t *testing.T) {
 	m := randomModel(5, 4, 8, 6, 78)
 	cb := &countingBackend{inner: NewEngine(m, Options{})}
-	c := NewCoalescer(cb, CoalescerOptions{MaxBatch: 8, MaxWait: 100 * time.Microsecond, QueueCap: 16})
+	c := NewCoalescer(cb, CoalescerOptions{MaxBatch: 8})
 
 	const producers = 12
 	var wg sync.WaitGroup
@@ -167,7 +218,7 @@ func TestCoalescerStress(t *testing.T) {
 				var cancel context.CancelFunc
 				if rng.Intn(3) == 0 {
 					// A third of requests carry a deadline short enough to
-					// fire while queued or mid-batch.
+					// fire before or between passes.
 					ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(200))*time.Microsecond)
 				}
 				xs := randomBatch(m, 1+rng.Intn(20), int64(iter))
@@ -196,112 +247,54 @@ func TestCoalescerStress(t *testing.T) {
 	if served.Load() == 0 {
 		t.Fatal("no request was ever served")
 	}
-	t.Logf("served=%d canceled=%d closed=%d flushes=%d",
-		served.Load(), canceled.Load(), closed.Load(), len(cb.sizes()))
+	t.Logf("served=%d canceled=%d closed=%d passes=%d",
+		served.Load(), canceled.Load(), closed.Load(), len(cb.seen()))
 }
 
-// TestCoalescerBackendError checks an erroring backend fails every caller in
-// the flushed batch — including a request split across flushes — without
-// double-closing or hanging anyone.
+// TestCoalescerBackendError checks an erroring backend fails the call at
+// its first pass, and that the coalescer keeps serving once the backend
+// recovers.
 func TestCoalescerBackendError(t *testing.T) {
-	c, cb, ref := newTestCoalescer(t, CoalescerOptions{MaxBatch: 8, MaxWait: time.Millisecond})
+	c, cb, ref := newTestCoalescer(t, CoalescerOptions{MaxBatch: 8})
 	cb.fail.Store(true)
-	// 20 samples split across three flushes; every wait must resolve to the
-	// backend error.
 	if _, err := c.PredictBatch(context.Background(), randomBatch(ref.M, 20, 3)); !errors.Is(err, errBackend) {
 		t.Fatalf("err = %v, want backend error", err)
 	}
-	// The coalescer must keep serving after a backend error clears.
+	if n := len(cb.seen()); n != 1 {
+		t.Fatalf("backend ran %d passes after the first failed, want 1", n)
+	}
 	cb.fail.Store(false)
 	if _, err := c.PredictBatch(context.Background(), randomBatch(ref.M, 4, 4)); err != nil {
 		t.Fatalf("coalescer did not recover after backend error: %v", err)
 	}
 }
 
+// TestCoalescerClose closes the coalescer while a call is inside the
+// backend: that call must complete, and every later call gets ErrClosed.
 func TestCoalescerClose(t *testing.T) {
-	m := randomModel(5, 4, 8, 6, 79)
-	c := NewCoalescer(NewEngine(m, Options{}), CoalescerOptions{MaxBatch: 64, MaxWait: time.Hour})
+	c, cb, ref := newTestCoalescer(t, CoalescerOptions{MaxBatch: 8})
+	entered, release := make(chan struct{}), make(chan struct{})
+	cb.onPass = func() error {
+		close(entered)
+		<-release
+		return nil
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.PredictBatch(context.Background(), randomBatch(ref.M, 4, 5))
+		done <- err
+	}()
+	<-entered
 	c.Close()
 	c.Close() // idempotent
-	if _, err := c.PredictBatch(context.Background(), randomBatch(m, 2, 5)); !errors.Is(err, ErrClosed) {
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("call in flight at Close: err = %v, want it served", err)
+	}
+	if _, err := c.PredictBatch(context.Background(), randomBatch(ref.M, 2, 6)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after Close: err = %v, want ErrClosed", err)
 	}
-	if _, err := c.Predict(context.Background(), randomBatch(m, 1, 6)[0]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Predict after Close: err = %v, want ErrClosed", err)
-	}
-}
-
-// TestCoalescerDrainOnClose submits with a one-hour deadline, closes, and
-// expects the pending batch to be served by the drain rather than dropped.
-// A submission can legitimately lose the race against Close (ErrClosed), so
-// the test retries until it observes an actual drain.
-func TestCoalescerDrainOnClose(t *testing.T) {
-	m := randomModel(5, 4, 8, 6, 80)
-	for attempt := 0; attempt < 50; attempt++ {
-		col := &statsCollector{}
-		c := NewCoalescer(NewEngine(m, Options{}), CoalescerOptions{MaxBatch: 64, MaxWait: time.Hour, Collector: col})
-		done := make(chan error, 1)
-		go func() {
-			_, err := c.PredictBatch(context.Background(), randomBatch(m, 3, 7))
-			done <- err
-		}()
-		time.Sleep(time.Millisecond)
-		c.Close()
-		err := <-done
-		if errors.Is(err, ErrClosed) {
-			continue
-		}
-		if err != nil {
-			t.Fatalf("drained request failed: %v", err)
-		}
-		stats := col.all()
-		if len(stats) != 1 || stats[0].Reason != FlushDrain {
-			t.Fatalf("stats %+v, want one drain flush", stats)
-		}
-		return
-	}
-	t.Fatal("never observed a drain flush in 50 attempts")
-}
-
-// TestCoalescerAdaptiveWait checks that under fast concurrent traffic the
-// EWMA-derived deadline drops far below the configured MaxWait (here an
-// hour, so any deadline-dependent straggler would hang without adaptation),
-// while every caller still receives its own correct results.
-func TestCoalescerAdaptiveWait(t *testing.T) {
-	c, _, ref := newTestCoalescer(t, CoalescerOptions{MaxBatch: 4, MaxWait: time.Hour, AdaptiveWait: true})
-	if got := c.CurrentWait(); got != time.Hour {
-		t.Fatalf("initial CurrentWait = %v, want the configured MaxWait", got)
-	}
-	const producers = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, producers)
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			xs := randomBatch(ref.M, 12, int64(500+p))
-			for i, x := range xs {
-				got, err := c.Predict(context.Background(), x)
-				if err != nil {
-					errs <- err
-					return
-				}
-				want := ref.M.Predict(x)
-				for cl := range want {
-					if got[cl] != want[cl] {
-						errs <- fmt.Errorf("producer %d sample %d: wrong result", p, i)
-						return
-					}
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if got := c.CurrentWait(); got >= time.Hour {
-		t.Fatalf("CurrentWait = %v after fast traffic, want below the configured MaxWait", got)
+	if n := len(cb.seen()); n != 1 {
+		t.Fatalf("backend ran %d passes, want only the in-flight call's 1", n)
 	}
 }

@@ -75,8 +75,8 @@ func (e *Engine) Classes() int { return e.m.Classes }
 func (e *Engine) InputLen() int { return e.m.Rows * e.m.Cols }
 
 // PredictBatch runs the whole slice as one batch, checking ctx once up
-// front. It satisfies core.SLAP's Batcher hook for callers that want
-// batching without cross-goroutine coalescing.
+// front. It satisfies core.SLAP's Batcher hook for callers that want no
+// pass-size bound and no per-pass metrics.
 func (e *Engine) PredictBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -2,8 +2,8 @@
 // internal/nn runs one 15×10 cut embedding at a time through triple-nested
 // loops, this package packs B embeddings into matrices and runs the whole
 // classifier — conv → ReLU → dense → softmax — as blocked GEMMs (Engine),
-// and coalesces Predict calls from many goroutines into shared forward
-// passes flushed on size or deadline (Coalescer).
+// and splits each caller's submission into bounded forward passes run on
+// that caller's goroutine (Coalescer).
 //
 // The conv layer's 15×1 filters span all input rows, so the convolution over
 // a batch is a single 128×15 by 15×(10·B) matmul; the dense layer is a
@@ -29,8 +29,7 @@ var ErrClosed = errors.New("infer: coalescer closed")
 // forward pass and exists to prove batched backends equivalent.
 //
 // Backends must be safe for concurrent ForwardBatch calls: the Coalescer
-// serialises its own flushes, but nothing stops several coalescers or
-// direct callers from sharing one backend.
+// runs every caller's passes on that caller's goroutine.
 type Backend interface {
 	// Classes returns the output probability-vector length.
 	Classes() int

@@ -1,6 +1,9 @@
 package mapcache
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Flight is a standalone generic singleflight group keyed by Key, for
 // deduplicating concurrent identical work that does not go through the
@@ -9,6 +12,8 @@ import "sync"
 type Flight[V any] struct {
 	mu sync.Mutex
 	m  map[Key]*flightRes[V]
+	// joined counts the calls that shared a flight already in progress.
+	joined atomic.Int64
 }
 
 type flightRes[V any] struct {
@@ -28,6 +33,7 @@ func NewFlight[V any]() *Flight[V] {
 func (f *Flight[V]) Do(k Key, fn func() (V, error)) (v V, shared bool, err error) {
 	f.mu.Lock()
 	if r, ok := f.m[k]; ok {
+		f.joined.Add(1)
 		f.mu.Unlock()
 		<-r.done
 		return r.val, true, r.err
@@ -43,3 +49,7 @@ func (f *Flight[V]) Do(k Key, fn func() (V, error)) (v V, shared bool, err error
 	close(r.done)
 	return r.val, false, r.err
 }
+
+// Joined reports how many calls so far have shared a flight already in
+// progress instead of running fn themselves.
+func (f *Flight[V]) Joined() int64 { return f.joined.Load() }

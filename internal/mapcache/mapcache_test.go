@@ -239,6 +239,9 @@ func TestFlightGeneric(t *testing.T) {
 	if n.Load() != 1 {
 		t.Fatalf("%d computations, want 1", n.Load())
 	}
+	if j := f.Joined(); j != 3 {
+		t.Fatalf("Joined() = %d, want 3 (every caller but the leader)", j)
+	}
 	for _, r := range results {
 		if r != "computed-1" {
 			t.Fatalf("result %q not shared", r)

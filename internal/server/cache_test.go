@@ -8,8 +8,8 @@ import (
 	"regexp"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"slap/internal/aig"
 	"slap/internal/circuits"
@@ -189,20 +189,19 @@ func TestMapResultCacheECO(t *testing.T) {
 }
 
 // TestClassifySingleflight pins the /v1/classify dedup: two concurrent
-// identical submissions (rendezvoused via the fault hook so both are in
-// flight) share one classification run.
+// identical submissions share one classification run. The fault hook holds
+// the leading run open until the other submission has joined it, so the
+// outcome does not depend on how long a classification takes.
 func TestClassifySingleflight(t *testing.T) {
 	srv, ts := newTestServer(t, Config{WorkerBudget: 4})
-	var arrived atomic.Int32
-	gate := make(chan struct{})
 	srv.faultHook = func(endpoint string) {
-		if endpoint != "/v1/classify" {
+		if endpoint != "classify run" {
 			return
 		}
-		if arrived.Add(1) == 2 {
-			close(gate)
+		deadline := time.Now().Add(10 * time.Second)
+		for srv.classify.Joined() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
 		}
-		<-gate
 	}
 
 	var mu sync.Mutex

@@ -54,18 +54,12 @@ type Config struct {
 	// shard directory) outlives completion before being garbage-collected
 	// (0 = DefaultJobRetention, negative = keep forever).
 	JobRetention time.Duration
-	// MaxBatch is the inference coalescer's flush size: concurrent slap
-	// mappings and classifications share batched forward passes through one
-	// coalescer per model (0 = infer.DefaultMaxBatch, negative = disable
-	// batching and run the per-sample path).
+	// MaxBatch is the largest batched inference forward pass: slap
+	// mappings and classifications classify each node's cuts in passes of
+	// at most this many samples through one engine per model
+	// (0 = infer.DefaultMaxBatch, negative = disable batching and run the
+	// per-sample path).
 	MaxBatch int
-	// BatchWait bounds how long a lone inference submission waits for
-	// batch-mates before flushing anyway (0 = infer.DefaultMaxWait).
-	BatchWait time.Duration
-	// AdaptiveBatchWait derives each coalescer's flush deadline from the
-	// observed arrival rate (EWMA), clamped to BatchWait; the current value
-	// is exported on /metrics.
-	AdaptiveBatchWait bool
 	// ArenaCache is how many cut arenas the server caches across mapping
 	// requests, keyed by graph identity, so repeated mappings of the same
 	// design reuse cut storage instead of reallocating it
@@ -144,11 +138,13 @@ type Server struct {
 
 	// coalescers holds one inference coalescer per registry model
 	// (*nn.Model -> *infer.Coalescer), created on first slap/classify use
-	// so concurrent requests against the same model share forward passes.
+	// so requests against the same model share one engine.
 	coalescers sync.Map
 
 	// faultHook, when set (tests only), runs at the start of every mapping
-	// worker so panic recovery and budget accounting can be exercised.
+	// worker with the request's endpoint, so panic recovery and budget
+	// accounting can be exercised, and again inside a classification's
+	// singleflight run with "classify run", so dedup can be.
 	faultHook func(endpoint string)
 }
 
@@ -197,7 +193,6 @@ func New(cfg Config) *Server {
 		s.metrics.SetChoiceCacheStatsFunc(s.views.Stats)
 		s.views.OnBuild = s.metrics.ObserveChoiceBuild
 	}
-	s.metrics.SetBatchWaitFunc(s.maxBatchWait)
 
 	mux := http.NewServeMux()
 	mux.Handle("POST /v1/map", s.instrument("/v1/map", s.handleMap))
@@ -230,9 +225,9 @@ func (s *Server) Scheduler() *Scheduler { return s.sched }
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Close begins draining: queued requests fail fast with 503 while granted
-// worker tokens stay borrowed until their mappings finish, then the
-// inference coalescers drain and stop. Call after http.Server.Shutdown has
-// stopped accepting connections.
+// worker tokens stay borrowed until their mappings finish, and the
+// inference coalescers refuse further calls (503). Call after
+// http.Server.Shutdown has stopped accepting connections.
 func (s *Server) Close() {
 	s.sched.Close()
 	s.coalescers.Range(func(_, v any) bool {
@@ -268,30 +263,14 @@ func (s *Server) batcherFor(model *nn.Model) core.Batcher {
 		return v.(*infer.Coalescer)
 	}
 	co := infer.NewCoalescer(infer.NewEngine(model, infer.Options{}), infer.CoalescerOptions{
-		MaxBatch:     s.cfg.MaxBatch,
-		MaxWait:      s.cfg.BatchWait,
-		AdaptiveWait: s.cfg.AdaptiveBatchWait,
-		Collector:    s.metrics,
+		MaxBatch:  s.cfg.MaxBatch,
+		Collector: s.metrics,
 	})
 	if prev, loaded := s.coalescers.LoadOrStore(model, co); loaded {
 		co.Close()
 		return prev.(*infer.Coalescer)
 	}
 	return co
-}
-
-// maxBatchWait reports the largest currently-armed coalescer flush deadline
-// in seconds — the /metrics view of the adaptive batch wait. Zero when no
-// coalescer exists yet.
-func (s *Server) maxBatchWait() float64 {
-	var w time.Duration
-	s.coalescers.Range(func(_, v any) bool {
-		if cur := v.(*infer.Coalescer).CurrentWait(); cur > w {
-			w = cur
-		}
-		return true
-	})
-	return w.Seconds()
 }
 
 // ---------------------------------------------------------------------------
@@ -1026,6 +1005,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		// classification run; only the leader counts the cuts it processed.
 		key := mapcache.KeyOf(g, fmt.Sprintf("classify/model=%p", model))
 		cls, shared, err := s.classify.Do(key, func() (*core.Classification, error) {
+			if s.faultHook != nil {
+				s.faultHook("classify run")
+			}
 			sl := core.New(model, lib)
 			sl.Workers = granted
 			sl.Batch = s.batcherFor(model)

@@ -695,9 +695,8 @@ func truncateStr(s string, n int) string {
 }
 
 // TestInferBatchMetricsExported drives classification and slap mapping with
-// the default micro-batching enabled and checks the coalescer's flush
-// telemetry reaches /metrics: batch-size histogram, queue-wait histogram and
-// per-reason flush counters.
+// the default batched inference enabled and checks every forward pass
+// reaches the /metrics batch-size histogram.
 func TestInferBatchMetricsExported(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -729,10 +728,6 @@ func TestInferBatchMetricsExported(t *testing.T) {
 	for _, want := range []string{
 		`slap_infer_batch_size_bucket{le="1"}`,
 		`slap_infer_batch_size_bucket{le="+Inf"}`,
-		`slap_infer_queue_wait_seconds_bucket{le="+Inf"}`,
-		`slap_infer_flushes_total{reason="size"}`,
-		`slap_infer_flushes_total{reason="deadline"}`,
-		`slap_infer_flushes_total{reason="drain"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
@@ -747,7 +742,7 @@ func TestInferBatchMetricsExported(t *testing.T) {
 }
 
 // TestBatchingDisabled checks MaxBatch < 0 falls back to per-sample inference
-// (no flushes recorded) while requests still succeed.
+// (no batched passes recorded) while requests still succeed.
 func TestBatchingDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatch: -1})
 	resp, data := postRaw(t, ts.URL+"/v1/classify?model=toy", rc16Text(t))
@@ -761,7 +756,7 @@ func TestBatchingDisabled(t *testing.T) {
 	body, _ := io.ReadAll(respM.Body)
 	respM.Body.Close()
 	if v := metricsGauge(t, string(body), "slap_infer_batch_size_count"); v != 0 {
-		t.Errorf("batching disabled but %v flushes recorded", v)
+		t.Errorf("batching disabled but %v batched passes recorded", v)
 	}
 }
 
@@ -772,7 +767,7 @@ func TestBatchingDisabled(t *testing.T) {
 // byte-identity guarantee — then checks the arena pool and peak-cut
 // telemetry on /metrics after repeated same-graph requests.
 func TestStreamingServerParity(t *testing.T) {
-	_, stream := newTestServer(t, Config{AdaptiveBatchWait: true})
+	_, stream := newTestServer(t, Config{})
 	_, unpooled := newTestServer(t, Config{ArenaCache: -1})
 	body := map[string]any{
 		"circuit": rc16Text(t), "policy": "default",
@@ -835,9 +830,6 @@ func TestStreamingServerParity(t *testing.T) {
 	}
 	if v := metricsGauge(t, string(text), "slap_peak_live_cuts"); int(v) != first.PeakCuts {
 		t.Errorf("slap_peak_live_cuts = %v, want %d", v, first.PeakCuts)
-	}
-	if !strings.Contains(string(text), "slap_infer_adaptive_wait_seconds") {
-		t.Error("metrics missing slap_infer_adaptive_wait_seconds")
 	}
 }
 
