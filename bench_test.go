@@ -7,6 +7,7 @@ package slap_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"slap/internal/experiments"
 	"slap/internal/infer"
 	"slap/internal/library"
+	"slap/internal/lutmap"
 	"slap/internal/mapcache"
 	"slap/internal/mapper"
 	"slap/internal/opt"
@@ -264,6 +266,34 @@ func BenchmarkMultiRoundMap(b *testing.B) {
 			s.Pool = pool
 			for i := 0; i < b.N; i++ {
 				if _, err := s.MapStreamContext(context.Background(), g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCoverRounds runs the priority-cuts baseline through both cover
+// targets at the paper-size c6288 (2,784 ANDs), classic schedule against
+// four rounds: enumeration is shared, so the difference between the rows
+// is the cover selection itself (delay/depth pass, required times, area
+// flow and exact area), plus matching, buffering and STA on asic.
+func BenchmarkCoverRounds(b *testing.B) {
+	lib := library.ASAP7ish()
+	g := circuits.C6288()
+	for _, rounds := range []int{1, 4} {
+		b.Run(fmt.Sprintf("asic/rounds%d", rounds), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := mapper.MapStream(g, mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}, Rounds: rounds}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("lut/rounds%d", rounds), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := lutmap.MapStream(g, lutmap.Options{Policy: cuts.DefaultPolicy{}, Rounds: rounds}); err != nil {
 					b.Fatal(err)
 				}
 			}
