@@ -229,7 +229,7 @@ func printResult(cfg runConfig, g *aig.AIG, res *mapper.Result) error {
 	fmt.Printf("cuts:    %d considered (peak %d live), %d match attempts\n", res.CutsConsidered, res.PeakCuts, res.MatchAttempts)
 	for _, st := range res.RoundStats {
 		fmt.Printf("round %d: %-15s est area %.2f, est delay %.2f (%d cuts, %d match attempts)\n",
-			st.Round, st.Mode, st.EstArea, st.EstDelay, st.CutsConsidered, st.MatchAttempts)
+			st.Round, st.Mode, st.Area, st.Delay, st.CutsConsidered, st.MatchAttempts)
 	}
 	if cfg.cells {
 		for name, n := range res.Netlist.CellCounts() {

@@ -77,15 +77,15 @@ func TestMultiRoundQoR(t *testing.T) {
 			if st.Round != i+1 || st.Mode != wantModes[i] {
 				t.Fatalf("choices=%v: round %d is %+v, want round=%d mode=%s", choices, i, st, i+1, wantModes[i])
 			}
-			if st.EstDelay > multi.RoundStats[0].EstDelay+1e-6 {
+			if st.Delay > multi.RoundStats[0].Delay+1e-6 {
 				t.Fatalf("choices=%v: round %d delay %.3f drifted above round-1 %.3f",
-					choices, st.Round, st.EstDelay, multi.RoundStats[0].EstDelay)
+					choices, st.Round, st.Delay, multi.RoundStats[0].Delay)
 			}
 		}
 		last := multi.RoundStats[3]
-		if last.EstArea > multi.RoundStats[0].EstArea+1e-6 {
+		if last.Area > multi.RoundStats[0].Area+1e-6 {
 			t.Fatalf("choices=%v: recovery ended worse than the delay round: %.3f > %.3f",
-				choices, last.EstArea, multi.RoundStats[0].EstArea)
+				choices, last.Area, multi.RoundStats[0].Area)
 		}
 		if !choices && multi.Area > single.Area+1e-6 {
 			t.Fatalf("4-round area %.3f worse than single-pass %.3f", multi.Area, single.Area)
@@ -120,8 +120,8 @@ func TestMultiRoundLUTQoR(t *testing.T) {
 		t.Fatalf("unexpected round modes: %+v", multi.RoundStats)
 	}
 	for _, st := range multi.RoundStats {
-		if st.Depth > multi.RoundStats[0].Depth {
-			t.Fatalf("round %d depth %d exceeds round-1 depth %d", st.Round, st.Depth, multi.RoundStats[0].Depth)
+		if st.Delay > multi.RoundStats[0].Delay {
+			t.Fatalf("round %d depth %v exceeds round-1 depth %v", st.Round, st.Delay, multi.RoundStats[0].Delay)
 		}
 	}
 	if multi.NumLUTs() > single.NumLUTs() {

@@ -27,32 +27,10 @@ import (
 // inside the inference workers, so a deadline or dropped client aborts the
 // run promptly.
 func (s *SLAP) MapStreamContext(ctx context.Context, g *aig.AIG) (*mapper.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	mg, ch, err := s.choiceGraph(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	st, err := mapper.NewStream(mg, mapper.Options{Library: s.Library, Rounds: s.Rounds, DelayFactor: s.DelayFactor})
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.streamFiltered(ctx, mg, ch, func(n uint32, kept, extras []cuts.Cut) {
-		st.ConsumeNode(n, kept)
-		if extras != nil {
-			st.ConsumeExtras(n, extras)
-		}
+	r, err := mapFiltered(ctx, s, g, func(mg *aig.AIG) (target[*mapper.Result], error) {
+		return mapper.NewStream(mg, mapper.Options{Library: s.Library, Rounds: s.Rounds, DelayFactor: s.DelayFactor})
 	})
 	if err != nil {
-		return nil, err
-	}
-	st.SetPeakCuts(res.PeakCuts)
-	r, err := st.Finish()
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	r.PolicyName = "slap"
@@ -63,16 +41,42 @@ func (s *SLAP) MapStreamContext(ctx context.Context, g *aig.AIG) (*mapper.Result
 // instead of the standard-cell mapper — the extension the paper's
 // introduction points to ("the findings of this work can be extended to
 // benefit FPGA-mapping ... as the nature of the problem is the same"). The
-// same ML-filtered cut lists feed the depth-oriented LUT coverer.
+// same ML-filtered cut lists feed the same cover engine under the LUT cost
+// model.
 func (s *SLAP) MapLUTStreamContext(ctx context.Context, g *aig.AIG) (*lutmap.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	mg, ch, err := s.choiceGraph(ctx, g)
+	r, err := mapFiltered(ctx, s, g, func(mg *aig.AIG) (target[*lutmap.Result], error) {
+		return lutmap.NewStream(mg, lutmap.Options{Rounds: s.Rounds, DelayFactor: s.DelayFactor}), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	st := lutmap.NewStream(mg, lutmap.Options{Rounds: s.Rounds, DelayFactor: s.DelayFactor})
+	r.PolicyName = "slap"
+	return r, nil
+}
+
+// target is a mapping target's stream: mapper.Stream or lutmap.Stream.
+type target[R any] interface {
+	ConsumeNode(n uint32, cs []cuts.Cut)
+	ConsumeExtras(n uint32, cs []cuts.Cut)
+	SetPeakCuts(peak int)
+	Finish() (R, error)
+}
+
+// mapFiltered runs the SLAP flow on g (or its choice view) into the stream
+// that open prepares for the mapped graph.
+func mapFiltered[R any](ctx context.Context, s *SLAP, g *aig.AIG, open func(*aig.AIG) (target[R], error)) (R, error) {
+	var zero R
+	if err := ctx.Err(); err != nil {
+		return zero, err
+	}
+	mg, ch, err := s.choiceGraph(ctx, g)
+	if err != nil {
+		return zero, err
+	}
+	st, err := open(mg)
+	if err != nil {
+		return zero, err
+	}
 	res, err := s.streamFiltered(ctx, mg, ch, func(n uint32, kept, extras []cuts.Cut) {
 		st.ConsumeNode(n, kept)
 		if extras != nil {
@@ -80,17 +84,16 @@ func (s *SLAP) MapLUTStreamContext(ctx context.Context, g *aig.AIG) (*lutmap.Res
 		}
 	})
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
 	st.SetPeakCuts(res.PeakCuts)
 	r, err := st.Finish()
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return zero, err
 	}
-	r.PolicyName = "slap"
 	return r, nil
 }
 

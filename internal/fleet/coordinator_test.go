@@ -150,6 +150,44 @@ func TestProxyAffinityCacheAndFailover(t *testing.T) {
 	}
 }
 
+// TestProxyRelaysInvalidOptions sends options a worker refuses through the
+// coordinator to two real workers: each 400 is the client's problem, so it
+// must be relayed after one attempt with no retry on the other replica.
+func TestProxyRelaysInvalidOptions(t *testing.T) {
+	var attempts atomic.Int32
+	var urls []StaticWorker
+	for _, name := range []string{"w1", "w2"} {
+		s := server.New(server.Config{WorkerName: name})
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/map" {
+				attempts.Add(1)
+			}
+			s.Handler().ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			ts.Close()
+			s.Close()
+		})
+		urls = append(urls, StaticWorker{Name: name, URL: ts.URL})
+	}
+	c, ts := newCoordinator(t, Config{Workers: urls})
+	aag := rc16AAG(t)
+	for _, q := range []string{"policy=zzz", "target=fpga", "netlist=edif", "rounds=17", "delay_factor=NaN"} {
+		attempts.Store(0)
+		before := c.Metrics().Retries()
+		resp, data := postCircuit(t, ts.URL+"/v1/map?"+q, aag)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want the worker's 400 relayed (%s)", q, resp.StatusCode, data)
+		}
+		if n := attempts.Load(); n != 1 {
+			t.Errorf("%s: %d worker attempts, want 1", q, n)
+		}
+		if got := c.Metrics().Retries(); got != before {
+			t.Errorf("%s: slap_fleet_retries_total moved from %d to %d", q, before, got)
+		}
+	}
+}
+
 // TestMultiRoundFleetAffinity pins the fleet contract for the multi-round
 // engine: a 4-round+choices request routes by structural hash like any
 // other, an equal-config resubmission is answered from the affine worker's

@@ -1,20 +1,22 @@
 // Package lutmap implements K-LUT FPGA technology mapping over the same
 // priority-cuts framework as the ASIC mapper: depth-optimal LUT covering
-// with an area-flow recovery pass (the classic FlowMap/if-mapper scheme of
-// the paper's refs [14], [15]).
+// with area recovery (the classic FlowMap/if-mapper scheme of the paper's
+// refs [14], [15]).
 //
 // The paper argues its findings "can be extended to benefit FPGA-mapping
 // ... as the nature of the problem is the same"; this package demonstrates
-// exactly that: any cuts.Policy — and the SLAP ML filter, which feeds its
-// filtered lists into a Stream — plugs into LUT mapping unchanged.
+// exactly that: it is the unit-LUT cost model over the same internal/cover
+// engine the ASIC mapper uses, so any cuts.Policy — and the SLAP ML
+// filter, which feeds its filtered lists into a Stream — plugs into LUT
+// mapping unchanged.
 package lutmap
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"slap/internal/aig"
+	"slap/internal/cover"
 	"slap/internal/cuts"
 	"slap/internal/tt"
 )
@@ -78,490 +80,102 @@ type Result struct {
 	// (Options.Rounds > 1); nil for the classic schedule. Entry 0 is the
 	// depth round with the single-pass counters; CutsConsidered and
 	// PeakCuts above aggregate across rounds (sum and max respectively).
-	RoundStats []RoundStat
+	RoundStats []cover.RoundStat
 
 	g *aig.AIG
-}
-
-// RoundStat is the per-round QoR record of one multi-round LUT pass.
-type RoundStat struct {
-	// Round is 1-based; round 1 is always the depth-optimal pass.
-	Round int
-	// Mode is "depth", "area-flow" or "area-flow+exact".
-	Mode string
-	// LUTs is the cover size after the round.
-	LUTs int
-	// Depth is the cover depth after the round.
-	Depth int32
-	// CutsConsidered counts cuts examined this round (enumeration total for
-	// round 1, selection candidates for recovery rounds).
-	CutsConsidered int
-	// PeakCuts is the enumeration peak for round 1, the live candidate
-	// count for recovery rounds.
-	PeakCuts int
 }
 
 // NumLUTs returns the LUT count (the FPGA area metric).
 func (r *Result) NumLUTs() int { return len(r.LUTs) }
 
-// lutChoice records the selected cut of one node.
-type lutChoice struct {
-	cutIdx int
-	valid  bool
-}
+// lutImpl is the LUT cost model's implementation type: a cut is its own
+// single implementation, one K-input LUT.
+type lutImpl struct{}
 
-// lutMapping holds the per-node selection state of a Stream.
-type lutMapping struct {
-	g         *aig.AIG
-	sets      [][]cuts.Cut
-	depth     []int32
-	flow      []float64
-	best      []lutChoice
-	fanoutEst []float64
+// oneLUT is the implementation list of every cut.
+var oneLUT = []lutImpl{{}}
 
-	// Multi-round state (rounds <= 1 leaves all of it inert).
-	rounds      int
-	delayFactor float64
-	extras      [][]cuts.Cut
-	refs        []int32
-	passCuts    int
-}
+// lutModel is the unit-LUT cost model of the cover engine: every cut is
+// implementable, delay is depth in levels and area counts LUTs.
+type lutModel struct{}
 
-// configureRounds installs the multi-round knobs from Options.
-func (lm *lutMapping) configureRounds(opt *Options) {
-	lm.rounds = opt.Rounds
-	if opt.NoAreaRecovery {
-		lm.rounds = 1
-	}
-	lm.delayFactor = opt.DelayFactor
-	if lm.delayFactor < 1 {
-		lm.delayFactor = 1
-	}
-}
+func (lutModel) Impls(*cuts.Cut) []lutImpl { return oneLUT }
 
-// newLutMapping builds the selection state; lm.sets is left for the caller.
-func newLutMapping(g *aig.AIG) *lutMapping {
-	n := g.NumNodes()
-	lm := &lutMapping{
-		g:         g,
-		depth:     make([]int32, n),
-		flow:      make([]float64, n),
-		best:      make([]lutChoice, n),
-		fanoutEst: make([]float64, n),
-		refs:      make([]int32, n),
-	}
-	for i := uint32(0); i < uint32(n); i++ {
-		fo := float64(g.Fanout(i))
-		if fo < 1 {
-			fo = 1
-		}
-		lm.fanoutEst[i] = fo
-	}
-	return lm
-}
-
-// evalCut returns (depth, areaFlow) of covering a node with cut c.
-func (lm *lutMapping) evalCut(c *cuts.Cut) (int32, float64) {
-	var d int32
-	var f float64
+func (lutModel) Eval(c *cuts.Cut, _ lutImpl, _ float64, arrival, flow []float64) (float64, float64) {
+	var d, f float64
 	for _, l := range c.Leaves {
-		if lm.g.IsAnd(l) {
-			if lm.depth[l] > d {
-				d = lm.depth[l]
-			}
-			f += lm.flow[l]
+		if arrival[l] > d {
+			d = arrival[l]
 		}
+		f += flow[l]
 	}
 	return d + 1, f + 1
 }
 
-// selectNode picks the node's cut: depth-optimal when required is nil,
-// area-flow-optimal subject to the required depth otherwise.
-func (lm *lutMapping) selectNode(node uint32, required []int32) {
-	sets := lm.sets
-	bd, bf := int32(math.MaxInt32), math.Inf(1)
-	bi := -1
-	for ci := range sets[node] {
-		c := &sets[node][ci]
-		if containsLeaf(c, node) {
-			continue
-		}
-		lm.passCuts++
-		d, f := lm.evalCut(c)
-		fl := f / lm.fanoutEst[node]
-		ok := required == nil && (d < bd || (d == bd && fl < bf)) ||
-			required != nil && d <= required[node] && (fl < bf || (fl == bf && d < bd))
-		if bi == -1 && (required == nil || d <= required[node]) {
-			ok = true
-		}
-		if ok {
-			bd, bf, bi = d, fl, ci
-		}
-	}
-	if bi == -1 {
-		// No cut meets the requirement: fall back to depth-best.
-		for ci := range sets[node] {
-			c := &sets[node][ci]
-			if containsLeaf(c, node) {
-				continue
-			}
-			d, f := lm.evalCut(c)
-			fl := f / lm.fanoutEst[node]
-			if d < bd || (d == bd && fl < bf) {
-				bd, bf, bi = d, fl, ci
-			}
-		}
-	}
-	if bi == -1 {
-		lm.best[node] = lutChoice{}
-		lm.depth[node] = math.MaxInt32 / 2
-		lm.flow[node] = math.Inf(1)
-		return
-	}
-	lm.best[node] = lutChoice{cutIdx: bi, valid: true}
-	lm.depth[node] = bd
-	lm.flow[node] = bf
+func (lutModel) Inputs(c *cuts.Cut, _ lutImpl) int { return len(c.Leaves) }
+
+func (lutModel) Input(c *cuts.Cut, _ lutImpl, i int) uint32 { return c.Leaves[i] }
+
+func (lutModel) Area(lutImpl) float64 { return 1 }
+
+func (lutModel) Required(_ *cuts.Cut, _ lutImpl, _, req float64, _ int) float64 { return req - 1 }
+
+func (lutModel) Traits() cover.Traits {
+	return cover.Traits{FirstMode: "depth", FallbackCuts: 1, WholeLevels: true, Rederive: true}
 }
 
-// selectPass runs selectNode over all AND nodes in topological order.
-func (lm *lutMapping) selectPass(required []int32) {
-	for node := uint32(1); node < uint32(lm.g.NumNodes()); node++ {
-		if lm.g.IsAnd(node) {
-			lm.selectNode(node, required)
-		}
-	}
+// Stream is a LUT mapping in progress: the cover engine fed node by node
+// (ConsumeNode, ConsumeExtras, SetPeakCuts), then Finish.
+type Stream struct {
+	*cover.Engine[lutImpl]
+	g          *aig.AIG
+	policyName string
 }
 
-// finish runs the area-recovery pass (unless disabled), extracts the cover
-// and builds the LUT network. The depth-optimal pass must already have run
-// (incrementally, inside Stream.ConsumeNode).
-func (lm *lutMapping) finish(policyName string, cutsConsidered, peakCuts int, noAreaRecovery bool) (*Result, error) {
-	g := lm.g
-	n := g.NumNodes()
-	sets := lm.sets
-	var roundStats []RoundStat
-	switch {
-	case lm.rounds > 1:
-		roundStats = lm.recoveryRounds(cutsConsidered, peakCuts)
-		cutsConsidered = 0
-		for _, rs := range roundStats {
-			cutsConsidered += rs.CutsConsidered
-			if rs.PeakCuts > peakCuts {
-				peakCuts = rs.PeakCuts
-			}
-		}
-	case !noAreaRecovery:
-		lm.selectPass(lm.computeRequired(0))
+// NewStream prepares a streaming LUT mapping of g.
+func NewStream(g *aig.AIG, opt Options) *Stream {
+	policyName := "exhaustive"
+	if opt.Policy != nil {
+		policyName = opt.Policy.Name()
 	}
-
-	// Cover extraction.
-	needed := make([]bool, n)
-	var stack []uint32
-	push := func(m uint32) {
-		if g.IsAnd(m) && !needed[m] {
-			needed[m] = true
-			stack = append(stack, m)
-		}
-	}
-	for _, po := range g.POs() {
-		push(po.Lit.Node())
-	}
-	for len(stack) > 0 {
-		m := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !lm.best[m].valid {
-			return nil, fmt.Errorf("lutmap: node %d has no feasible cut", m)
-		}
-		c := &sets[m][lm.best[m].cutIdx]
-		for _, l := range c.Leaves {
-			push(l)
-		}
-	}
-
-	out := &Result{
-		CutsConsidered: cutsConsidered,
-		PeakCuts:       peakCuts,
-		PolicyName:     policyName,
-		RoundStats:     roundStats,
-		g:              g,
-	}
-	finalDepth := make([]int32, n)
-	for node := uint32(1); node < uint32(n); node++ {
-		if !needed[node] {
-			continue
-		}
-		c := &sets[node][lm.best[node].cutIdx]
-		var d int32
-		for _, l := range c.Leaves {
-			if g.IsAnd(l) && finalDepth[l] > d {
-				d = finalDepth[l]
-			}
-		}
-		finalDepth[node] = d + 1
-		if finalDepth[node] > out.Depth {
-			out.Depth = finalDepth[node]
-		}
-		out.LUTs = append(out.LUTs, LUT{
-			Root:   node,
-			Leaves: append([]uint32(nil), c.Leaves...),
-			TT:     c.TT,
-		})
-	}
-	return out, nil
+	e := cover.New[lutImpl](g, lutModel{}, cover.Schedule{Rounds: opt.Rounds, DelayFactor: opt.DelayFactor, NoAreaRecovery: opt.NoAreaRecovery})
+	return &Stream{Engine: e, g: g, policyName: policyName}
 }
 
-// computeRequired returns per-node required depths propagated backwards
-// over the current cover, with the PO requirement set to the larger of the
-// current cover depth and target (so the constraint is always feasible).
-// target 0 reproduces the classic single-recovery-pass requirement.
-func (lm *lutMapping) computeRequired(target int32) []int32 {
-	g := lm.g
-	n := g.NumNodes()
-	maxDepth := int32(0)
-	for _, po := range g.POs() {
-		if d := nodeDepth(g, lm.depth, po.Lit.Node()); d > maxDepth {
-			maxDepth = d
+// Finish runs area recovery and builds the LUT network.
+func (st *Stream) Finish() (*Result, error) {
+	out := st.Run()
+	res := &Result{
+		CutsConsidered: out.CutsConsidered,
+		PeakCuts:       out.PeakCuts,
+		PolicyName:     st.policyName,
+		RoundStats:     out.Rounds,
+		g:              st.g,
+	}
+	for _, n := range st.Cover() {
+		c, _, ok := st.Choice(n)
+		if !ok {
+			return nil, fmt.Errorf("lutmap: node %d has no feasible cut", n)
 		}
+		res.LUTs = append(res.LUTs, LUT{Root: n, Leaves: append([]uint32(nil), c.Leaves...), TT: c.TT})
 	}
-	if target > maxDepth {
-		maxDepth = target
-	}
-	required := make([]int32, n)
-	for i := range required {
-		required[i] = math.MaxInt32
-	}
-	for _, po := range g.POs() {
-		if g.IsAnd(po.Lit.Node()) {
-			required[po.Lit.Node()] = maxDepth
-		}
-	}
-	// Reverse topological propagation over the current cover.
-	for node := uint32(n) - 1; node >= 1; node-- {
-		if !g.IsAnd(node) || !lm.best[node].valid || required[node] == math.MaxInt32 {
-			continue
-		}
-		c := &lm.sets[node][lm.best[node].cutIdx]
-		for _, l := range c.Leaves {
-			if g.IsAnd(l) && required[node]-1 < required[l] {
-				required[l] = required[node] - 1
-			}
-		}
-	}
-	return required
+	res.Depth = int32(st.CoverDelay())
+	return res, nil
 }
 
-// recoveryRounds runs rounds 2..lm.rounds after the depth pass: extra cuts
-// join the lists, the required-depth target is frozen from the round-1
-// depth scaled by the delay factor, and each round re-selects by area flow
-// with load estimates refreshed from the previous cover; the final round
-// adds an exact-area (ref/deref) refinement. Every pass is a sequential
-// sweep, so multi-round results stay byte-identical across worker counts
-// and arena pools.
-func (lm *lutMapping) recoveryRounds(round1Cuts, enumPeak int) []RoundStat {
-	stats := make([]RoundStat, 0, lm.rounds)
-	luts, depth := lm.coverStats()
-	stats = append(stats, RoundStat{
-		Round: 1, Mode: "depth", LUTs: luts, Depth: depth,
-		CutsConsidered: round1Cuts, PeakCuts: enumPeak,
-	})
-	lm.appendExtras()
-	target := int32(float64(depth) * lm.delayFactor)
-	if target < depth {
-		target = depth
+// MapStream covers g with K-feasible LUTs minimising depth, then recovers
+// area under depth constraints, with enumeration and selection fused per
+// wavefront level. Results are identical for every worker count (stateful
+// policies degrade to the sequential index-order enumeration driver). When
+// opt.Pool is set, cut storage is recycled across runs of the same graph
+// shape.
+func MapStream(g *aig.AIG, opt Options) (*Result, error) {
+	st := NewStream(g, opt)
+	e := &cuts.Enumerator{G: g, Policy: opt.Policy, MergeCap: opt.MergeCap, Workers: opt.Workers, Choices: opt.Choices}
+	if err := st.Enumerate(e, opt.Pool, nil); err != nil {
+		return nil, err
 	}
-	for r := 2; r <= lm.rounds; r++ {
-		lm.updateFanoutEst()
-		required := lm.computeRequired(target)
-		lm.passCuts = 0
-		lm.selectPass(required)
-		mode := "area-flow"
-		if r == lm.rounds {
-			required = lm.computeRequired(target)
-			lm.exactAreaPass(required)
-			mode = "area-flow+exact"
-		}
-		luts, depth = lm.coverStats()
-		stats = append(stats, RoundStat{
-			Round: r, Mode: mode, LUTs: luts, Depth: depth,
-			CutsConsidered: lm.passCuts, PeakCuts: lm.passCuts,
-		})
-	}
-	return stats
-}
-
-// appendExtras merges the recovery-only cut lists into lm.sets, once.
-func (lm *lutMapping) appendExtras() {
-	for n, ex := range lm.extras {
-		if len(ex) > 0 {
-			lm.sets[n] = append(lm.sets[n], ex...)
-		}
-	}
-	lm.extras = nil
-}
-
-// coverNodes returns the current cover's AND nodes in topological (id)
-// order and refreshes lm.refs with the cover's reference counts (PO
-// references included). Nodes with no valid choice are treated as leaves.
-func (lm *lutMapping) coverNodes() []uint32 {
-	g := lm.g
-	for i := range lm.refs {
-		lm.refs[i] = 0
-	}
-	needed := make([]bool, g.NumNodes())
-	var stack []uint32
-	for _, po := range g.POs() {
-		n := po.Lit.Node()
-		lm.refs[n]++
-		if g.IsAnd(n) && !needed[n] {
-			needed[n] = true
-			stack = append(stack, n)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !lm.best[n].valid {
-			continue
-		}
-		c := &lm.sets[n][lm.best[n].cutIdx]
-		for _, l := range c.Leaves {
-			lm.refs[l]++
-			if g.IsAnd(l) && !needed[l] {
-				needed[l] = true
-				stack = append(stack, l)
-			}
-		}
-	}
-	var order []uint32
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		if needed[n] {
-			order = append(order, n)
-		}
-	}
-	return order
-}
-
-// coverStats returns the current cover's LUT count and depth.
-func (lm *lutMapping) coverStats() (int, int32) {
-	g := lm.g
-	cover := lm.coverNodes()
-	finalDepth := make([]int32, g.NumNodes())
-	var maxDepth int32
-	for _, n := range cover {
-		if !lm.best[n].valid {
-			continue
-		}
-		c := &lm.sets[n][lm.best[n].cutIdx]
-		var d int32
-		for _, l := range c.Leaves {
-			if g.IsAnd(l) && finalDepth[l] > d {
-				d = finalDepth[l]
-			}
-		}
-		finalDepth[n] = d + 1
-		if finalDepth[n] > maxDepth {
-			maxDepth = finalDepth[n]
-		}
-	}
-	return len(cover), maxDepth
-}
-
-// updateFanoutEst replaces covered nodes' structural load estimates with
-// the previous round's cover reference counts (the area-flow iteration);
-// uncovered nodes keep their structural estimate.
-func (lm *lutMapping) updateFanoutEst() {
-	lm.coverNodes()
-	for n := uint32(1); n < uint32(lm.g.NumNodes()); n++ {
-		if lm.g.IsAnd(n) && lm.refs[n] > 0 {
-			lm.fanoutEst[n] = float64(lm.refs[n])
-		}
-	}
-}
-
-// refCut recursively references the cone of choosing cut ci at node,
-// returning the number of LUTs newly activated (the exact-area "ref").
-func (lm *lutMapping) refCut(node uint32, ci int) int {
-	area := 1
-	c := &lm.sets[node][ci]
-	for _, l := range c.Leaves {
-		if !lm.g.IsAnd(l) {
-			continue
-		}
-		lm.refs[l]++
-		if lm.refs[l] == 1 && lm.best[l].valid {
-			area += lm.refCut(l, lm.best[l].cutIdx)
-		}
-	}
-	return area
-}
-
-// derefCut undoes refCut, returning the number of LUTs deactivated.
-func (lm *lutMapping) derefCut(node uint32, ci int) int {
-	area := 1
-	c := &lm.sets[node][ci]
-	for _, l := range c.Leaves {
-		if !lm.g.IsAnd(l) {
-			continue
-		}
-		lm.refs[l]--
-		if lm.refs[l] == 0 && lm.best[l].valid {
-			area += lm.derefCut(l, lm.best[l].cutIdx)
-		}
-	}
-	return area
-}
-
-// exactAreaPass re-selects covered nodes minimising exact local area (the
-// LUTs freed if the node's cone were removed), subject to required depths —
-// the LUT analogue of the ASIC mapper's exact-area refinement.
-func (lm *lutMapping) exactAreaPass(required []int32) {
-	cover := lm.coverNodes()
-	for _, node := range cover {
-		if lm.refs[node] == 0 || !lm.best[node].valid {
-			continue
-		}
-		cur := lm.best[node].cutIdx
-		lm.derefCut(node, cur)
-		bestIdx := cur
-		bestArea := lm.refCut(node, cur)
-		lm.derefCut(node, cur)
-		bestDepth, _ := lm.evalCut(&lm.sets[node][cur])
-		for ci := range lm.sets[node] {
-			c := &lm.sets[node][ci]
-			if containsLeaf(c, node) {
-				continue
-			}
-			lm.passCuts++
-			d, _ := lm.evalCut(c)
-			if d > required[node] {
-				continue
-			}
-			area := lm.refCut(node, ci)
-			lm.derefCut(node, ci)
-			if area < bestArea || (area == bestArea && d < bestDepth) {
-				bestArea, bestDepth, bestIdx = area, d, ci
-			}
-		}
-		lm.refCut(node, bestIdx)
-		lm.best[node] = lutChoice{cutIdx: bestIdx, valid: true}
-		lm.depth[node] = bestDepth
-	}
-}
-
-func nodeDepth(g *aig.AIG, depth []int32, n uint32) int32 {
-	if g.IsAnd(n) {
-		return depth[n]
-	}
-	return 0
-}
-
-func containsLeaf(c *cuts.Cut, n uint32) bool {
-	for _, l := range c.Leaves {
-		if l == n {
-			return true
-		}
-	}
-	return false
+	return st.Finish()
 }
 
 // Simulate evaluates the LUT network on 64 packed input patterns and

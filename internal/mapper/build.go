@@ -11,8 +11,9 @@ import (
 // Polarity is handled with shared inverters: each subject node has at most
 // one positive and one negative net, created lazily, so a signal consumed
 // in both polarities pays for a single inverter.
-func (m *mapping) buildNetlist() (*netlist.Netlist, error) {
-	g := m.g
+func (st *Stream) buildNetlist() (*netlist.Netlist, error) {
+	g := st.g
+	inv := st.m.lib.Inv
 	nl := netlist.New(g.Name)
 
 	posNet := make([]netlist.Net, g.NumNodes())
@@ -41,7 +42,7 @@ func (m *mapping) buildNetlist() (*netlist.Netlist, error) {
 			if posNet[node] < 0 {
 				return -1, fmt.Errorf("mapper: node %d used before mapping", node)
 			}
-			negNet[node] = nl.AddCell(m.lib.Inv, []netlist.Net{posNet[node]})
+			negNet[node] = nl.AddCell(inv, []netlist.Net{posNet[node]})
 			return negNet[node], nil
 		}
 		if posNet[node] >= 0 {
@@ -50,22 +51,20 @@ func (m *mapping) buildNetlist() (*netlist.Netlist, error) {
 		if negNet[node] < 0 {
 			return -1, fmt.Errorf("mapper: node %d used before mapping", node)
 		}
-		posNet[node] = nl.AddCell(m.lib.Inv, []netlist.Net{negNet[node]})
+		posNet[node] = nl.AddCell(inv, []netlist.Net{negNet[node]})
 		return posNet[node], nil
 	}
 
-	cover := m.coverNodes()
-	for _, n := range cover {
-		b := &m.best[n]
-		if !b.valid {
+	for _, n := range st.Cover() {
+		c, match, ok := st.Choice(n)
+		if !ok {
 			return nil, fmt.Errorf("mapper: covered node %d has no match (policy removed all matchable cuts)", n)
 		}
-		c := &m.sets[n][b.cutIdx]
-		gate := b.match.Gate
+		gate := match.Gate
 		pins := make([]netlist.Net, gate.NumPins)
 		for i := 0; i < gate.NumPins; i++ {
-			leaf := c.Leaves[b.match.Perm[i]]
-			compl := b.match.Phase>>uint(i)&1 == 1
+			leaf := c.Leaves[match.Perm[i]]
+			compl := match.Phase>>uint(i)&1 == 1
 			net, err := getNet(leaf, compl)
 			if err != nil {
 				return nil, err
@@ -73,7 +72,7 @@ func (m *mapping) buildNetlist() (*netlist.Netlist, error) {
 			pins[i] = net
 		}
 		out := nl.AddCell(gate, pins)
-		if b.match.OutNeg {
+		if match.OutNeg {
 			negNet[n] = out
 		} else {
 			posNet[n] = out

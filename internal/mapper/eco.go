@@ -65,6 +65,9 @@ func enumSig(policy cuts.Policy, mergeCap int) string {
 	return fmt.Sprintf("%s/mc=%d", ps, mergeCap)
 }
 
+// leafChunk is the allocation granularity of a Snapshot's leaf storage.
+const leafChunk = 4096
+
 // cutBytes approximates the in-memory footprint of one Cut.
 const cutBytes = int64(unsafe.Sizeof(cuts.Cut{}))
 

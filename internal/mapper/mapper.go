@@ -3,7 +3,10 @@
 // package and its pluggable policy), NPN Boolean matching against a cell
 // library, delay-optimal cover selection, and two area-recovery passes
 // (global area flow and exact local area), mirroring the mapper of
-// Chatterjee et al. that the paper modifies.
+// Chatterjee et al. that the paper modifies. Cover selection is the
+// shared internal/cover engine under this package's standard-cell cost
+// model; the package adds the netlist, buffering and STA built from the
+// selected cover.
 //
 // The cut sorting/filtering policy is the only lever the SLAP experiments
 // move; everything downstream of the cut lists (matching, arrival-time
@@ -12,9 +15,10 @@
 package mapper
 
 import (
-	"math"
+	"fmt"
 
 	"slap/internal/aig"
+	"slap/internal/cover"
 	"slap/internal/cuts"
 	"slap/internal/library"
 	"slap/internal/netlist"
@@ -101,30 +105,7 @@ type Result struct {
 	// delay round, whose CutsConsidered/PeakCuts equal the single-pass
 	// numbers; CutsConsidered and PeakCuts above aggregate across rounds
 	// (sum and max respectively).
-	RoundStats []RoundStat
-}
-
-// RoundStat is the per-round QoR and cost record of one multi-round pass.
-type RoundStat struct {
-	// Round is 1-based; round 1 is always the delay-optimal pass.
-	Round int
-	// Mode names the selection goal: "delay", "area-flow" or
-	// "area-flow+exact" (final round).
-	Mode string
-	// EstArea is the summed cell area of the round's cover (polarity
-	// inverters included, PO buffering excluded).
-	EstArea float64
-	// EstDelay is the mapper's arrival-time estimate after the round.
-	EstDelay float64
-	// CutsConsidered counts cuts exposed to matching this round: the full
-	// enumeration total for round 1, matchable candidates examined for
-	// recovery rounds.
-	CutsConsidered int
-	// PeakCuts is the enumeration peak for round 1 and the live matchable
-	// candidate count for recovery rounds.
-	PeakCuts int
-	// MatchAttempts counts (cut, gate) pairs evaluated this round.
-	MatchAttempts int
+	RoundStats []cover.RoundStat
 }
 
 // CoverEntry is one selected cut of the final cover.
@@ -138,510 +119,54 @@ type CoverEntry struct {
 // ADP returns the area-delay product.
 func (r *Result) ADP() float64 { return r.Area * r.Delay }
 
-// chosen captures the selected match of one node.
-type chosen struct {
-	cutIdx  int
-	match   library.Match
-	valid   bool
-	arrival float64
-	flow    float64
+// cellModel is the standard-cell cost model of the cover engine: a cut's
+// implementations are its library matches, timed by the linear
+// load-dependent gate delay with inverters charged for negated pins and
+// outputs.
+type cellModel struct {
+	lib       *library.Library
+	invD      float64 // inverter delay into a unit load
+	maxFanout int
 }
 
-type mapping struct {
-	g    *aig.AIG
-	lib  *library.Library
-	sets [][]cuts.Cut
+func (m *cellModel) Impls(c *cuts.Cut) []library.Match { return m.lib.Matches(c.TT) }
 
-	best      []chosen
-	arrival   []float64
-	flow      []float64
-	required  []float64
-	refs      []int32
-	fanoutEst []float64
-
-	maxFanout     int
-	matchAttempts int
-
-	// Multi-round state (rounds <= 1 leaves all of it inert).
-	rounds      int
-	delayFactor float64
-	extras      [][]cuts.Cut
-	passCuts    int
-	// flowRef, when non-nil, overrides fanoutEst as the area-flow divisor:
-	// the recovery rounds refresh it from the previous cover's reference
-	// counts. The delay model (gate loads in evalMatch/computeRequiredAt)
-	// always keeps the structural fanoutEst, so round-1 required times stay
-	// valid across every recovery round.
-	flowRef []float64
-}
-
-// configureRounds installs the multi-round knobs from Options.
-func (m *mapping) configureRounds(opt *Options) {
-	m.rounds = opt.Rounds
-	if opt.NoAreaRecovery {
-		m.rounds = 1
-	}
-	m.delayFactor = opt.DelayFactor
-	if m.delayFactor < 1 {
-		m.delayFactor = 1
-	}
-}
-
-// newMapping builds the per-node selection state. m.sets is left for the
-// caller to install.
-func newMapping(g *aig.AIG, lib *library.Library, maxFanout int) *mapping {
-	if maxFanout == 0 {
-		maxFanout = DefaultMaxFanout
-	}
-	m := &mapping{g: g, lib: lib, maxFanout: maxFanout}
-	n := g.NumNodes()
-	m.best = make([]chosen, n)
-	m.arrival = make([]float64, n)
-	m.flow = make([]float64, n)
-	m.required = make([]float64, n)
-	m.refs = make([]int32, n)
-	m.fanoutEst = make([]float64, n)
-	for i := uint32(0); i < uint32(n); i++ {
-		fo := float64(g.Fanout(i))
-		if fo < 1 {
-			fo = 1
-		}
-		// Loads beyond the fanout bound will be buffered away, so the
-		// arrival estimates saturate there too.
-		if maxFanout > 0 && fo > float64(maxFanout) {
-			fo = float64(maxFanout)
-		}
-		m.fanoutEst[i] = fo
-	}
-	return m
-}
-
-// finish runs everything downstream of the delay pass — area recovery,
-// netlist construction, buffering, cover extraction and STA — for
-// Stream.Finish, whose delay pass happened incrementally inside the
-// wavefront.
-func (m *mapping) finish(noAreaRecovery bool, policyName string, cutsConsidered, peakCuts int) (*Result, error) {
-	var roundStats []RoundStat
-	switch {
-	case m.rounds > 1:
-		roundStats = m.recoveryRounds(cutsConsidered, peakCuts)
-		cutsConsidered = 0
-		for _, rs := range roundStats {
-			cutsConsidered += rs.CutsConsidered
-			if rs.PeakCuts > peakCuts {
-				peakCuts = rs.PeakCuts
-			}
-		}
-	case !noAreaRecovery:
-		// Classic schedule: one area-flow pass and one exact-area pass
-		// under required times from the delay-optimal cover.
-		m.computeRequired()
-		m.selectAll(selectAreaFlow)
-		m.computeRequired()
-		m.exactAreaPass()
-	}
-
-	nl, err := m.buildNetlist()
-	if err != nil {
-		return nil, err
-	}
-	if m.maxFanout > 0 {
-		if buf := netlist.BufferCell(m.lib); buf != nil {
-			nl = nl.InsertBuffers(buf, m.maxFanout)
-		}
-	}
-	var cover []CoverEntry
-	for _, n := range m.coverNodes() {
-		if b := &m.best[n]; b.valid {
-			cover = append(cover, CoverEntry{Node: n, Cut: m.sets[n][b.cutIdx]})
-		}
-	}
-	t := nl.STA()
-	return &Result{
-		Netlist:        nl,
-		Area:           nl.Area(),
-		Delay:          t.Delay,
-		CutsConsidered: cutsConsidered,
-		MatchAttempts:  m.matchAttempts,
-		PolicyName:     policyName,
-		EstimatedDelay: m.globalDelay(),
-		PeakCuts:       peakCuts,
-		Cover:          cover,
-		RoundStats:     roundStats,
-	}, nil
-}
-
-// recoveryRounds runs rounds 2..m.rounds after the delay pass: recovery-only
-// extra cuts join the lists, required times are frozen from the round-1
-// delay scaled by the delay factor, and each round re-selects the cover by
-// area flow with load estimates refreshed from the previous round's cover —
-// the final round adds an exact-area refinement. Every pass is a sequential
-// sweep over the retained cut lists, so results are byte-identical for any
-// worker count or arena pool: parallelism only ever touched enumeration,
-// which is already finished.
-func (m *mapping) recoveryRounds(round1Cuts, enumPeak int) []RoundStat {
-	stats := make([]RoundStat, 0, m.rounds)
-	stats = append(stats, RoundStat{
-		Round: 1, Mode: "delay",
-		EstArea: m.coverArea(), EstDelay: m.globalDelay(),
-		CutsConsidered: round1Cuts, PeakCuts: enumPeak,
-		MatchAttempts: m.matchAttempts,
-	})
-	m.appendExtras()
-	target := m.globalDelay() * m.delayFactor
-	for r := 2; r <= m.rounds; r++ {
-		m.updateFlowRefs()
-		m.computeRequiredAt(target)
-		m.passCuts = 0
-		prevAttempts := m.matchAttempts
-		m.selectAll(selectAreaFlow)
-		mode := "area-flow"
-		if r == m.rounds {
-			m.computeRequiredAt(target)
-			m.exactAreaPass()
-			mode = "area-flow+exact"
-		}
-		stats = append(stats, RoundStat{
-			Round: r, Mode: mode,
-			EstArea: m.coverArea(), EstDelay: m.globalDelay(),
-			CutsConsidered: m.passCuts, PeakCuts: m.passCuts,
-			MatchAttempts: m.matchAttempts - prevAttempts,
-		})
-	}
-	return stats
-}
-
-// coverArea sums the matched cell area of the current cover (polarity
-// inverters included; PO buffering happens later and is excluded).
-func (m *mapping) coverArea() float64 {
-	area := 0.0
-	for _, n := range m.coverNodes() {
-		if b := &m.best[n]; b.valid {
-			area += m.matchArea(&b.match)
-		}
-	}
-	return area
-}
-
-// appendExtras merges the recovery-only cut lists into m.sets, once.
-func (m *mapping) appendExtras() {
-	for n, ex := range m.extras {
-		if len(ex) > 0 {
-			m.sets[n] = append(m.sets[n], ex...)
-		}
-	}
-	m.extras = nil
-}
-
-// updateFlowRefs refreshes the area-flow divisors from the previous
-// round's cover reference counts — the standard area-flow iteration: flow
-// divisors converge toward the sharing the cover actually realises.
-// Uncovered nodes keep their structural estimate. Only the flow divisor
-// moves; gate loads (and with them every arrival and required time) keep
-// the structural fanoutEst, so the round-1 delay target stays enforceable.
-func (m *mapping) updateFlowRefs() {
-	m.coverNodes() // refreshes m.refs
-	if m.flowRef == nil {
-		m.flowRef = make([]float64, m.g.NumNodes())
-		copy(m.flowRef, m.fanoutEst)
-	}
-	for n := uint32(1); n < uint32(m.g.NumNodes()); n++ {
-		if !m.g.IsAnd(n) {
-			continue
-		}
-		if r := m.refs[n]; r > 0 {
-			m.flowRef[n] = float64(r)
-		}
-	}
-}
-
-// faninCut builds the elementary cut {fanin0, fanin1} of an AND node.
-func (m *mapping) faninCut(n uint32) cuts.Cut {
-	f0, f1 := m.g.Fanins(n)
-	e := &cuts.Enumerator{G: m.g}
-	return e.MakeCut(n, orderedPair(f0.Node(), f1.Node()))
-}
-
-func orderedPair(a, b uint32) []uint32 {
-	if a < b {
-		return []uint32{a, b}
-	}
-	return []uint32{b, a}
-}
-
-func containsLeaf(c *cuts.Cut, n uint32) bool {
-	for _, l := range c.Leaves {
-		if l == n {
-			return true
-		}
-	}
-	return false
-}
-
-// selectMode distinguishes the optimisation goal of a selection pass.
-type selectMode int
-
-const (
-	selectDelay selectMode = iota
-	selectAreaFlow
-)
-
-// selectAll visits every AND node in topological order and picks the best
-// match for the pass's goal. Delay passes minimise (arrival, flow); area
-// passes minimise (flow, arrival) subject to the required time.
-func (m *mapping) selectAll(mode selectMode) {
-	g := m.g
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		if !g.IsAnd(n) {
-			continue
-		}
-		bestC := chosen{}
-		for ci := range m.sets[n] {
-			c := &m.sets[n][ci]
-			if containsLeaf(c, n) {
-				continue
-			}
-			matches := m.lib.Matches(c.TT)
-			if len(matches) > 0 {
-				m.passCuts++
-			}
-			for _, match := range matches {
-				m.matchAttempts++
-				arr, flw := m.evalMatch(n, c, &match)
-				cand := chosen{cutIdx: ci, match: match, valid: true, arrival: arr, flow: flw}
-				if !bestC.valid || better(mode, &cand, &bestC, m.required[n]) {
-					bestC = cand
-				}
-			}
-		}
-		if !bestC.valid {
-			// No cut of this node matches the library at all; it can only
-			// appear inside larger cuts. Give it an effectively infinite
-			// cost so no cover roots here.
-			bestC = chosen{arrival: math.Inf(1), flow: math.Inf(1)}
-		}
-		m.best[n] = bestC
-		m.arrival[n] = bestC.arrival
-		m.flow[n] = bestC.flow
-	}
-}
-
-// better reports whether a should replace b for the given mode.
-func better(mode selectMode, a, b *chosen, required float64) bool {
-	const eps = 1e-9
-	switch mode {
-	case selectDelay:
-		if a.arrival < b.arrival-eps {
-			return true
-		}
-		if a.arrival > b.arrival+eps {
-			return false
-		}
-		return a.flow < b.flow-eps
-	default: // selectAreaFlow
-		aOK := a.arrival <= required+eps
-		bOK := b.arrival <= required+eps
-		if aOK != bOK {
-			return aOK
-		}
-		if !aOK {
-			// Neither meets timing: fall back to delay minimisation.
-			return a.arrival < b.arrival-eps
-		}
-		if a.flow < b.flow-eps {
-			return true
-		}
-		if a.flow > b.flow+eps {
-			return false
-		}
-		return a.arrival < b.arrival-eps
-	}
-}
-
-// evalMatch computes the arrival time and area flow of binding `match` to
-// cut c at node n, charging inverters for negated pins/outputs.
-func (m *mapping) evalMatch(n uint32, c *cuts.Cut, match *library.Match) (float64, float64) {
+func (m *cellModel) Eval(c *cuts.Cut, match library.Match, load float64, arrival, flow []float64) (float64, float64) {
 	g := match.Gate
-	invD := m.lib.Inv.PinDelay(1)
-	load := int32(m.fanoutEst[n])
-	gateLoad := load
+	ld := int32(load)
+	gateLoad := ld
 	if match.OutNeg {
 		gateLoad = 1 // the gate drives only the output inverter
 	}
 	d := g.PinDelay(gateLoad)
-	arr := 0.0
-	area := g.Area
-	flowSum := 0.0
+	arr, area, flowSum := 0.0, g.Area, 0.0
 	for i := 0; i < g.NumPins; i++ {
 		leaf := c.Leaves[match.Perm[i]]
-		a := m.leafArrival(leaf)
-		f := m.leafFlow(leaf)
+		a := arrival[leaf]
 		if match.Phase>>uint(i)&1 == 1 {
-			a += invD
+			a += m.invD
 			area += m.lib.Inv.Area
 		}
 		if a+d > arr {
 			arr = a + d
 		}
-		flowSum += f
+		flowSum += flow[leaf]
 	}
 	if match.OutNeg {
-		arr += m.lib.Inv.PinDelay(load)
+		arr += m.lib.Inv.PinDelay(ld)
 		area += m.lib.Inv.Area
 	}
-	flow := (area + flowSum) / m.flowDiv(n)
-	return arr, flow
+	return arr, area + flowSum
 }
 
-// flowDiv is the area-flow divisor of n: the structural fanout estimate,
-// or the recovery rounds' cover-derived reference count once installed.
-func (m *mapping) flowDiv(n uint32) float64 {
-	if m.flowRef != nil {
-		return m.flowRef[n]
-	}
-	return m.fanoutEst[n]
+func (m *cellModel) Inputs(_ *cuts.Cut, match library.Match) int { return match.Gate.NumPins }
+
+func (m *cellModel) Input(c *cuts.Cut, match library.Match, i int) uint32 {
+	return c.Leaves[match.Perm[i]]
 }
 
-func (m *mapping) leafArrival(leaf uint32) float64 {
-	if m.g.IsAnd(leaf) {
-		return m.arrival[leaf]
-	}
-	return 0 // PIs and constants arrive at time zero
-}
-
-func (m *mapping) leafFlow(leaf uint32) float64 {
-	if m.g.IsAnd(leaf) {
-		return m.flow[leaf]
-	}
-	return 0
-}
-
-// globalDelay returns the worst PO arrival, charging PO polarity inverters.
-func (m *mapping) globalDelay() float64 {
-	invD := m.lib.Inv.PinDelay(1)
-	worst := 0.0
-	for _, po := range m.g.POs() {
-		n := po.Lit.Node()
-		a := m.leafArrival(n)
-		if po.Lit.IsCompl() && !m.g.IsConst(n) {
-			a += invD
-		}
-		if a > worst {
-			worst = a
-		}
-	}
-	return worst
-}
-
-// computeRequired propagates required times backwards over the current
-// cover with the current global delay as the PO requirement.
-func (m *mapping) computeRequired() {
-	m.computeRequiredAt(m.globalDelay())
-}
-
-// computeRequiredAt is computeRequired with an explicit PO requirement
-// (the multi-round engine freezes it from the round-1 delay). The current
-// global delay still floors the target so the constraint stays feasible.
-// Nodes outside the cover get +inf (unconstrained).
-func (m *mapping) computeRequiredAt(target float64) {
-	g := m.g
-	invD := m.lib.Inv.PinDelay(1)
-	d := target
-	if gd := m.globalDelay(); gd > d {
-		d = gd
-	}
-	for i := range m.required {
-		m.required[i] = math.Inf(1)
-	}
-	inCover := m.coverNodes()
-	for _, po := range g.POs() {
-		n := po.Lit.Node()
-		r := d
-		if po.Lit.IsCompl() && !g.IsConst(n) {
-			r -= invD
-		}
-		if r < m.required[n] {
-			m.required[n] = r
-		}
-	}
-	// Reverse topological order.
-	for idx := len(inCover) - 1; idx >= 0; idx-- {
-		n := inCover[idx]
-		b := &m.best[n]
-		if !b.valid {
-			continue
-		}
-		c := &m.sets[n][b.cutIdx]
-		gate := b.match.Gate
-		load := int32(m.fanoutEst[n])
-		gateLoad := load
-		if b.match.OutNeg {
-			gateLoad = 1
-		}
-		pd := gate.PinDelay(gateLoad)
-		req := m.required[n]
-		if b.match.OutNeg {
-			req -= m.lib.Inv.PinDelay(load)
-		}
-		for i := 0; i < gate.NumPins; i++ {
-			leaf := c.Leaves[b.match.Perm[i]]
-			r := req - pd
-			if b.match.Phase>>uint(i)&1 == 1 {
-				r -= invD
-			}
-			if r < m.required[leaf] {
-				m.required[leaf] = r
-			}
-		}
-	}
-}
-
-// coverNodes returns the AND nodes of the current cover in topological
-// order, and refreshes m.refs to the cover's reference counts.
-func (m *mapping) coverNodes() []uint32 {
-	g := m.g
-	for i := range m.refs {
-		m.refs[i] = 0
-	}
-	needed := make([]bool, g.NumNodes())
-	var stack []uint32
-	for _, po := range g.POs() {
-		n := po.Lit.Node()
-		m.refs[n]++
-		if g.IsAnd(n) && !needed[n] {
-			needed[n] = true
-			stack = append(stack, n)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		b := &m.best[n]
-		if !b.valid {
-			continue
-		}
-		c := &m.sets[n][b.cutIdx]
-		gate := b.match.Gate
-		for i := 0; i < gate.NumPins; i++ {
-			leaf := c.Leaves[b.match.Perm[i]]
-			m.refs[leaf]++
-			if g.IsAnd(leaf) && !needed[leaf] {
-				needed[leaf] = true
-				stack = append(stack, leaf)
-			}
-		}
-	}
-	var order []uint32
-	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-		if needed[n] {
-			order = append(order, n)
-		}
-	}
-	return order
-}
-
-// matchArea returns the cell area of a match including polarity inverters.
-func (m *mapping) matchArea(match *library.Match) float64 {
+// Area is the cell area of a match including its polarity inverters.
+func (m *cellModel) Area(match library.Match) float64 {
 	a := match.Gate.Area
 	for i := 0; i < match.Gate.NumPins; i++ {
 		if match.Phase>>uint(i)&1 == 1 {
@@ -654,78 +179,112 @@ func (m *mapping) matchArea(match *library.Match) float64 {
 	return a
 }
 
-// refMatch recursively references the cone of a match, returning the area
-// newly activated (the exact-area "ref" operation).
-func (m *mapping) refMatch(n uint32, b *chosen) float64 {
-	c := &m.sets[n][b.cutIdx]
-	area := m.matchArea(&b.match)
-	gate := b.match.Gate
-	for i := 0; i < gate.NumPins; i++ {
-		leaf := c.Leaves[b.match.Perm[i]]
-		m.refs[leaf]++
-		if m.refs[leaf] == 1 && m.g.IsAnd(leaf) && m.best[leaf].valid {
-			area += m.refMatch(leaf, &m.best[leaf])
-		}
+func (m *cellModel) Required(_ *cuts.Cut, match library.Match, load, req float64, i int) float64 {
+	ld := int32(load)
+	gateLoad := ld
+	if match.OutNeg {
+		gateLoad = 1
+		req -= m.lib.Inv.PinDelay(ld)
 	}
-	return area
+	r := req - match.Gate.PinDelay(gateLoad)
+	if match.Phase>>uint(i)&1 == 1 {
+		r -= m.invD
+	}
+	return r
 }
 
-// derefMatch undoes refMatch, returning the area deactivated.
-func (m *mapping) derefMatch(n uint32, b *chosen) float64 {
-	c := &m.sets[n][b.cutIdx]
-	area := m.matchArea(&b.match)
-	gate := b.match.Gate
-	for i := 0; i < gate.NumPins; i++ {
-		leaf := c.Leaves[b.match.Perm[i]]
-		m.refs[leaf]--
-		if m.refs[leaf] == 0 && m.g.IsAnd(leaf) && m.best[leaf].valid {
-			area += m.derefMatch(leaf, &m.best[leaf])
-		}
+func (m *cellModel) Traits() cover.Traits {
+	return cover.Traits{
+		FirstMode:    "delay",
+		LoadCap:      m.maxFanout,
+		FlowEps:      1e-9,
+		POInv:        m.invD,
+		FallbackCuts: 2,
+		ClassicExact: true,
 	}
-	return area
 }
 
-// exactAreaPass re-selects matches for covered nodes minimising the exact
-// local area (the area that would be freed if the node's cone were
-// removed), subject to required times.
-func (m *mapping) exactAreaPass() {
-	const eps = 1e-9
-	cover := m.coverNodes()
-	for _, n := range cover {
-		if m.refs[n] == 0 || !m.best[n].valid {
-			continue
-		}
-		cur := m.best[n]
-		m.derefMatch(n, &cur)
-		bestC := cur
-		bestArea := m.refMatch(n, &cur)
-		m.derefMatch(n, &cur)
-		for ci := range m.sets[n] {
-			c := &m.sets[n][ci]
-			if containsLeaf(c, n) {
-				continue
-			}
-			matches := m.lib.Matches(c.TT)
-			if len(matches) > 0 {
-				m.passCuts++
-			}
-			for _, match := range matches {
-				arr, flw := m.evalMatch(n, c, &match)
-				if arr > m.required[n]+eps {
-					continue
-				}
-				cand := chosen{cutIdx: ci, match: match, valid: true, arrival: arr, flow: flw}
-				area := m.refMatch(n, &cand)
-				m.derefMatch(n, &cand)
-				if area < bestArea-eps || (area < bestArea+eps && arr < bestC.arrival-eps) {
-					bestArea = area
-					bestC = cand
-				}
-			}
-		}
-		m.refMatch(n, &bestC)
-		m.best[n] = bestC
-		m.arrival[n] = bestC.arrival
-		m.flow[n] = bestC.flow
+// Stream is a standard-cell mapping in progress: the cover engine fed
+// node by node (ConsumeNode, ConsumeExtras, SetPeakCuts), then Finish.
+type Stream struct {
+	*cover.Engine[library.Match]
+	m          *cellModel
+	g          *aig.AIG
+	policyName string
+}
+
+// NewStream prepares a streaming mapping of g.
+func NewStream(g *aig.AIG, opt Options) (*Stream, error) {
+	if opt.Library == nil {
+		return nil, fmt.Errorf("mapper: Options.Library is required")
 	}
+	policyName := "exhaustive"
+	if opt.Policy != nil {
+		policyName = opt.Policy.Name()
+	}
+	maxFanout := opt.MaxFanout
+	if maxFanout == 0 {
+		maxFanout = DefaultMaxFanout
+	}
+	m := &cellModel{lib: opt.Library, invD: opt.Library.Inv.PinDelay(1), maxFanout: maxFanout}
+	e := cover.New[library.Match](g, m, cover.Schedule{Rounds: opt.Rounds, DelayFactor: opt.DelayFactor, NoAreaRecovery: opt.NoAreaRecovery})
+	return &Stream{Engine: e, m: m, g: g, policyName: policyName}, nil
+}
+
+// Finish runs area recovery, then builds, buffers and times the netlist.
+func (st *Stream) Finish() (*Result, error) {
+	out := st.Run()
+	nl, err := st.buildNetlist()
+	if err != nil {
+		return nil, err
+	}
+	if st.m.maxFanout > 0 {
+		if buf := netlist.BufferCell(st.m.lib); buf != nil {
+			nl = nl.InsertBuffers(buf, st.m.maxFanout)
+		}
+	}
+	var entries []CoverEntry
+	for _, n := range st.Cover() {
+		if c, _, ok := st.Choice(n); ok {
+			entries = append(entries, CoverEntry{Node: n, Cut: *c})
+		}
+	}
+	t := nl.STA()
+	return &Result{
+		Netlist:        nl,
+		Area:           nl.Area(),
+		Delay:          t.Delay,
+		CutsConsidered: out.CutsConsidered,
+		MatchAttempts:  out.MatchAttempts,
+		PolicyName:     st.policyName,
+		EstimatedDelay: st.GlobalDelay(),
+		PeakCuts:       out.PeakCuts,
+		Cover:          entries,
+		RoundStats:     out.Rounds,
+	}, nil
+}
+
+// MapStream runs the fused streaming mapping flow on g: cut enumeration
+// and Boolean matching pipelined per wavefront level, with per-level cut
+// storage retired as soon as its consumers are merged. Results are
+// identical for every worker count and with or without a pool (stateful
+// policies degrade to the sequential index-order driver, see
+// cuts.Enumerator.RunStream). When opt.Pool is set, cut storage is checked
+// out of the arena pool and recycled across runs of the same graph.
+func MapStream(g *aig.AIG, opt Options) (*Result, error) {
+	return mapStream(g, opt, nil)
+}
+
+// mapStream is MapStream with an optional enumeration reuse hook (see
+// cuts.Enumerator.Reuse), through which MapDelta installs its clean lists.
+func mapStream(g *aig.AIG, opt Options, reuse func(uint32) []cuts.Cut) (*Result, error) {
+	st, err := NewStream(g, opt)
+	if err != nil {
+		return nil, err
+	}
+	e := &cuts.Enumerator{G: g, Policy: opt.Policy, MergeCap: opt.MergeCap, Workers: opt.Workers, Choices: opt.Choices, Reuse: reuse}
+	if err := st.Enumerate(e, opt.Pool, opt.CaptureCuts); err != nil {
+		return nil, err
+	}
+	return st.Finish()
 }

@@ -357,10 +357,48 @@ func TestMapRequestLifecycleErrors(t *testing.T) {
 		}
 	})
 
-	t.Run("unknown policy", func(t *testing.T) {
-		resp, _ := postRaw(t, ts.URL+"/v1/map?policy=zzz", rc16Text(t))
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Errorf("status %d, want 500", resp.StatusCode)
+	for _, tc := range []struct{ name, query string }{
+		{"unknown policy", "policy=zzz"},
+		{"unknown target", "target=fpga"},
+		{"unknown netlist", "netlist=edif"},
+		{"unknown netlist on lut", "target=lut&netlist=edif"},
+		{"rounds over the limit", "rounds=17"},
+		{"NaN delay factor", "rounds=4&delay_factor=NaN"},
+		{"infinite delay factor", "rounds=4&delay_factor=Inf"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, data := postRaw(t, ts.URL+"/v1/map?"+tc.query, rc16Text(t))
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("status %d, want 400 (%s)", resp.StatusCode, data)
+			}
+		})
+	}
+
+	t.Run("json rounds over the limit", func(t *testing.T) {
+		resp, data := postJSON(t, ts.URL+"/v1/map", map[string]any{"circuit": rc16Text(t), "rounds": MaxRounds + 1})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("status %d, want 400 (%s)", resp.StatusCode, data)
+		}
+	})
+
+	t.Run("json non-finite delay factor", func(t *testing.T) {
+		// JSON has no NaN or Inf; an overflowing literal is the closest a
+		// JSON client can send, and it must be refused the same way.
+		body := `{"circuit": ` + strconv.Quote(rc16Text(t)) + `, "rounds": 4, "delay_factor": 1e999}`
+		resp, err := http.Post(ts.URL+"/v1/map", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("status %d, want 400", resp.StatusCode)
+		}
+	})
+
+	t.Run("rounds at the limit", func(t *testing.T) {
+		resp, data := postRaw(t, ts.URL+"/v1/map?rounds=16&delay_factor=1.5", rc16Text(t))
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("status %d, want 200 (%s)", resp.StatusCode, data)
 		}
 	})
 
@@ -374,6 +412,45 @@ func TestMapRequestLifecycleErrors(t *testing.T) {
 			t.Errorf("GET /v1/map status %d, want 405", resp.StatusCode)
 		}
 	})
+}
+
+// TestMapInvalidOptionsSkipQueue sends invalid options while another
+// mapping holds the whole worker budget: each must be refused with 400 at
+// once instead of queueing for a token.
+func TestMapInvalidOptionsSkipQueue(t *testing.T) {
+	srv, ts := newTestServer(t, Config{WorkerBudget: 1})
+	hold := make(chan struct{})
+	srv.faultHook = func(endpoint string) {
+		if endpoint == "/v1/map" {
+			<-hold
+		}
+	}
+	done := make(chan int, 1)
+	go func() {
+		resp, _ := postRaw(t, ts.URL+"/v1/map", rc16Text(t))
+		done <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Scheduler().InFlight() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if srv.Scheduler().InFlight() == 0 {
+		t.Fatal("the holding mapping never took the budget")
+	}
+	for _, q := range []string{"policy=zzz", "target=fpga", "netlist=edif", "rounds=1000", "rounds=4&delay_factor=NaN"} {
+		t0 := time.Now()
+		resp, data := postRaw(t, ts.URL+"/v1/map?timeout_ms=3000&"+q, rc16Text(t))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", q, resp.StatusCode, data)
+		}
+		if d := time.Since(t0); d > time.Second {
+			t.Errorf("%s: answered after %v, want an immediate refusal", q, d)
+		}
+	}
+	close(hold)
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("holding mapping: status %d", code)
+	}
 }
 
 // TestMapTimeout maps a circuit large enough that a 1 ms deadline expires
