@@ -1,7 +1,8 @@
 // Command slap-serve runs the long-running SLAP mapping service: an HTTP
 // front end over the same flow as the slap CLI, with a model/library
 // registry loaded once at startup (hot-addable at runtime), a global
-// worker budget shared by all requests, and Prometheus/expvar metrics.
+// worker budget shared by all requests, Prometheus metrics on /metrics and
+// the Go runtime's variables on /debug/vars.
 //
 // Usage:
 //
@@ -235,7 +236,6 @@ func run(addr string, models, libs artifactFlags, cfg server.Config, fleet fleet
 
 	cfg.Registry = reg
 	s := server.New(cfg)
-	s.Metrics().PublishExpvar()
 
 	handler := http.Handler(s.Handler())
 	if sched != nil {

@@ -102,7 +102,7 @@ type Config struct {
 // fan-out. Build with New, serve Handler, stop with Close.
 type Coordinator struct {
 	cfg     Config
-	metrics *Metrics
+	metrics *fleetMetrics
 	client  *http.Client
 	mux     *http.ServeMux
 	journal *journal // nil when Config.JournalPath is empty
@@ -156,12 +156,12 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:     cfg,
-		metrics: NewMetrics(),
 		client:  cfg.Client,
 		start:   time.Now(),
 		workers: make(map[string]*worker),
 		stop:    make(chan struct{}),
 	}
+	c.metrics = newMetrics(c)
 	if c.client == nil {
 		c.client = &http.Client{}
 	}
@@ -181,7 +181,7 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 	}
 	if replayed != nil {
-		c.metrics.addJournalReplays(int64(replayed.applied))
+		c.metrics.journalReplays.Add(float64(replayed.applied))
 		// Re-adopt journaled members (name collisions keep the static
 		// record); probes refresh their health within one interval.
 		names := make([]string, 0, len(replayed.workers))
@@ -196,8 +196,6 @@ func New(cfg Config) (*Coordinator, error) {
 			}
 		}
 	}
-	c.metrics.statesFunc = c.workerStates
-	c.metrics.statusesFunc = c.workerStatuses
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/map", func(w http.ResponseWriter, r *http.Request) { c.routeProxy(w, r) })
@@ -208,7 +206,7 @@ func New(cfg Config) (*Coordinator, error) {
 	mux.HandleFunc("POST /v1/jobs/dataset", c.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJobStatus)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
+	mux.Handle("GET /metrics", c.metrics)
 	c.mux = mux
 
 	c.wg.Add(1)
@@ -221,9 +219,6 @@ func New(cfg Config) (*Coordinator, error) {
 
 // Handler returns the coordinator's HTTP handler tree.
 func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-// Metrics exposes the coordinator's metrics (tests).
-func (c *Coordinator) Metrics() *Metrics { return c.metrics }
 
 // Close stops the probe loop, cancels running fleet jobs and closes the
 // journal. Close is what a crash looks like to the journal: a job caught
@@ -277,7 +272,7 @@ func (c *Coordinator) addWorker(name, rawURL string, static, record bool) (chang
 		static:     static,
 		state:      StateUp,
 		registered: time.Now(),
-		brk:        newBreaker(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown, c.metrics.breakerOpened),
+		brk:        newBreaker(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown, c.metrics.breakerOpens.Inc),
 	}
 	c.rebuildRingLocked()
 	return true, nil
@@ -485,7 +480,7 @@ func (c *Coordinator) routeProxy(w http.ResponseWriter, r *http.Request) {
 	order := c.lookup(key)
 	if len(order) == 0 {
 		writeError(w, http.StatusServiceUnavailable, errors.New("fleet has no workers"))
-		c.metrics.AddShed()
+		c.metrics.shed.Inc()
 		return
 	}
 
@@ -511,7 +506,7 @@ func (c *Coordinator) routeProxy(w http.ResponseWriter, r *http.Request) {
 		pick := c.pickWorker(order, &idx, nil)
 		if pick.wk == nil {
 			if pick.saturated {
-				c.metrics.AddShed()
+				c.metrics.shed.Inc()
 				writeError(w, http.StatusServiceUnavailable, errors.New("fleet saturated: every live worker is at its in-flight cap"))
 				return
 			}
@@ -530,14 +525,14 @@ func (c *Coordinator) routeProxy(w http.ResponseWriter, r *http.Request) {
 			if hedge := c.pickWorker(order, &hedgeIdx, pick.wk); hedge.wk != nil {
 				winner, hErr := c.raceHedge(ctx, r, body, pick, hedge)
 				if winner != nil {
-					c.metrics.AddRouted(winner.pick.wk.name)
+					c.metrics.routed.With(winner.pick.wk.name).Inc()
 					c.relay(w, winner.resp)
 					winner.cancel()
 					c.releaseSlot(winner.pick.wk)
 					return
 				}
 				lastErr = hErr
-				c.metrics.AddRetry()
+				c.metrics.retries.Inc()
 				if ctx.Err() != nil {
 					break
 				}
@@ -558,7 +553,7 @@ func (c *Coordinator) routeProxy(w http.ResponseWriter, r *http.Request) {
 			}
 			pick.wk.brk.Failure()
 			c.reportProxyFailure(pick.wk, err)
-			c.metrics.AddRetry()
+			c.metrics.retries.Inc()
 			genjob.Backoff(ctx, c.cfg.BackoffBase, c.cfg.BackoffMax, attempt, rng)
 			continue
 		}
@@ -571,7 +566,7 @@ func (c *Coordinator) routeProxy(w http.ResponseWriter, r *http.Request) {
 			c.releaseSlot(pick.wk)
 			c.reportProxySuccess(pick.wk)
 			pick.wk.brk.Failure()
-			c.metrics.AddRetry()
+			c.metrics.retries.Inc()
 			lastErr = fmt.Errorf("worker %s answered %d: %s", pick.wk.name, resp.StatusCode, strings.TrimSpace(string(b)))
 			if ctx.Err() != nil {
 				break
@@ -584,7 +579,7 @@ func (c *Coordinator) routeProxy(w http.ResponseWriter, r *http.Request) {
 		// problem, not the fleet's): relay verbatim.
 		c.reportProxySuccess(pick.wk)
 		pick.wk.brk.Success()
-		c.metrics.AddRouted(pick.wk.name)
+		c.metrics.routed.With(pick.wk.name).Inc()
 		c.relay(w, resp)
 		c.releaseSlot(pick.wk)
 		return
@@ -710,9 +705,4 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"workers":  sts,
 		"uptime_s": time.Since(c.start).Seconds(),
 	})
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	c.metrics.WritePrometheus(w)
 }

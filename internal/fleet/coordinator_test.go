@@ -145,8 +145,8 @@ func TestProxyAffinityCacheAndFailover(t *testing.T) {
 	if third.Area != first.Area || third.Delay != first.Delay {
 		t.Errorf("failover mapping differs: area %v/%v delay %v/%v", third.Area, first.Area, third.Delay, first.Delay)
 	}
-	if got := c.Metrics().Retries(); got < 1 {
-		t.Errorf("slap_fleet_retries_total = %d after failover, want >= 1", got)
+	if got := c.metrics.retries.Value(); got < 1 {
+		t.Errorf("slap_fleet_retries_total = %v after failover, want >= 1", got)
 	}
 }
 
@@ -174,7 +174,7 @@ func TestProxyRelaysInvalidOptions(t *testing.T) {
 	aag := rc16AAG(t)
 	for _, q := range []string{"policy=zzz", "target=fpga", "netlist=edif", "rounds=17", "delay_factor=NaN"} {
 		attempts.Store(0)
-		before := c.Metrics().Retries()
+		before := c.metrics.retries.Value()
 		resp, data := postCircuit(t, ts.URL+"/v1/map?"+q, aag)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want the worker's 400 relayed (%s)", q, resp.StatusCode, data)
@@ -182,8 +182,8 @@ func TestProxyRelaysInvalidOptions(t *testing.T) {
 		if n := attempts.Load(); n != 1 {
 			t.Errorf("%s: %d worker attempts, want 1", q, n)
 		}
-		if got := c.Metrics().Retries(); got != before {
-			t.Errorf("%s: slap_fleet_retries_total moved from %d to %d", q, before, got)
+		if got := c.metrics.retries.Value(); got != before {
+			t.Errorf("%s: slap_fleet_retries_total moved from %v to %v", q, before, got)
 		}
 	}
 }
@@ -305,11 +305,8 @@ func TestShedWhenSaturated(t *testing.T) {
 	if !bytes.Contains(data, []byte("saturated")) {
 		t.Errorf("shed error %q does not mention saturation", data)
 	}
-	c.metrics.mu.Lock()
-	shed := c.metrics.shedTotal
-	c.metrics.mu.Unlock()
-	if shed < 1 {
-		t.Errorf("slap_fleet_shed_total = %d, want >= 1", shed)
+	if shed := c.metrics.shed.Value(); shed < 1 {
+		t.Errorf("slap_fleet_shed_total = %v, want >= 1", shed)
 	}
 	block <- struct{}{} // release the parked request
 	<-done

@@ -409,7 +409,7 @@ func (c *Coordinator) runFleetJob(ctx context.Context, job *fleetJob, req Datase
 			defer mu.Unlock()
 			if err != nil {
 				journal.RecordFailed(sp, attempts, err)
-				c.metrics.AddShard("failed")
+				c.metrics.shards.With("failed").Inc()
 				job.mu.Lock()
 				job.failed = append(job.failed, sp.Shard)
 				overBudget := len(job.failed) > job.budget
@@ -420,7 +420,7 @@ func (c *Coordinator) runFleetJob(ctx context.Context, job *fleetJob, req Datase
 				return
 			}
 			journal.RecordDone(sp, sha, attempts)
-			c.metrics.AddShard("done")
+			c.metrics.shards.With("done").Inc()
 			job.mu.Lock()
 			job.shardsDone++
 			job.shardWorkers[workerName]++
@@ -557,7 +557,7 @@ func (c *Coordinator) shipShard(ctx context.Context, job *fleetJob, req DatasetJ
 }
 
 func (c *Coordinator) noteShardRetry(job *fleetJob) {
-	c.metrics.AddRetry()
+	c.metrics.retries.Inc()
 	job.mu.Lock()
 	job.retries++
 	job.mu.Unlock()

@@ -156,8 +156,8 @@ func TestFanoutByteIdenticalWithWorkerDeath(t *testing.T) {
 	if st.Retries < 1 {
 		t.Errorf("job retries = %d after a worker death, want >= 1", st.Retries)
 	}
-	if got := c.Metrics().Retries(); got < 1 {
-		t.Errorf("slap_fleet_retries_total = %d, want >= 1", got)
+	if got := c.metrics.retries.Value(); got < 1 {
+		t.Errorf("slap_fleet_retries_total = %v, want >= 1", got)
 	}
 	if st.ShardWorkers["w1"] == 0 {
 		t.Errorf("surviving worker executed no shards: %v", st.ShardWorkers)

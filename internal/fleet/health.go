@@ -180,7 +180,7 @@ func (c *Coordinator) recordProbe(w *worker, h *workerHealthz, err error) {
 		w.lastErr = err.Error()
 		if w.consecFails >= c.cfg.DeadAfter && w.state != StateDead {
 			w.state = StateDead
-			c.metrics.workerDied()
+			c.metrics.deaths.Inc()
 		}
 		return
 	}
@@ -206,7 +206,7 @@ func (c *Coordinator) reportProxyFailure(w *worker, err error) {
 	w.lastErr = err.Error()
 	if w.consecFails >= c.cfg.DeadAfter && w.state != StateDead {
 		w.state = StateDead
-		c.metrics.workerDied()
+		c.metrics.deaths.Inc()
 	}
 }
 

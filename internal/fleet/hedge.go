@@ -31,7 +31,7 @@ type armResult struct {
 // reaper if still in flight). When both arms fail it returns (nil, err)
 // and everything is already settled.
 func (c *Coordinator) raceHedge(ctx context.Context, r *http.Request, body []byte, primary, hedge pickResult) (*armResult, error) {
-	c.metrics.AddHedge()
+	c.metrics.hedges.Inc()
 	armA := &armResult{pick: primary, arm: "primary"}
 	armB := &armResult{pick: hedge, arm: "hedge"}
 	results := make(chan *armResult, 2)
@@ -49,7 +49,7 @@ func (c *Coordinator) raceHedge(ctx context.Context, r *http.Request, body []byt
 		if res.err == nil && res.resp.StatusCode < 500 {
 			c.reportProxySuccess(res.pick.wk)
 			res.pick.wk.brk.Success()
-			c.metrics.AddHedgeWin(res.arm)
+			c.metrics.hedgeWins.With(res.arm).Inc()
 			if i == 0 {
 				// Cancel the still-running loser and reap it off the
 				// request path: its slot and breaker slot come back as soon

@@ -1,249 +1,65 @@
 package fleet
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
 	"time"
+
+	"slap/internal/metrics"
 )
 
-// Metrics aggregates coordinator observability: per-state worker gauges,
-// retry/shed counters, per-worker routed-request counters, warmth gauges
-// and dataset-shard outcomes, rendered as Prometheus text on GET /metrics.
-type Metrics struct {
-	start time.Time
+// fleetMetrics holds the coordinator's series on one registry, which
+// serves GET /metrics.
+type fleetMetrics struct {
+	*metrics.Registry
 
-	mu             sync.Mutex
-	retriesTotal   int64
-	shedTotal      int64
-	deathsTotal    int64
-	hedgesTotal    int64
-	hedgeWinsByArm map[string]int64
-	breakerOpens   int64
-	journalReplays int64
-	routedByWorker map[string]int64
-	shardsByResult map[string]int64
-
-	// statesFunc and statusesFunc snapshot live worker state at scrape
-	// time; installed once at coordinator assembly.
-	statesFunc   func() map[WorkerState]int
-	statusesFunc func() []WorkerStatus
+	retries        *metrics.Counter
+	shed           *metrics.Counter
+	deaths         *metrics.Counter
+	hedges         *metrics.Counter
+	hedgeWins      metrics.Vec[metrics.Counter] // by arm
+	breakerOpens   *metrics.Counter
+	journalReplays *metrics.Counter
+	routed         metrics.Vec[metrics.Counter] // by worker
+	shards         metrics.Vec[metrics.Counter] // by result
 }
 
-// NewMetrics returns an empty fleet metrics set.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		start:          time.Now(),
-		hedgeWinsByArm: make(map[string]int64),
-		routedByWorker: make(map[string]int64),
-		shardsByResult: make(map[string]int64),
-	}
-}
-
-// AddHedge counts one hedged read: a request raced across two replicas
-// because its affine worker was saturated or breaker-open.
-func (m *Metrics) AddHedge() {
-	m.mu.Lock()
-	m.hedgesTotal++
-	m.mu.Unlock()
-}
-
-// AddHedgeWin counts which arm ("primary" or "hedge") answered a hedged
-// read first.
-func (m *Metrics) AddHedgeWin(arm string) {
-	m.mu.Lock()
-	m.hedgeWinsByArm[arm]++
-	m.mu.Unlock()
-}
-
-// Hedges returns the hedged-read count (tests).
-func (m *Metrics) Hedges() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hedgesTotal
-}
-
-// breakerOpened counts one closed/half-open → open breaker transition;
-// installed as the per-worker breaker observer.
-func (m *Metrics) breakerOpened() {
-	m.mu.Lock()
-	m.breakerOpens++
-	m.mu.Unlock()
-}
-
-// addJournalReplays counts records replayed from the coordinator journal
-// at startup.
-func (m *Metrics) addJournalReplays(n int64) {
-	m.mu.Lock()
-	m.journalReplays += n
-	m.mu.Unlock()
-}
-
-// JournalReplays returns the replayed-record count (tests).
-func (m *Metrics) JournalReplays() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.journalReplays
-}
-
-// AddRetry counts one rerouted request or re-shipped dataset shard.
-func (m *Metrics) AddRetry() {
-	m.mu.Lock()
-	m.retriesTotal++
-	m.mu.Unlock()
-}
-
-// AddShed counts one request answered 503 because every live worker was
-// at its in-flight cap (or none was live).
-func (m *Metrics) AddShed() {
-	m.mu.Lock()
-	m.shedTotal++
-	m.mu.Unlock()
-}
-
-// AddRouted counts one request successfully relayed to worker.
-func (m *Metrics) AddRouted(workerName string) {
-	m.mu.Lock()
-	m.routedByWorker[workerName]++
-	m.mu.Unlock()
-}
-
-// AddShard counts one dataset shard outcome ("done" or "failed").
-func (m *Metrics) AddShard(result string) {
-	m.mu.Lock()
-	m.shardsByResult[result]++
-	m.mu.Unlock()
-}
-
-// workerDied counts one up/degraded→dead transition. Called with the
-// coordinator lock held, so it only touches its own mutex.
-func (m *Metrics) workerDied() {
-	m.mu.Lock()
-	m.deathsTotal++
-	m.mu.Unlock()
-}
-
-// Deaths returns the worker-death count (tests).
-func (m *Metrics) Deaths() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.deathsTotal
-}
-
-// Retries returns the fleet-level retry count (tests, health report).
-func (m *Metrics) Retries() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.retriesTotal
-}
-
-// WritePrometheus renders the Prometheus text exposition format.
-func (m *Metrics) WritePrometheus(w io.Writer) {
-	m.mu.Lock()
-	retries, shed, deaths := m.retriesTotal, m.shedTotal, m.deathsTotal
-	hedges, breakerOpens, journalReplays := m.hedgesTotal, m.breakerOpens, m.journalReplays
-	hedgeWins := make(map[string]int64, len(m.hedgeWinsByArm))
-	for k, v := range m.hedgeWinsByArm {
-		hedgeWins[k] = v
-	}
-	routed := make(map[string]int64, len(m.routedByWorker))
-	for k, v := range m.routedByWorker {
-		routed[k] = v
-	}
-	shards := make(map[string]int64, len(m.shardsByResult))
-	for k, v := range m.shardsByResult {
-		shards[k] = v
-	}
-	m.mu.Unlock()
-
-	states := map[WorkerState]int{}
-	if m.statesFunc != nil {
-		states = m.statesFunc()
-	}
-	fmt.Fprintln(w, "# HELP slap_fleet_workers Fleet workers by health state.")
-	fmt.Fprintln(w, "# TYPE slap_fleet_workers gauge")
-	for _, st := range []WorkerState{StateUp, StateDegraded, StateDead} {
-		fmt.Fprintf(w, "slap_fleet_workers{state=%q} %d\n", st.String(), states[st])
-	}
-
-	fmt.Fprintln(w, "# HELP slap_fleet_retries_total Requests and dataset shards rerouted to another worker after a failure.")
-	fmt.Fprintln(w, "# TYPE slap_fleet_retries_total counter")
-	fmt.Fprintf(w, "slap_fleet_retries_total %d\n", retries)
-
-	fmt.Fprintln(w, "# HELP slap_fleet_shed_total Requests answered 503 because the whole fleet was saturated or dead.")
-	fmt.Fprintln(w, "# TYPE slap_fleet_shed_total counter")
-	fmt.Fprintf(w, "slap_fleet_shed_total %d\n", shed)
-
-	fmt.Fprintln(w, "# HELP slap_fleet_worker_deaths_total Workers declared dead after consecutive failures.")
-	fmt.Fprintln(w, "# TYPE slap_fleet_worker_deaths_total counter")
-	fmt.Fprintf(w, "slap_fleet_worker_deaths_total %d\n", deaths)
-
-	fmt.Fprintln(w, "# HELP slap_fleet_hedges_total Reads raced across two replicas because the affine worker was saturated or breaker-open.")
-	fmt.Fprintln(w, "# TYPE slap_fleet_hedges_total counter")
-	fmt.Fprintf(w, "slap_fleet_hedges_total %d\n", hedges)
-
-	fmt.Fprintln(w, "# HELP slap_fleet_hedge_wins_total Hedged reads by which arm answered first.")
-	fmt.Fprintln(w, "# TYPE slap_fleet_hedge_wins_total counter")
-	for _, arm := range sortedKeys(hedgeWins) {
-		fmt.Fprintf(w, "slap_fleet_hedge_wins_total{arm=%q} %d\n", arm, hedgeWins[arm])
-	}
-
-	fmt.Fprintln(w, "# HELP slap_fleet_breaker_opens_total Circuit-breaker trips (closed or half-open to open).")
-	fmt.Fprintln(w, "# TYPE slap_fleet_breaker_opens_total counter")
-	fmt.Fprintf(w, "slap_fleet_breaker_opens_total %d\n", breakerOpens)
-
-	fmt.Fprintln(w, "# HELP slap_fleet_journal_replays_total Journal records replayed at coordinator startup.")
-	fmt.Fprintln(w, "# TYPE slap_fleet_journal_replays_total counter")
-	fmt.Fprintf(w, "slap_fleet_journal_replays_total %d\n", journalReplays)
-
-	fmt.Fprintln(w, "# HELP slap_fleet_routed_requests_total Requests relayed to each worker.")
-	fmt.Fprintln(w, "# TYPE slap_fleet_routed_requests_total counter")
-	for _, name := range sortedKeys(routed) {
-		fmt.Fprintf(w, "slap_fleet_routed_requests_total{worker=%q} %d\n", name, routed[name])
-	}
-
-	fmt.Fprintln(w, "# HELP slap_fleet_shards_total Dataset shards by final outcome across fleet sweeps.")
-	fmt.Fprintln(w, "# TYPE slap_fleet_shards_total counter")
-	for _, res := range sortedKeys(shards) {
-		fmt.Fprintf(w, "slap_fleet_shards_total{result=%q} %d\n", res, shards[res])
-	}
+// newMetrics declares the coordinator's series in exposition order. The
+// worker-state and per-worker gauges read c's membership at scrape time.
+func newMetrics(c *Coordinator) *fleetMetrics {
+	r := metrics.New()
+	m := &fleetMetrics{Registry: r}
+	r.GaugeVecFunc("slap_fleet_workers", "Fleet workers by health state.", []string{"state"}, func(emit func(float64, ...string)) {
+		states := c.workerStates()
+		for _, st := range []WorkerState{StateUp, StateDegraded, StateDead} {
+			emit(float64(states[st]), st.String())
+		}
+	})
+	m.retries = r.Counter("slap_fleet_retries_total", "Requests and dataset shards rerouted to another worker after a failure.")
+	m.shed = r.Counter("slap_fleet_shed_total", "Requests answered 503 because the whole fleet was saturated or dead.")
+	m.deaths = r.Counter("slap_fleet_worker_deaths_total", "Workers declared dead after consecutive failures.")
+	m.hedges = r.Counter("slap_fleet_hedges_total", "Reads raced across two replicas because the affine worker was saturated or breaker-open.")
+	m.hedgeWins = r.CounterVec("slap_fleet_hedge_wins_total", "Hedged reads by which arm answered first.", "arm")
+	m.breakerOpens = r.Counter("slap_fleet_breaker_opens_total", "Circuit-breaker trips (closed or half-open to open).")
+	m.journalReplays = r.Counter("slap_fleet_journal_replays_total", "Journal records replayed at coordinator startup.")
+	m.routed = r.CounterVec("slap_fleet_routed_requests_total", "Requests relayed to each worker.", "worker")
+	m.shards = r.CounterVec("slap_fleet_shards_total", "Dataset shards by final outcome across fleet sweeps.", "result")
 
 	// Per-worker routing-quality gauges: cache warmth as of the last
 	// successful probe, plus current in-flight load.
-	if m.statusesFunc != nil {
-		sts := m.statusesFunc()
-		sort.Slice(sts, func(i, j int) bool { return sts[i].Name < sts[j].Name })
-		fmt.Fprintln(w, "# HELP slap_fleet_worker_inflight Proxied requests currently in flight per worker.")
-		fmt.Fprintln(w, "# TYPE slap_fleet_worker_inflight gauge")
-		for _, s := range sts {
-			fmt.Fprintf(w, "slap_fleet_worker_inflight{worker=%q} %d\n", s.Name, s.Inflight)
-		}
-		fmt.Fprintln(w, "# HELP slap_fleet_worker_warm_graphs Designs with a parked cut arena on each worker (last probe).")
-		fmt.Fprintln(w, "# TYPE slap_fleet_worker_warm_graphs gauge")
-		for _, s := range sts {
-			fmt.Fprintf(w, "slap_fleet_worker_warm_graphs{worker=%q} %d\n", s.Name, s.WarmGraphs)
-		}
-		fmt.Fprintln(w, "# HELP slap_fleet_worker_cache_entries Mapping results resident in each worker's result cache (last probe).")
-		fmt.Fprintln(w, "# TYPE slap_fleet_worker_cache_entries gauge")
-		for _, s := range sts {
-			fmt.Fprintf(w, "slap_fleet_worker_cache_entries{worker=%q} %d\n", s.Name, s.CacheEntries)
-		}
-		fmt.Fprintln(w, "# HELP slap_fleet_worker_warm_views Choice views resident in each worker's view cache (last probe).")
-		fmt.Fprintln(w, "# TYPE slap_fleet_worker_warm_views gauge")
-		for _, s := range sts {
-			fmt.Fprintf(w, "slap_fleet_worker_warm_views{worker=%q} %d\n", s.Name, s.WarmViews)
-		}
-		fmt.Fprintln(w, "# HELP slap_fleet_breaker_state Per-worker circuit breaker (0 closed, 1 half-open, 2 open).")
-		fmt.Fprintln(w, "# TYPE slap_fleet_breaker_state gauge")
-		for _, s := range sts {
-			fmt.Fprintf(w, "slap_fleet_breaker_state{worker=%q} %d\n", s.Name, breakerStateValue(s.Breaker))
-		}
+	perWorker := func(name, help string, value func(WorkerStatus) float64) {
+		r.GaugeVecFunc(name, help, []string{"worker"}, func(emit func(float64, ...string)) {
+			for _, s := range c.workerStatuses() {
+				emit(value(s), s.Name)
+			}
+		})
 	}
+	perWorker("slap_fleet_worker_inflight", "Proxied requests currently in flight per worker.", func(s WorkerStatus) float64 { return float64(s.Inflight) })
+	perWorker("slap_fleet_worker_warm_graphs", "Designs with a parked cut arena on each worker (last probe).", func(s WorkerStatus) float64 { return float64(s.WarmGraphs) })
+	perWorker("slap_fleet_worker_cache_entries", "Mapping results resident in each worker's result cache (last probe).", func(s WorkerStatus) float64 { return float64(s.CacheEntries) })
+	perWorker("slap_fleet_worker_warm_views", "Choice views resident in each worker's view cache (last probe).", func(s WorkerStatus) float64 { return float64(s.WarmViews) })
+	perWorker("slap_fleet_breaker_state", "Per-worker circuit breaker (0 closed, 1 half-open, 2 open).", func(s WorkerStatus) float64 { return float64(breakerStateValue(s.Breaker)) })
 
-	fmt.Fprintln(w, "# HELP slap_fleet_uptime_seconds Seconds since the coordinator started.")
-	fmt.Fprintln(w, "# TYPE slap_fleet_uptime_seconds gauge")
-	fmt.Fprintf(w, "slap_fleet_uptime_seconds %g\n", time.Since(m.start).Seconds())
+	r.GaugeFunc("slap_fleet_uptime_seconds", "Seconds since the coordinator started.", func() float64 { return time.Since(c.start).Seconds() })
+	return m
 }
 
 // breakerStateValue maps a breaker state name to its gauge value.
@@ -256,13 +72,4 @@ func breakerStateValue(s string) int {
 	default:
 		return 0
 	}
-}
-
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

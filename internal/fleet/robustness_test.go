@@ -93,8 +93,8 @@ func TestBreakerOpensAndHedgedReadWins(t *testing.T) {
 	if mr.Worker == affine {
 		t.Fatalf("500ing affine worker %q served the request", affine)
 	}
-	if got := c.Metrics().Hedges(); got != 0 {
-		t.Fatalf("plain failover counted %d hedges, want 0", got)
+	if got := c.metrics.hedges.Value(); got != 0 {
+		t.Fatalf("plain failover counted %v hedges, want 0", got)
 	}
 
 	// Second read: the open breaker displaces it from the affine worker
@@ -109,8 +109,8 @@ func TestBreakerOpensAndHedgedReadWins(t *testing.T) {
 	if mr.Worker == affine {
 		t.Fatalf("breaker-open worker %q served the hedged read", affine)
 	}
-	if got := c.Metrics().Hedges(); got != 1 {
-		t.Fatalf("hedges = %d, want 1", got)
+	if got := c.metrics.hedges.Value(); got != 1 {
+		t.Fatalf("hedges = %v, want 1", got)
 	}
 
 	// Observability: breaker state, trip count and hedge wins all export.
@@ -345,7 +345,7 @@ func TestFlappingWorkerNoLivelock(t *testing.T) {
 	t.Cleanup(flap.Close)
 
 	c, ts := newCoordinator(t, Config{
-		Workers:          []StaticWorker{{Name: "flap", URL: flap.URL}},
+		Workers:       []StaticWorker{{Name: "flap", URL: flap.URL}},
 		ProbeInterval: 10 * time.Millisecond,
 		DeadAfter:     1,
 		// One attempt per request: a retry could race the 10ms probe,
@@ -383,8 +383,8 @@ func TestFlappingWorkerNoLivelock(t *testing.T) {
 				t.Fatalf("request %d answered %d (%s), want 502", i, resp.StatusCode, data)
 			}
 			transitions++
-			if got := c.metrics.Deaths(); got != int64(transitions) {
-				t.Fatalf("request %d: deaths = %d, want %d", i, got, transitions)
+			if got := c.metrics.deaths.Value(); got != float64(transitions) {
+				t.Fatalf("request %d: deaths = %v, want %d", i, got, transitions)
 			}
 		} else if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d answered %d (%s), want 200", i, resp.StatusCode, data)
@@ -522,8 +522,8 @@ func TestCoordinatorCrashResumeByteIdentical(t *testing.T) {
 		ts2.Close()
 		c2.Close()
 	})
-	if got := c2.Metrics().JournalReplays(); got < 2 {
-		t.Fatalf("journal replays = %d, want >= 2 (membership + job)", got)
+	if got := c2.metrics.journalReplays.Value(); got < 2 {
+		t.Fatalf("journal replays = %v, want >= 2 (membership + job)", got)
 	}
 	if c2.workerByName(t, "w2").url != strings.TrimRight(w2.URL, "/") {
 		t.Fatal("self-registered worker w2 not re-adopted from the journal")

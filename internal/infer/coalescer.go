@@ -17,7 +17,7 @@ type FlushStats struct {
 
 // Collector receives one FlushStats per forward pass. PredictBatch reports
 // from each caller's goroutine, so implementations must be safe for
-// concurrent use; the server's Metrics exports the batch-size histogram.
+// concurrent use; the server exports the batch-size histogram.
 type Collector interface {
 	ObserveFlush(FlushStats)
 }

@@ -49,7 +49,7 @@ func (s *Server) cachedMapASIC(ctx context.Context, req *MapRequest, g *aig.AIG,
 			return nil, err
 		}
 		if out.ECO {
-			s.metrics.ObserveDirtyFraction(out.DirtyFraction)
+			s.metrics.dirtyFraction.Observe(out.DirtyFraction)
 		}
 		return &asicServed{
 			res:      res,
@@ -169,7 +169,7 @@ func (s *Server) tryMapperDelta(g *aig.AIG, sig string, key mapcache.Key, opt ma
 		return nil, false
 	}
 	s.cache.RecordECOHit()
-	s.metrics.ObserveDirtyFraction(st.DirtyFraction)
+	s.metrics.dirtyFraction.Observe(st.DirtyFraction)
 	served.eco = true
 	served.dirty = st.DirtyFraction
 	e := &mapcache.Entry{Key: key, Sig: sig, Result: res}

@@ -253,7 +253,7 @@ func (s *Server) runDatasetJob(ctx context.Context, job *datasetJob, gcfg genjob
 	defer job.cancel()
 	defer func() {
 		if p := recover(); p != nil {
-			s.metrics.AddPanic()
+			s.metrics.panics.Inc()
 			job.mu.Lock()
 			job.state, job.errMsg, job.finished = "failed", fmt.Sprintf("job panicked: %v", p), time.Now()
 			job.mu.Unlock()

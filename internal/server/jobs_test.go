@@ -37,8 +37,8 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 			t.Errorf("%s error body does not mention the panic: %s", ep, data)
 		}
 	}
-	if got := srv.Metrics().Panics(); got < 2 {
-		t.Errorf("panics_total = %d, want >= 2", got)
+	if got := srv.metrics.panics.Value(); got < 2 {
+		t.Errorf("panics_total = %v, want >= 2", got)
 	}
 	if got := srv.Scheduler().InFlight(); got != 0 {
 		t.Fatalf("inflight workers = %d after panics, want 0 (token leak)", got)

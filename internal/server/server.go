@@ -109,7 +109,7 @@ type Server struct {
 	cfg     Config
 	reg     *Registry
 	sched   *Scheduler
-	metrics *Metrics
+	metrics *serviceMetrics
 	mux     *http.ServeMux
 	start   time.Time
 
@@ -183,16 +183,8 @@ func New(cfg Config) *Server {
 		s.views = choice.NewCache(cfg.ChoiceCacheBytes) // 0 = DefaultCacheBudget
 	}
 	s.classify = mapcache.NewFlight[*core.Classification]()
-	s.metrics = NewMetrics(s.sched)
-	s.metrics.SetDegradedFunc(s.degradedReasons)
-	if s.pool != nil {
-		s.metrics.SetArenaStatsFunc(s.pool.Stats)
-	}
-	if s.cache != nil {
-		s.metrics.SetMapCacheStatsFunc(s.cache.Stats)
-	}
+	s.metrics = newMetrics(s)
 	if s.views != nil {
-		s.metrics.SetChoiceCacheStatsFunc(s.views.Stats)
 		s.views.OnBuild = s.metrics.ObserveChoiceBuild
 	}
 
@@ -200,7 +192,7 @@ func New(cfg Config) *Server {
 	mux.Handle("POST /v1/map", s.instrument("/v1/map", s.handleMap))
 	mux.Handle("POST /v1/classify", s.instrument("/v1/classify", s.handleClassify))
 	mux.Handle("GET /healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.Handle("GET /metrics", http.HandlerFunc(s.handleMetrics))
+	mux.Handle("GET /metrics", s.metrics)
 	mux.Handle("GET /v1/registry", s.instrument("/v1/registry", s.handleRegistryList))
 	mux.Handle("POST /v1/registry/models", s.instrument("/v1/registry/models", s.handleRegistryAddModel))
 	mux.Handle("POST /v1/registry/libraries", s.instrument("/v1/registry/libraries", s.handleRegistryAddLibrary))
@@ -222,9 +214,6 @@ func (s *Server) Registry() *Registry { return s.reg }
 
 // Scheduler exposes the worker scheduler (gauges, tests).
 func (s *Server) Scheduler() *Scheduler { return s.sched }
-
-// Metrics exposes the server's metrics (expvar publication, tests).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Close begins draining: queued requests fail fast with 503 while granted
 // worker tokens stay borrowed until their mappings finish, and the
@@ -442,7 +431,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		t0 := time.Now()
 		defer func() {
 			if p := recover(); p != nil {
-				s.metrics.AddPanic()
+				s.metrics.panics.Inc()
 				if !sw.wrote {
 					writeError(sw, http.StatusInternalServerError, fmt.Errorf("internal panic: %v", p))
 				} else {
@@ -656,11 +645,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.WritePrometheus(w)
-}
-
 func (s *Server) handleRegistryList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"models":    s.reg.Models(),
@@ -761,22 +745,22 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		defer release()
 		defer func() {
 			if p := recover(); p != nil {
-				s.metrics.AddPanic()
+				s.metrics.panics.Inc()
 				ch <- outcome{nil, fmt.Errorf("mapping panicked: %v", p)}
 			}
 		}()
 		resp, err := s.executeMap(ctx, req, g, lib, model, granted)
 		if resp != nil {
 			s.metrics.AddCuts(resp.CutsConsidered)
-			s.metrics.ObservePeakCuts(resp.PeakCuts)
+			s.metrics.peakCuts.SetMax(float64(resp.PeakCuts))
 			rounds := resp.RoundsRun
 			if rounds < 1 {
 				rounds = 1
 			}
-			s.metrics.ObserveRounds(rounds)
+			s.metrics.rounds.Observe(float64(rounds))
 			if n := len(resp.RoundStats); n > 1 {
 				if gain, ok := roundAreaGain(resp.RoundStats[0], resp.RoundStats[n-1]); ok {
-					s.metrics.ObserveRoundAreaGain(gain)
+					s.metrics.roundGain.Observe(gain)
 				}
 			}
 		}
@@ -1010,7 +994,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		defer release()
 		defer func() {
 			if p := recover(); p != nil {
-				s.metrics.AddPanic()
+				s.metrics.panics.Inc()
 				ch <- outcome{nil, false, fmt.Errorf("classification panicked: %v", p)}
 			}
 		}()
