@@ -19,6 +19,7 @@ import (
 	"slap/internal/choice"
 	"slap/internal/circuits"
 	"slap/internal/cuts"
+	"slap/internal/infer"
 	"slap/internal/library"
 	"slap/internal/lutmap"
 	"slap/internal/mapper"
@@ -170,42 +171,26 @@ func goldenPolicy(name string) cuts.Policy {
 // layers and the classification endpoint.
 func goldenDigests(t testing.TB) map[string]goldenDigest {
 	t.Helper()
-	ctx := context.Background()
 	model := loadGoldenModel(t)
 	lib := library.ASAP7ish()
 	out := map[string]goldenDigest{}
 	for _, gc := range goldenCircuits() {
 		view := choice.Build(gc.g, choice.Options{})
-		for _, pol := range []string{"default", "unlimited", "shuffle", "slap"} {
+		for _, pol := range []string{"default", "unlimited", "shuffle"} {
 			for _, rounds := range []int{1, 4} {
-				choices := rounds > 1
 				mg := gc.g
 				var ch cuts.ChoiceSource
-				if choices {
+				if rounds > 1 {
 					mg, ch = view.G, view
 				}
 				key := fmt.Sprintf("%s/%s/r%d", gc.name, pol, rounds)
-				var (
-					ar  *mapper.Result
-					lr  *lutmap.Result
-					err error
-				)
-				if pol == "slap" {
-					s := *model
-					s.Rounds, s.Choices = rounds, choices
-					if ar, err = s.MapStreamContext(ctx, gc.g); err != nil {
-						t.Fatalf("%s asic: %v", key, err)
-					}
-					if lr, err = s.MapLUTStreamContext(ctx, gc.g); err != nil {
-						t.Fatalf("%s lut: %v", key, err)
-					}
-				} else {
-					if ar, err = mapper.MapStream(mg, mapper.Options{Library: lib, Policy: goldenPolicy(pol), Rounds: rounds, Choices: ch}); err != nil {
-						t.Fatalf("%s asic: %v", key, err)
-					}
-					if lr, err = lutmap.MapStream(mg, lutmap.Options{Policy: goldenPolicy(pol), Rounds: rounds, Choices: ch}); err != nil {
-						t.Fatalf("%s lut: %v", key, err)
-					}
+				ar, err := mapper.MapStream(mg, mapper.Options{Library: lib, Policy: goldenPolicy(pol), Rounds: rounds, Choices: ch})
+				if err != nil {
+					t.Fatalf("%s asic: %v", key, err)
+				}
+				lr, err := lutmap.MapStream(mg, lutmap.Options{Policy: goldenPolicy(pol), Rounds: rounds, Choices: ch})
+				if err != nil {
+					t.Fatalf("%s lut: %v", key, err)
 				}
 				out[key+"/asic"] = asicDigest(t, ar)
 				out[key+"/lut"] = lutDigest(lr)
@@ -216,16 +201,15 @@ func goldenDigests(t testing.TB) map[string]goldenDigest {
 		// recovery off, 2 and 3 rounds, a relaxed delay target, and an
 		// unbuffered netlist, all under the default policy.
 		for _, sc := range []struct {
-			name    string
-			rounds  int
-			factor  float64
-			noRec   bool
-			fanout  int
-			lutToo  bool
-			slapToo bool
+			name   string
+			rounds int
+			factor float64
+			noRec  bool
+			fanout int
+			lutToo bool
 		}{
 			{name: "norec", noRec: true, lutToo: true},
-			{name: "r2", rounds: 2, lutToo: true, slapToo: true},
+			{name: "r2", rounds: 2, lutToo: true},
 			{name: "r3", rounds: 3, lutToo: true},
 			{name: "r4-df1.25", rounds: 4, factor: 1.25, lutToo: true},
 			{name: "nobuf", fanout: -1},
@@ -245,28 +229,56 @@ func goldenDigests(t testing.TB) map[string]goldenDigest {
 				}
 				out[key+"/lut"] = lutDigest(lr)
 			}
-			if sc.slapToo {
-				// SLAP's recovery pool without a view.
-				key := fmt.Sprintf("%s/slap/%s", gc.name, sc.name)
-				s := *model
-				s.Rounds = sc.rounds
-				ar, err := s.MapStreamContext(ctx, gc.g)
-				if err != nil {
-					t.Fatalf("%s asic: %v", key, err)
-				}
-				lr, err := s.MapLUTStreamContext(ctx, gc.g)
-				if err != nil {
-					t.Fatalf("%s lut: %v", key, err)
-				}
-				out[key+"/asic"] = asicDigest(t, ar)
-				out[key+"/lut"] = lutDigest(lr)
-			}
 		}
 	}
 
 	for _, gc := range goldenCircuits()[:2] {
 		edited := circuits.PerturbSpan(gc.g, 3, 0.7, 1, 0.05)
+		opt := mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}}
+		msnap := mapper.NewSnapshot(gc.g, opt)
+		copt := opt
+		copt.CaptureCuts = msnap.Capture
+		if _, err := mapper.MapStream(gc.g, copt); err != nil {
+			t.Fatalf("%s: mapper capture: %v", gc.name, err)
+		}
+		mres, mst, err := mapper.MapDelta(edited, opt, msnap)
+		if err != nil {
+			t.Fatalf("%s: mapper delta: %v", gc.name, err)
+		}
+		d := asicDigest(t, mres)
+		d.Delta = mst
+		out[gc.name+"/eco/mapper"] = d
+	}
+	slapGoldenDigests(t, model, out)
+	return out
+}
 
+// slapGoldenDigests maps every SLAP entry of the matrix with model and adds
+// its digest to out: each circuit on both targets at 1 round, at 4 rounds
+// over a choice view and at 2 rounds without one (the recovery pool), plus
+// the core ECO delta remap and classification of the first two circuits.
+func slapGoldenDigests(t testing.TB, model *SLAP, out map[string]goldenDigest) {
+	t.Helper()
+	ctx := context.Background()
+	for _, gc := range goldenCircuits() {
+		for _, rounds := range []int{1, 4, 2} {
+			key := fmt.Sprintf("%s/slap/r%d", gc.name, rounds)
+			s := *model
+			s.Rounds, s.Choices = rounds, rounds == 4
+			ar, err := s.MapStreamContext(ctx, gc.g)
+			if err != nil {
+				t.Fatalf("%s asic: %v", key, err)
+			}
+			lr, err := s.MapLUTStreamContext(ctx, gc.g)
+			if err != nil {
+				t.Fatalf("%s lut: %v", key, err)
+			}
+			out[key+"/asic"] = asicDigest(t, ar)
+			out[key+"/lut"] = lutDigest(lr)
+		}
+	}
+	for _, gc := range goldenCircuits()[:2] {
+		edited := circuits.PerturbSpan(gc.g, 3, 0.7, 1, 0.05)
 		s := *model
 		_, snap, err := s.MapStreamCaptureContext(ctx, gc.g)
 		if err != nil {
@@ -279,21 +291,6 @@ func goldenDigests(t testing.TB) map[string]goldenDigest {
 		d := asicDigest(t, res)
 		d.Delta = st
 		out[gc.name+"/eco/core"] = d
-
-		opt := mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}}
-		msnap := mapper.NewSnapshot(gc.g, opt)
-		copt := opt
-		copt.CaptureCuts = msnap.Capture
-		if _, err := mapper.MapStream(gc.g, copt); err != nil {
-			t.Fatalf("%s: mapper capture: %v", gc.name, err)
-		}
-		mres, mst, err := mapper.MapDelta(edited, opt, msnap)
-		if err != nil {
-			t.Fatalf("%s: mapper delta: %v", gc.name, err)
-		}
-		d = asicDigest(t, mres)
-		d.Delta = mst
-		out[gc.name+"/eco/mapper"] = d
 
 		cl, err := s.ClassifyContext(ctx, gc.g)
 		if err != nil {
@@ -309,21 +306,13 @@ func goldenDigests(t testing.TB) map[string]goldenDigest {
 			CutsConsidered: cl.TotalCuts,
 		}
 	}
-	return out
 }
 
 // TestGoldenDigests maps a fixed matrix of circuits, policies, targets and
 // round/choice configurations, plus ECO delta remaps and classification,
 // and requires every digest to match the recorded one bit for bit.
 func TestGoldenDigests(t *testing.T) {
-	raw, err := os.ReadFile(goldenFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]goldenDigest
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := recordedDigests(t)
 	got := goldenDigests(t)
 	keys := make([]string, 0, len(want)+len(got))
 	for k := range want {
@@ -349,4 +338,43 @@ func TestGoldenDigests(t *testing.T) {
 			t.Errorf("%s: digest changed\nwant %s\ngot  %s", k, wj, gj)
 		}
 	}
+}
+
+// TestGoldenDigestsEngine maps every SLAP entry of the matrix again with
+// inference through the batched engine, as slap-serve wires it, and
+// requires the digests recorded for the per-sample forward pass.
+func TestGoldenDigestsEngine(t *testing.T) {
+	want := recordedDigests(t)
+	model := loadGoldenModel(t)
+	model.Batch = infer.NewEngine(model.Model, infer.Options{})
+	got := map[string]goldenDigest{}
+	slapGoldenDigests(t, model, got)
+	// 4 circuits × 3 round settings × 2 targets, plus ECO and classify on 2.
+	if len(got) != 28 {
+		t.Fatalf("engine run produced %d entries, want 28", len(got))
+	}
+	for k, g := range got {
+		w, ok := want[k]
+		switch {
+		case !ok:
+			t.Errorf("%s: produced but not recorded", k)
+		case !reflect.DeepEqual(w, g):
+			wj, _ := json.Marshal(w)
+			gj, _ := json.Marshal(g)
+			t.Errorf("%s: engine digest differs from the recorded one\nwant %s\ngot  %s", k, wj, gj)
+		}
+	}
+}
+
+func recordedDigests(t *testing.T) map[string]goldenDigest {
+	t.Helper()
+	raw, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]goldenDigest
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
 }
