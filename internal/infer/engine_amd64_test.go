@@ -4,63 +4,52 @@ package infer
 
 import "testing"
 
-// TestEngineScalarFallback forces the portable conv path on AVX hosts so the
-// non-amd64 code keeps its bit-identity guarantee under test. hasAVX is a
-// package var only on amd64, hence the build tag.
-// TestDenseScalarFallback pins the AVX dense GEMM kernel to the per-sample
-// forward pass bit for bit — including the scalar class tail (10 classes =
-// one 8-wide vector step + 2 scalar) and a narrow model whose class count
-// never reaches the vector width — and then forces the scalar dense path
-// for the same comparison.
+// withKernels runs f on the AVX kernels, when the host has them, and then
+// on the Go lane loops. hasAVX is a package var only on amd64, hence the
+// build tag.
+func withKernels(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	if hasAVX {
+		t.Run("avx", f)
+		hasAVX = false
+		defer func() { hasAVX = true }()
+	}
+	t.Run("go", f)
+}
+
+// TestDenseScalarFallback pins the dense layer to the per-sample forward
+// pass bit for bit at 10 classes (the AVX kernel's shape) and at 6 (which
+// always runs the Go lane loops), and then forces the Go loops for both.
 func TestDenseScalarFallback(t *testing.T) {
 	if !hasAVX {
 		t.Skip("no AVX: dense kernel not in play")
 	}
-	for _, classes := range []int{10, 6} {
-		m := randomModel(15, 10, 64, classes, 47)
-		eng := NewEngine(m, Options{})
-		if classes >= 8 && eng.denseWT == nil {
-			t.Fatalf("classes=%d: transposed dense weights not built", classes)
-		}
-		if classes < 8 && eng.denseWT != nil {
-			t.Fatalf("classes=%d: unexpected transposed weights for sub-vector width", classes)
-		}
-		xs := randomBatch(m, 9, int64(300+classes))
-		got, err := eng.ForwardBatch(xs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, x := range xs {
-			want := m.Predict(x)
-			for c := range want {
-				if got[i][c] != want[c] {
-					t.Fatalf("classes=%d sample %d class %d: AVX dense path diverged", classes, i, c)
+	check := func(label string) {
+		for _, classes := range []int{10, 6} {
+			m := randomModel(15, 10, 64, classes, 47)
+			xs := randomBatch(m, 9, int64(300+classes))
+			got, err := NewEngine(m, Options{}).ForwardBatch(xs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range xs {
+				want := m.Predict(x)
+				for c := range want {
+					if got[i][c] != want[c] {
+						t.Fatalf("%s: classes=%d sample %d class %d: dense path diverged", label, classes, i, c)
+					}
 				}
 			}
 		}
 	}
-
-	// Forced fallback: denseWT present but the AVX gate off must route
-	// through densePair/denseOne and still match exactly.
-	m := randomModel(15, 10, 64, 10, 48)
-	eng := NewEngine(m, Options{})
+	check("avx")
 	hasAVX = false
 	defer func() { hasAVX = true }()
-	xs := randomBatch(m, 5, 301)
-	got, err := eng.ForwardBatch(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range xs {
-		want := m.Predict(x)
-		for c := range want {
-			if got[i][c] != want[c] {
-				t.Fatalf("sample %d class %d: forced scalar dense path diverged", i, c)
-			}
-		}
-	}
+	check("forced go")
 }
 
+// TestEngineScalarFallback forces the Go lane loops on AVX hosts so the
+// non-amd64 code keeps its bit-identity guarantee under test.
 func TestEngineScalarFallback(t *testing.T) {
 	if !hasAVX {
 		t.Skip("already running the scalar path")
