@@ -282,7 +282,10 @@ func (s *SLAP) MapDeltaContext(ctx context.Context, g *aig.AIG, snap *SlapSnapsh
 	if len(dirty) > 0 {
 		emb := embed.NewEmbedder(g)
 		emb.PrecomputeAll()
-		if err := s.filterNodes(ctx, emb, dirty, res.Sets, res.Sets, nil, s.inferScratches()); err != nil {
+		scratches := s.inferScratches()
+		err := s.filterNodes(ctx, emb, dirty, res.Sets, res.Sets, nil, scratches)
+		putScratches(scratches)
+		if err != nil {
 			return nil, nil, nil, err
 		}
 	}

@@ -110,6 +110,7 @@ func (s *SLAP) streamFiltered(ctx context.Context, g *aig.AIG, ch cuts.ChoiceSou
 	emb.PrecomputeAll()
 
 	scratches := s.inferScratches()
+	defer putScratches(scratches)
 	filtered := make([][]cuts.Cut, g.NumNodes())
 	var extras [][]cuts.Cut
 	if s.Rounds > 1 {
