@@ -230,7 +230,11 @@ func BenchmarkEndToEndSLAPMap(b *testing.B) {
 			}
 		}
 	}
-	b.Run("per-sample", func(b *testing.B) { run(b, *tr.SLAP) })
+	b.Run("per-sample", func(b *testing.B) {
+		s := *tr.SLAP
+		s.Batch = nil
+		run(b, s)
+	})
 	b.Run("batched", func(b *testing.B) {
 		co := infer.NewCoalescer(infer.NewEngine(tr.SLAP.Model, infer.Options{}), infer.CoalescerOptions{})
 		defer co.Close()

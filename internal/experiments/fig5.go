@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"slap/internal/core"
+	"slap/internal/infer"
 	"slap/internal/library"
 )
 
@@ -17,7 +18,8 @@ type TrainOutcome struct {
 
 // RunTraining trains the model under the profile (experiment §V-B) and
 // returns both the SLAP instance (reused by Table II and Fig. 5) and the
-// accuracy report.
+// accuracy report. The instance classifies through the batched engine, as
+// slap-serve does; its results are bit-identical to per-sample inference.
 func RunTraining(p Profile, lib *library.Library, progress func(string)) (*TrainOutcome, error) {
 	if progress == nil {
 		progress = func(string) {}
@@ -34,6 +36,7 @@ func RunTraining(p Profile, lib *library.Library, progress func(string)) (*Train
 	if err != nil {
 		return nil, err
 	}
+	s.Batch = infer.NewEngine(s.Model, infer.Options{})
 	return &TrainOutcome{SLAP: s, Report: rep}, nil
 }
 
