@@ -211,8 +211,8 @@ func newSLAP(cfg runConfig, modelPath string, lib *library.Library) (*core.SLAP,
 	if cfg.batch < 0 {
 		return s, func() {}, nil
 	}
-	// Each mapping worker classifies a node's cuts in GEMM passes on its
-	// own goroutine. The kernels keep per-sample accumulation order: QoR is
+	// Each mapping worker classifies a node's cuts in forward passes on its
+	// own goroutine. The kernels keep the per-sample operation order: QoR is
 	// identical to per-sample inference.
 	co := infer.NewCoalescer(infer.NewEngine(model, infer.Options{}), infer.CoalescerOptions{MaxBatch: cfg.batch})
 	s.Batch = co

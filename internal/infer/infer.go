@@ -1,17 +1,20 @@
 // Package infer is the batched inference engine of the SLAP flow: where
-// internal/nn runs one 15×10 cut embedding at a time through triple-nested
-// loops, this package packs B embeddings into matrices and runs the whole
-// classifier — conv → ReLU → dense → softmax — as blocked GEMMs (Engine),
-// and splits each caller's submission into bounded forward passes run on
-// that caller's goroutine (Coalescer).
+// internal/nn runs one 15×10 cut embedding at a time, this package runs the
+// whole classifier — conv → ReLU → dense → softmax — over a batch of
+// embeddings (Engine), and splits each caller's submission into bounded
+// forward passes run on that caller's goroutine (Coalescer).
 //
-// The conv layer's 15×1 filters span all input rows, so the convolution over
-// a batch is a single 128×15 by 15×(10·B) matmul; the dense layer is a
-// 10×1280 by 1280×B matmul. Both kernels accumulate each output element in
-// exactly the order the per-sample nn.Model forward pass does (bias first,
-// then ascending k), so batched probabilities match the per-sample path to
-// the last bit on every platform with consistent FP contraction — the
-// golden-equivalence suite pins this against the Reference backend.
+// The engine works in blocks of four samples, one per lane of a YMM
+// register of float64, and each lane carries its sample through exactly
+// the operation sequence of nn.Model's forward pass. The conv layer keeps
+// one accumulator per embedding column and the dense layer one per class,
+// each starting from its bias and adding in ascending input order, so
+// batched probabilities match the per-sample path to the last bit on every
+// platform with consistent FP contraction; the golden-equivalence suite
+// pins this against the Reference backend. The nine cut-feature rows that
+// embed.CutInto broadcasts across all columns are normalised and
+// multiplied once per sample and filter, not once per column, whenever the
+// model's normalisation and the block's inputs make that exact.
 package infer
 
 import (
