@@ -160,28 +160,33 @@ func TestRunStreamSinkError(t *testing.T) {
 
 // TestArenaPoolZeroSteadyStateAllocs is the acceptance test for cross-run
 // pooling: once an arena has served a graph shape, further streaming runs
-// of the same graph perform zero cut allocations.
+// of the same graph perform zero cut allocations, with the exhaustive
+// policy and with the default policy's sort and dominance pass.
 func TestArenaPoolZeroSteadyStateAllocs(t *testing.T) {
 	g := circuits.BoothMultiplier(8)
-	pool := NewPool(2)
 	sink := LevelSink(func(level int32, nodes []uint32, sets [][]Cut) error { return nil })
-	e := &Enumerator{G: g, Policy: UnlimitedPolicy{}, Workers: 1}
-	run := func() {
-		a := pool.Get(g)
-		e.Arena = a
-		if _, err := e.RunStream(sink); err != nil {
-			panic(err)
-		}
-		pool.Put(a)
-	}
-	run() // builds the arena
-	run() // lets the free lists reach their steady footprint
-	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
-		t.Fatalf("steady-state streaming run allocated %.1f objects, want 0", allocs)
-	}
-	st := pool.Stats()
-	if st.Misses != 1 || st.Hits < 7 {
-		t.Fatalf("pool stats hits=%d misses=%d, want 1 miss and the rest hits", st.Hits, st.Misses)
+	for _, pol := range []Policy{UnlimitedPolicy{}, DefaultPolicy{}} {
+		t.Run(pol.Name(), func(t *testing.T) {
+			pool := NewPool(2)
+			e := &Enumerator{G: g, Policy: pol, Workers: 1}
+			run := func() {
+				a := pool.Get(g)
+				e.Arena = a
+				if _, err := e.RunStream(sink); err != nil {
+					panic(err)
+				}
+				pool.Put(a)
+			}
+			run() // builds the arena
+			run() // lets the free lists reach their steady footprint
+			if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+				t.Fatalf("steady-state streaming run allocated %.1f objects, want 0", allocs)
+			}
+			st := pool.Stats()
+			if st.Misses != 1 || st.Hits < 7 {
+				t.Fatalf("pool stats hits=%d misses=%d, want 1 miss and the rest hits", st.Hits, st.Misses)
+			}
+		})
 	}
 }
 
