@@ -116,6 +116,9 @@ func run(cfg runConfig) error {
 	circuitName, aagPath, policyName := cfg.circuit, cfg.aag, cfg.policy
 	modelPath, libPath := cfg.model, cfg.lib
 	seed, limit := cfg.seed, cfg.limit
+	if limit < 0 {
+		return fmt.Errorf("-limit must be non-negative, got %d", limit)
+	}
 	listNames := cfg.list
 	profile, err := experiments.ByName(cfg.profile)
 	if err != nil {

@@ -133,6 +133,9 @@ func TestRunErrors(t *testing.T) {
 		{"missing library file", func() error {
 			return run(runConfig{circuit: "rc64b", profile: "fast", policy: "default", lib: "/nonexistent.lib", seed: 1})
 		}},
+		{"negative limit", func() error {
+			return run(runConfig{circuit: "rc64b", profile: "fast", policy: "default", limit: -1, seed: 1})
+		}},
 	}
 	for _, c := range cases {
 		if err := c.f(); err == nil {

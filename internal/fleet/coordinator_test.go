@@ -172,7 +172,7 @@ func TestProxyRelaysInvalidOptions(t *testing.T) {
 	}
 	c, ts := newCoordinator(t, Config{Workers: urls})
 	aag := rc16AAG(t)
-	for _, q := range []string{"policy=zzz", "target=fpga", "netlist=edif", "rounds=17", "delay_factor=NaN"} {
+	for _, q := range []string{"policy=zzz", "target=fpga", "netlist=edif", "rounds=17", "delay_factor=NaN", "limit=-1"} {
 		attempts.Store(0)
 		before := c.metrics.retries.Value()
 		resp, data := postCircuit(t, ts.URL+"/v1/map?"+q, aag)

@@ -790,8 +790,9 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 const MaxRounds = 16
 
 // validateMap rejects a /v1/map request whose options name no known
-// policy, target or netlist format, ask for more than MaxRounds rounds, or
-// carry a non-finite delay factor — before any worker token is taken.
+// policy, target or netlist format, ask for more than MaxRounds rounds,
+// carry a non-finite delay factor or a negative cut limit — before any
+// worker token is taken.
 func validateMap(req *MapRequest) error {
 	switch req.Policy {
 	case "", "default", "unlimited", "shuffle", "slap":
@@ -813,6 +814,9 @@ func validateMap(req *MapRequest) error {
 	}
 	if math.IsNaN(req.DelayFactor) || math.IsInf(req.DelayFactor, 0) {
 		return fmt.Errorf("delay_factor must be finite, got %v", req.DelayFactor)
+	}
+	if req.Limit < 0 {
+		return fmt.Errorf("limit must be non-negative, got %d", req.Limit)
 	}
 	return nil
 }

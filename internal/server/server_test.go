@@ -365,6 +365,8 @@ func TestMapRequestLifecycleErrors(t *testing.T) {
 		{"rounds over the limit", "rounds=17"},
 		{"NaN delay factor", "rounds=4&delay_factor=NaN"},
 		{"infinite delay factor", "rounds=4&delay_factor=Inf"},
+		{"negative limit", "policy=default&limit=-1"},
+		{"negative limit on shuffle", "policy=shuffle&limit=-1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, data := postRaw(t, ts.URL+"/v1/map?"+tc.query, rc16Text(t))
@@ -376,6 +378,13 @@ func TestMapRequestLifecycleErrors(t *testing.T) {
 
 	t.Run("json rounds over the limit", func(t *testing.T) {
 		resp, data := postJSON(t, ts.URL+"/v1/map", map[string]any{"circuit": rc16Text(t), "rounds": MaxRounds + 1})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("status %d, want 400 (%s)", resp.StatusCode, data)
+		}
+	})
+
+	t.Run("json negative limit", func(t *testing.T) {
+		resp, data := postJSON(t, ts.URL+"/v1/map", map[string]any{"circuit": rc16Text(t), "policy": "default", "limit": -1})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status %d, want 400 (%s)", resp.StatusCode, data)
 		}
@@ -437,7 +446,7 @@ func TestMapInvalidOptionsSkipQueue(t *testing.T) {
 	if srv.Scheduler().InFlight() == 0 {
 		t.Fatal("the holding mapping never took the budget")
 	}
-	for _, q := range []string{"policy=zzz", "target=fpga", "netlist=edif", "rounds=1000", "rounds=4&delay_factor=NaN"} {
+	for _, q := range []string{"policy=zzz", "target=fpga", "netlist=edif", "rounds=1000", "rounds=4&delay_factor=NaN", "limit=-1"} {
 		t0 := time.Now()
 		resp, data := postRaw(t, ts.URL+"/v1/map?timeout_ms=3000&"+q, rc16Text(t))
 		if resp.StatusCode != http.StatusBadRequest {
