@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -127,6 +129,34 @@ func TestDecodeAllocBytes(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > tc.limit {
 			t.Errorf("%s: decoding rc16 allocates %d bytes, want under %d", tc.format, per, tc.limit)
+		}
+	}
+}
+
+// TestScanLitsAgreesWithStrconv checks the in-place literal scanner on the
+// edge cases of the strconv path it stands in for: a line it accepts must
+// give the same values there, and an ASCII line strconv accepts must not
+// fall back.
+func TestScanLitsAgreesWithStrconv(t *testing.T) {
+	for _, line := range []string{
+		"0", "7", "007", " 12\t", "4294967295", "4294967296", "99999999999999999999",
+		"+1", "-1", "", "  ", "1 2", "2 4 6", " 2\t4  6 ", "2 4 6 8", "2 4", "2,4,6",
+		"2 4 6\v", "2\r4\f6", "0x10", "1_0", "1\u00a02 3", "\u20032 4 6",
+	} {
+		for _, n := range []int{1, 3} {
+			got := make([]uint64, n)
+			ok := scanLits([]byte(line), got)
+			f := strings.Fields(line)
+			want := make([]uint64, n)
+			wantOK := len(f) == n
+			for j := 0; wantOK && j < n; j++ {
+				v, err := strconv.ParseUint(f[j], 10, 32)
+				want[j], wantOK = v, err == nil
+			}
+			ascii := strings.IndexFunc(line, func(r rune) bool { return r >= 0x80 }) < 0
+			if ok && (!wantOK || !slices.Equal(got, want)) || !ok && wantOK && ascii {
+				t.Errorf("%q as %d fields: scanned %v ok=%v, strconv gives %v ok=%v", line, n, got, ok, want, wantOK)
+			}
 		}
 	}
 }
