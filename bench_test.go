@@ -475,7 +475,8 @@ func sopChain(n int) *aig.AIG {
 // BenchmarkRepeatReplay measures the serving win of the content-addressed
 // result cache on a repeat-heavy replay: every iteration resubmits the
 // same design. "cold" re-runs the full SLAP flow each time; "cached"
-// answers from the result cache in O(1) after one warm-up mapping.
+// answers through the cache front (mapcache.Cache.Serve) in O(1) after
+// one warm-up mapping.
 func BenchmarkRepeatReplay(b *testing.B) {
 	tr := sharedTraining(b)
 	s := tr.SLAP
@@ -492,18 +493,24 @@ func BenchmarkRepeatReplay(b *testing.B) {
 	})
 	b.Run("cached", func(b *testing.B) {
 		cache := mapcache.New(0)
-		opt := core.CachedOptions{}
-		if _, _, err := s.MapCached(ctx, g, cache, opt); err != nil {
+		flow := mapcache.Flow{
+			Sig: s.ConfigSig(),
+			Map: func(bool) (*mapper.Result, mapcache.Snapshot, error) {
+				res, err := s.MapStreamContext(ctx, g)
+				return res, nil, err
+			},
+		}
+		if _, err := cache.Serve(ctx, g, flow); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, o, err := s.MapCached(ctx, g, cache, opt)
+			sv, err := cache.Serve(ctx, g, flow)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !o.Hit {
+			if !sv.Cached {
 				b.Fatal("replay iteration missed the cache")
 			}
 		}

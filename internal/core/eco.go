@@ -166,8 +166,8 @@ func (sn *SlapSnapshot) SnapshotBytes() int64 { return sn.bytes }
 // captures each level's filtered lists just before the incremental mapper
 // consumes them (and before the enumerator retires the level's storage).
 // It always runs the single-round, no-choice flow: snapshots exist to feed
-// the ECO delta path, which is defined for that configuration only
-// (MapCached gates capture accordingly).
+// the ECO delta path, which is defined for that configuration only (the
+// server's result-cache flow captures only for such requests).
 func (s *SLAP) MapStreamCaptureContext(ctx context.Context, g *aig.AIG) (*mapper.Result, *SlapSnapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"slap/internal/circuits"
-	"slap/internal/mapcache"
 	"slap/internal/mapper"
 )
 
@@ -158,65 +157,4 @@ func TestSlapMapDeltaMismatch(t *testing.T) {
 	if _, _, _, err := other.MapDeltaContext(ctx, g, snap); !errors.Is(err, ErrSlapSnapshotMismatch) {
 		t.Fatalf("model drift: err = %v", err)
 	}
-}
-
-// TestMapCachedFlow drives the serving entry point end to end: cold miss,
-// exact O(1) repeat, and an ECO-served edit, with the verify hook running
-// exactly once per fresh mapping.
-func TestMapCachedFlow(t *testing.T) {
-	s := untrained(3)
-	cache := mapcache.New(0)
-	ctx := context.Background()
-	g := circuits.BoothMultiplier(6)
-	verifies := 0
-	opt := CachedOptions{ECO: true, Verify: func(*mapper.Result) bool { verifies++; return true }}
-
-	cold, out, err := s.MapCached(ctx, g, cache, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Hit || out.ECO || !out.Verified || verifies != 1 {
-		t.Fatalf("cold map outcome %+v, verifies %d", out, verifies)
-	}
-
-	repeat, out, err := s.MapCached(ctx, g, cache, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Hit || out.ECO || repeat != cold || verifies != 1 {
-		t.Fatalf("repeat outcome %+v (same result %v), verifies %d", out, repeat == cold, verifies)
-	}
-
-	// A localised edit near the POs (the shape real ECOs take) keeps the
-	// cone overlap above the Nearest gate.
-	edited := circuits.PerturbSpan(g, 7, 0.9, 1.0, 0.3)
-	full, err := s.MapStreamContext(ctx, edited)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eco, out, err := s.MapCached(ctx, edited, cache, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.ECO || out.Hit || out.DirtyFraction <= 0 || out.DirtyFraction >= 1 || verifies != 2 {
-		t.Fatalf("eco outcome %+v, verifies %d", out, verifies)
-	}
-	requireSameSlapResult(t, "cached-eco", full, eco)
-
-	st := cache.Stats()
-	if st.Hits < 1 || st.ECOHits != 1 || st.Entries != 2 {
-		t.Fatalf("cache stats %+v, want >=1 hit, 1 eco hit, 2 entries", st)
-	}
-
-	// The ECO result is itself cached: resubmitting the edit is an exact hit.
-	if _, out, err = s.MapCached(ctx, edited, cache, opt); err != nil || !out.Hit {
-		t.Fatalf("edited resubmission outcome %+v err %v", out, err)
-	}
-
-	// A nil cache degrades to a plain map.
-	plain, out, err := s.MapCached(ctx, g, nil, opt)
-	if err != nil || out.Hit || out.ECO || !out.Verified {
-		t.Fatalf("nil-cache outcome %+v err %v", out, err)
-	}
-	requireSameSlapResult(t, "nil-cache", cold, plain)
 }

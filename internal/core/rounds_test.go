@@ -11,7 +11,6 @@ import (
 	"slap/internal/circuits"
 	"slap/internal/cuts"
 	"slap/internal/library"
-	"slap/internal/mapcache"
 	"slap/internal/mapper"
 )
 
@@ -196,60 +195,6 @@ func TestRoundCounterParity(t *testing.T) {
 	}
 	if lmulti.CutsConsidered != sum {
 		t.Fatalf("LUT total cuts %d != per-round sum %d", lmulti.CutsConsidered, sum)
-	}
-}
-
-// TestConfigSigRoundsCacheMiss is the mapcache regression: the same AIG at
-// rounds=1 and rounds=4 must resolve to different content addresses, so a
-// cached single-round result is never served for a multi-round request —
-// and the multi-round entry carries no ECO snapshot.
-func TestConfigSigRoundsCacheMiss(t *testing.T) {
-	s := roundsSLAP(t)
-	g := circuits.RippleCarryAdder(8)
-	cache := mapcache.New(64 << 20)
-	ctx := context.Background()
-
-	res1, out1, err := s.MapCached(ctx, g, cache, CachedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out1.Hit {
-		t.Fatal("first submission reported a hit")
-	}
-
-	s4 := *s
-	s4.Rounds = 4
-	s4.DelayFactor = 1.1
-	s4.Choices = true
-	res4, out4, err := s4.MapCached(ctx, g, cache, CachedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out4.Hit {
-		t.Fatal("multi-round request was served the single-round cached result")
-	}
-	if out4.Key == out1.Key {
-		t.Fatalf("rounds=1 and rounds=4 share a content address: %v", out4.Key)
-	}
-	if len(res4.RoundStats) != 4 || res1.RoundStats != nil {
-		t.Fatalf("QoR fields do not reflect the configs: single=%v multi=%v", res1.RoundStats, res4.RoundStats)
-	}
-	if e, ok := cache.Get(out4.Key); !ok {
-		t.Fatal("multi-round result not cached")
-	} else if e.Snap != nil {
-		t.Fatal("multi-round entry carries an ECO snapshot")
-	}
-	if e, ok := cache.Get(out1.Key); !ok || e.Snap == nil {
-		t.Fatal("single-round entry lost its ECO snapshot")
-	}
-
-	// Resubmitting the multi-round config is an exact hit.
-	_, again, err := s4.MapCached(ctx, g, cache, CachedOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.Hit {
-		t.Fatal("equal multi-round resubmission missed the cache")
 	}
 }
 

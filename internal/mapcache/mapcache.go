@@ -1,11 +1,11 @@
 // Package mapcache provides a bounded, content-addressed cache of mapping
 // results for the serving flow: a structural fingerprint of (graph,
 // options) maps to the mapped netlist, its QoR and verification bit, with
-// LRU eviction under a byte-size budget. Exact repeats are answered in
-// O(1); near-misses expose the nearest cached relative (by cone-hash
-// overlap) so the ECO delta-remapper can reuse its snapshot; and a
-// singleflight group collapses N concurrent identical submissions into one
-// mapping whose result everyone shares.
+// LRU eviction under a byte-size budget. Serve is its one front: exact
+// repeats are answered in O(1); near-misses delta-remap against the
+// nearest cached relative (by cone-hash overlap) through its ECO snapshot;
+// and a singleflight group collapses N concurrent identical submissions
+// into one mapping whose result everyone shares.
 //
 // Invalidation is purely content-driven: the key covers the full graph
 // encoding (including PI/PO names, which surface in rendered netlists) and
@@ -15,6 +15,7 @@ package mapcache
 
 import (
 	"container/list"
+	"context"
 	"sync"
 
 	"slap/internal/aig"
@@ -87,8 +88,8 @@ type Snapshot interface {
 type Entry struct {
 	// Key is the content address the entry was stored under.
 	Key Key
-	// Sig is the options signature the result was produced under; Nearest
-	// only offers entries whose signature matches the request.
+	// Sig is the options signature the result was produced under; a delta
+	// remap only uses snapshots whose signature matches the request.
 	Sig string
 	// Result is the complete mapping result (netlist, QoR, counters). It is
 	// shared by reference: treat it as immutable.
@@ -129,7 +130,7 @@ type Stats struct {
 // DefaultBudget is the cache byte budget when none is configured.
 const DefaultBudget = 256 << 20
 
-// nearestScan bounds how many recent snapshot-bearing entries a Nearest
+// nearestScan bounds how many recent snapshot-bearing entries a nearest
 // call examines; the scan is O(nodes) per candidate.
 const nearestScan = 8
 
@@ -149,13 +150,7 @@ type Cache struct {
 	hits, misses, ecoHits, evictions int64
 	snapshots                        int
 
-	flight map[Key]*flightCall
-}
-
-type flightCall struct {
-	done  chan struct{}
-	entry *Entry
-	err   error
+	flight *Flight[*Entry]
 }
 
 // New builds a cache with the given byte budget (<= 0 means DefaultBudget).
@@ -167,7 +162,7 @@ func New(budget int64) *Cache {
 		budget: budget,
 		ll:     list.New(),
 		byKey:  make(map[Key]*list.Element),
-		flight: make(map[Key]*flightCall),
+		flight: NewFlight[*Entry](),
 	}
 }
 
@@ -246,12 +241,12 @@ func (c *Cache) evictOldestLocked() {
 	c.evictions++
 }
 
-// Nearest scans the most recently used snapshot-bearing entries with a
+// nearest scans the most recently used snapshot-bearing entries with a
 // matching options signature and returns the one whose baseline shares the
 // largest cone-hash overlap with hashes, provided it clears minOverlap.
 // The returned entry's snapshot is immutable and safe to use after the
 // entry is evicted.
-func (c *Cache) Nearest(sig string, hashes []uint64) *Entry {
+func (c *Cache) nearest(sig string, hashes []uint64) *Entry {
 	c.mu.Lock()
 	var candidates []*Entry
 	scanned := 0
@@ -275,13 +270,6 @@ func (c *Cache) Nearest(sig string, hashes []uint64) *Entry {
 	return best
 }
 
-// RecordECOHit counts a miss that was served by delta-remapping.
-func (c *Cache) RecordECOHit() {
-	c.mu.Lock()
-	c.ecoHits++
-	c.mu.Unlock()
-}
-
 // Stats returns current counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
@@ -297,30 +285,97 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Do runs compute under a singleflight keyed by k: the first caller (the
-// leader) executes it while concurrent callers with the same key block and
-// share the leader's entry and error. shared reports whether this call
-// piggybacked on another's computation; shared results are counted as
-// cache hits (the work was deduplicated away). compute typically re-checks
-// Get, falls back to ECO or a full map, and Adds the entry itself.
-func (c *Cache) Do(k Key, compute func() (*Entry, error)) (e *Entry, shared bool, err error) {
-	c.mu.Lock()
-	if call, ok := c.flight[k]; ok {
-		c.mu.Unlock()
-		<-call.done
+// Flow is one request's mapping as Serve runs it: the signature that
+// joins the graph in the key, and the functions that map the graph cold,
+// delta-remap it and verify a result.
+type Flow struct {
+	// Sig is the options signature: it pins every option that shapes the
+	// result, and Delta only sees snapshots made under the same one.
+	Sig string
+	// Map maps the graph cold. With capture set it also returns the ECO
+	// snapshot to cache with the result, or nil when it cannot make one.
+	Map func(capture bool) (*mapper.Result, Snapshot, error)
+	// Delta, when set, delta-remaps the graph against a cached relative's
+	// snapshot. It returns the result, the snapshot to cache with it (may
+	// be nil), the fraction of AND nodes re-processed, and ok; ok false,
+	// with zero results, sends Serve to a cold Map. Serve captures
+	// snapshots only for flows that set Delta, since nothing else reads
+	// them.
+	Delta func(Snapshot) (res *mapper.Result, next Snapshot, dirty float64, ok bool)
+	// Verify, when set, checks each fresh result once; its verdict is
+	// stored with the entry, so hits never re-run it.
+	Verify func(*mapper.Result) bool
+}
+
+// Served is how Serve answered one request.
+type Served struct {
+	// Result is shared with the cache: treat it as immutable.
+	Result *mapper.Result
+	// Verified is the entry's equivalence verdict (false when no Verify
+	// ever ran on it).
+	Verified bool
+	// Cached reports an exact-key hit or a result shared with a concurrent
+	// identical request.
+	Cached bool
+	// ECO reports a miss served by delta-remapping; Dirty is then the
+	// fraction of AND nodes re-processed.
+	ECO   bool
+	Dirty float64
+}
+
+// Serve answers one mapping of g through the cache. Inside a singleflight
+// keyed by (g, f.Sig) the leader looks the key up, then on a miss tries
+// f.Delta against the nearest cached relative, falls back to a cold f.Map,
+// verifies the fresh result and adds it; concurrent identical calls share
+// the leader's entry and count as hits. On a nil cache Serve runs f.Map
+// and f.Verify only.
+func (c *Cache) Serve(ctx context.Context, g *aig.AIG, f Flow) (Served, error) {
+	var sv Served
+	if c == nil {
+		res, _, err := f.Map(false)
+		if err != nil {
+			return sv, err
+		}
+		return Served{Result: res, Verified: f.Verify != nil && f.Verify(res)}, nil
+	}
+	key := KeyOf(g, f.Sig)
+	e, shared, err := c.flight.Do(ctx, key, func() (*Entry, error) {
+		// The lookup runs inside the flight, so a result added between a
+		// miss and the flight claim is still found.
+		if e, ok := c.Get(key); ok {
+			sv.Cached = true
+			return e, nil
+		}
+		e := &Entry{Key: key, Sig: f.Sig}
+		if f.Delta != nil {
+			if near := c.nearest(f.Sig, g.ConeHashes()); near != nil {
+				e.Result, e.Snap, sv.Dirty, sv.ECO = f.Delta(near.Snap)
+			}
+		}
+		if sv.ECO {
+			c.mu.Lock()
+			c.ecoHits++
+			c.mu.Unlock()
+		} else {
+			var err error
+			if e.Result, e.Snap, err = f.Map(f.Delta != nil); err != nil {
+				return nil, err
+			}
+		}
+		if f.Verify != nil {
+			e.Verified = f.Verify(e.Result)
+		}
+		c.Add(e)
+		return e, nil
+	})
+	if err != nil {
+		return Served{}, err
+	}
+	if shared {
 		c.mu.Lock()
 		c.hits++
 		c.mu.Unlock()
-		return call.entry, true, call.err
 	}
-	call := &flightCall{done: make(chan struct{})}
-	c.flight[k] = call
-	c.mu.Unlock()
-
-	call.entry, call.err = compute()
-	c.mu.Lock()
-	delete(c.flight, k)
-	c.mu.Unlock()
-	close(call.done)
-	return call.entry, false, call.err
+	sv.Result, sv.Verified, sv.Cached = e.Result, e.Verified, sv.Cached || shared
+	return sv, nil
 }

@@ -1,6 +1,7 @@
 package mapcache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"slap/internal/aig"
 	"slap/internal/circuits"
 	"slap/internal/mapper"
 	"slap/internal/netlist"
@@ -100,34 +102,32 @@ func TestCacheLRUEvictionUnderByteBudget(t *testing.T) {
 
 func TestSingleflightDedup(t *testing.T) {
 	c := New(0)
-	k := Key{7, 7}
+	g := circuits.RandomAIG(1, 8, 100)
 	var computes, attempted atomic.Int64
 
 	const callers = 8
+	flow := Flow{Sig: "s", Map: func(bool) (*mapper.Result, Snapshot, error) {
+		computes.Add(1)
+		// Hold the flight open until every caller has at least reached
+		// its Serve call, so they all join this computation.
+		for attempted.Load() < callers {
+			runtime.Gosched()
+		}
+		time.Sleep(20 * time.Millisecond)
+		return &mapper.Result{Netlist: netlist.New("t")}, nil, nil
+	}}
 	var wg sync.WaitGroup
-	shares := make([]bool, callers)
-	entries := make([]*Entry, callers)
+	served := make([]Served, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			attempted.Add(1)
-			e, shared, err := c.Do(k, func() (*Entry, error) {
-				computes.Add(1)
-				// Hold the flight open until every caller has at least
-				// reached its Do call, so they all join this computation.
-				for attempted.Load() < callers {
-					runtime.Gosched()
-				}
-				time.Sleep(20 * time.Millisecond)
-				e := testEntry(k, "s", 0)
-				c.Add(e)
-				return e, nil
-			})
+			sv, err := c.Serve(context.Background(), g, flow)
 			if err != nil {
 				t.Error(err)
 			}
-			shares[i], entries[i] = shared, e
+			served[i] = sv
 		}(i)
 	}
 	wg.Wait()
@@ -136,12 +136,12 @@ func TestSingleflightDedup(t *testing.T) {
 		t.Fatalf("%d computations for %d concurrent identical calls, want 1", got, callers)
 	}
 	leader := 0
-	for i, s := range shares {
-		if !s {
+	for _, sv := range served {
+		if !sv.Cached {
 			leader++
 		}
-		if entries[i] != entries[0] {
-			t.Fatal("callers did not share one entry")
+		if sv.Result != served[0].Result {
+			t.Fatal("callers did not share one result")
 		}
 	}
 	if leader != 1 {
@@ -155,15 +155,118 @@ func TestSingleflightDedup(t *testing.T) {
 
 func TestSingleflightErrorPropagation(t *testing.T) {
 	c := New(0)
+	g := circuits.RandomAIG(1, 8, 100)
 	wantErr := errors.New("mapping exploded")
-	_, shared, err := c.Do(Key{5, 5}, func() (*Entry, error) { return nil, wantErr })
-	if shared || !errors.Is(err, wantErr) {
-		t.Fatalf("leader got shared=%v err=%v", shared, err)
+	failing := Flow{Sig: "s", Map: func(bool) (*mapper.Result, Snapshot, error) { return nil, nil, wantErr }}
+	if _, err := c.Serve(context.Background(), g, failing); !errors.Is(err, wantErr) {
+		t.Fatalf("leader got err=%v", err)
 	}
-	// The flight is gone afterwards: a retry runs fresh.
-	e, shared, err := c.Do(Key{5, 5}, func() (*Entry, error) { return testEntry(Key{5, 5}, "s", 0), nil })
-	if shared || err != nil || e == nil {
-		t.Fatalf("retry got shared=%v err=%v", shared, err)
+	// Nothing was cached and the flight is gone: a retry runs fresh.
+	ok := Flow{Sig: "s", Map: func(bool) (*mapper.Result, Snapshot, error) {
+		return &mapper.Result{Netlist: netlist.New("t")}, nil, nil
+	}}
+	sv, err := c.Serve(context.Background(), g, ok)
+	if sv.Cached || err != nil || sv.Result == nil {
+		t.Fatalf("retry got %+v err=%v", sv, err)
+	}
+}
+
+// fakeFlow counts the calls Serve makes into one flow.
+type fakeFlow struct {
+	maps, captures, deltas, verifies int
+	deltaOK                          bool
+}
+
+// flow maps to a fresh result; a capturing map snapshots base's cone
+// hashes, so edits of base find the entry as their nearest relative.
+func (ff *fakeFlow) flow(base *aig.AIG) Flow {
+	return Flow{
+		Sig: "sig",
+		Map: func(capture bool) (*mapper.Result, Snapshot, error) {
+			ff.maps++
+			res := &mapper.Result{Netlist: netlist.New("cold")}
+			if !capture {
+				return res, nil, nil
+			}
+			ff.captures++
+			return res, fakeSnap{hashes: base.ConeHashes()}, nil
+		},
+		Delta: func(Snapshot) (*mapper.Result, Snapshot, float64, bool) {
+			ff.deltas++
+			if !ff.deltaOK {
+				return nil, nil, 0, false
+			}
+			return &mapper.Result{Netlist: netlist.New("delta")}, nil, 0.25, true
+		},
+		Verify: func(*mapper.Result) bool { ff.verifies++; return true },
+	}
+}
+
+// TestServeFlow drives the cache front with fake flows: verify runs once
+// per fresh result and never on a hit, a refused delta falls back to a
+// cold map, an ECO result is cached, a flow without Delta captures no
+// snapshot, and a nil cache runs Map and Verify only.
+func TestServeFlow(t *testing.T) {
+	c := New(0)
+	ctx := context.Background()
+	base := circuits.BoothMultiplier(4)
+	ff := &fakeFlow{}
+	f := ff.flow(base)
+
+	sv, err := c.Serve(ctx, base, f)
+	if err != nil || sv.Cached || sv.ECO || !sv.Verified {
+		t.Fatalf("cold serve %+v err %v", sv, err)
+	}
+	if ff.maps != 1 || ff.captures != 1 || ff.deltas != 0 || ff.verifies != 1 {
+		t.Fatalf("cold serve ran %+v", *ff)
+	}
+	if sv, err = c.Serve(ctx, base, f); err != nil || !sv.Cached || !sv.Verified || ff.maps != 1 || ff.verifies != 1 {
+		t.Fatalf("repeat %+v err %v ran %+v, want a hit with no work", sv, err, *ff)
+	}
+
+	// A delta that refuses the snapshot falls back to a cold map.
+	sv, err = c.Serve(ctx, circuits.PerturbSpan(base, 7, 0.9, 1.0, 0.3), f)
+	if err != nil || sv.ECO || sv.Cached || sv.Dirty != 0 {
+		t.Fatalf("refused delta served %+v err %v", sv, err)
+	}
+	if ff.deltas != 1 || ff.maps != 2 || ff.verifies != 2 {
+		t.Fatalf("refused delta ran %+v, want one delta then a cold map", *ff)
+	}
+
+	// An accepted delta is the answer, and it is cached.
+	ff.deltaOK = true
+	edit := circuits.PerturbSpan(base, 8, 0.9, 1.0, 0.3)
+	sv, err = c.Serve(ctx, edit, f)
+	if err != nil || !sv.ECO || sv.Dirty != 0.25 || !sv.Verified {
+		t.Fatalf("eco serve %+v err %v", sv, err)
+	}
+	if ff.deltas != 2 || ff.maps != 2 || ff.verifies != 3 {
+		t.Fatalf("eco serve ran %+v", *ff)
+	}
+	sv, err = c.Serve(ctx, edit, f)
+	if err != nil || !sv.Cached || sv.ECO || ff.deltas != 2 || ff.verifies != 3 {
+		t.Fatalf("eco resubmission %+v err %v ran %+v, want a hit", sv, err, *ff)
+	}
+	if st := c.Stats(); st.ECOHits != 1 || st.Entries != 3 || st.Snapshots != 2 {
+		t.Fatalf("stats %+v, want 1 eco hit, 3 entries, 2 snapshots", st)
+	}
+
+	// Without Delta nothing reads a snapshot, so none is captured.
+	f.Delta = nil
+	if _, err := c.Serve(ctx, circuits.RandomAIG(3, 8, 100), f); err != nil || ff.captures != 2 || c.Stats().Snapshots != 2 {
+		t.Fatalf("delta-less flow captured: err %v ran %+v", err, *ff)
+	}
+
+	// A nil cache maps and verifies, nothing else.
+	var none *Cache
+	ff = &fakeFlow{deltaOK: true}
+	for i := 0; i < 2; i++ {
+		if sv, err = none.Serve(ctx, base, ff.flow(base)); err != nil || sv.Cached || sv.ECO || !sv.Verified {
+			t.Fatalf("nil-cache serve %+v err %v", sv, err)
+		}
+	}
+	if ff.maps != 2 || ff.captures != 0 || ff.deltas != 0 || ff.verifies != 2 {
+		t.Fatalf("nil-cache serves ran %+v, want two plain maps", *ff)
 	}
 }
 
@@ -198,14 +301,14 @@ func TestNearestPicksBestOverlap(t *testing.T) {
 	for j := range query {
 		query[j] = uint64(j) + 1000
 	}
-	best := c.Nearest("sig", query)
+	best := c.nearest("sig", query)
 	if best == nil || best.Key != (Key{2, 2}) {
 		t.Fatalf("Nearest returned %+v, want entry 2", best)
 	}
-	if c.Nearest("nosuchsig", query) != nil {
+	if c.nearest("nosuchsig", query) != nil {
 		t.Fatal("Nearest matched across signatures")
 	}
-	if c.Nearest("sig", query[:10]) == nil {
+	if c.nearest("sig", query[:10]) == nil {
 		// A short query fully contained in a baseline still overlaps 100%.
 		t.Fatal("subset query found nothing")
 	}
@@ -221,7 +324,7 @@ func TestFlightGeneric(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			attempted.Add(1)
-			v, _, err := f.Do(Key{1, 1}, func() (string, error) {
+			v, _, err := f.Do(context.Background(), Key{1, 1}, func() (string, error) {
 				n.Add(1)
 				for attempted.Load() < 4 {
 					runtime.Gosched()
@@ -246,5 +349,105 @@ func TestFlightGeneric(t *testing.T) {
 		if r != "computed-1" {
 			t.Fatalf("result %q not shared", r)
 		}
+	}
+}
+
+// TestFlightLeaderPanic pins that a panicking leader does not wedge its
+// key: its follower gets an error, the panic goes on up the leader's
+// stack, and a later call runs fresh.
+func TestFlightLeaderPanic(t *testing.T) {
+	f := NewFlight[int]()
+	ctx := context.Background()
+	k := Key{3, 3}
+	entered, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		f.Do(ctx, k, func() (int, error) {
+			close(entered)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-entered
+	followerErr := make(chan error, 1)
+	go func() {
+		_, _, err := f.Do(ctx, k, func() (int, error) { return 1, nil })
+		followerErr <- err
+	}()
+	for f.Joined() == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	if p := <-panicked; p != "boom" {
+		t.Fatalf("leader recovered %v, want its own panic", p)
+	}
+	select {
+	case err := <-followerErr:
+		if err == nil {
+			t.Fatal("follower of a panicking leader got no error")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower of a panicking leader still waits")
+	}
+
+	fresh := make(chan int, 1)
+	go func() {
+		v, _, _ := f.Do(ctx, k, func() (int, error) { return 2, nil })
+		fresh <- v
+	}()
+	select {
+	case v := <-fresh:
+		if v != 2 {
+			t.Fatalf("later call got %d, want its own 2", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("key wedged after its leader panicked")
+	}
+}
+
+// TestFlightFollowerContext pins that followers live by their own
+// context: one whose deadline passes stops waiting, and a live one whose
+// leader ended with a context error runs the flight itself.
+func TestFlightFollowerContext(t *testing.T) {
+	f := NewFlight[int]()
+	k := Key{4, 4}
+	entered, release, leaderDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		f.Do(context.Background(), k, func() (int, error) {
+			close(entered)
+			<-release
+			return 0, fmt.Errorf("leader: %w", context.DeadlineExceeded)
+		})
+	}()
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, shared, err := f.Do(ctx, k, func() (int, error) { return 1, nil }); shared || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired follower got shared=%v err=%v, want its own deadline", shared, err)
+	}
+
+	got := make(chan int, 1)
+	go func() {
+		v, shared, err := f.Do(context.Background(), k, func() (int, error) { return 2, nil })
+		if shared || err != nil {
+			t.Errorf("live follower got shared=%v err=%v, want its own run", shared, err)
+		}
+		got <- v
+	}()
+	for f.Joined() < 2 {
+		runtime.Gosched()
+	}
+	close(release)
+	<-leaderDone
+	select {
+	case v := <-got:
+		if v != 2 {
+			t.Fatalf("live follower got %d, want its own 2", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("live follower never ran the flight")
 	}
 }

@@ -7,15 +7,14 @@ import (
 	"net/http"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"slap/internal/aig"
 	"slap/internal/circuits"
-	"slap/internal/cuts"
-	"slap/internal/library"
-	"slap/internal/mapper"
 )
 
 func aagText(t *testing.T, g *aig.AIG) string {
@@ -111,80 +110,130 @@ func TestMapResultCacheRepeat(t *testing.T) {
 	}
 }
 
-// TestMapResultCacheECO pins the server-side ECO: after a baseline mapping
-// is cached, submitting a locally edited variant is served by
-// delta-remapping — the response says so, the dirty fraction is a proper
-// fraction, the netlist is byte-identical to a cold map of the edit, and
-// slap_mapcache_eco_hits ticks.
+// TestMapResultCacheECO pins the server-side ECO for a mapper policy and
+// for SLAP: after a baseline mapping is cached, submitting a locally
+// edited variant is served by delta-remapping — the response says so, the
+// dirty fraction is a proper fraction, the netlist is byte-identical to a
+// cold map of the edit, slap_mapcache_eco_hits ticks, and the ECO result
+// is itself cached.
 func TestMapResultCacheECO(t *testing.T) {
-	_, ts := newTestServer(t, Config{ResultCacheBytes: -1, ECO: true})
-	base := circuits.BoothMultiplier(5)
-	edited := circuits.PerturbSpan(base, 7, 0.9, 1.0, 0.3)
+	for _, tc := range []struct {
+		policy string
+		base   *aig.AIG
+	}{
+		{"default", circuits.BoothMultiplier(5)},
+		// SLAP's delta also needs the edit to keep the graph depth, which
+		// this late-span Booth-6 edit does.
+		{"slap", circuits.BoothMultiplier(6)},
+	} {
+		t.Run(tc.policy, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{ResultCacheBytes: -1, ECO: true})
+			q := "policy=" + tc.policy + "&model=toy&netlist=blif&verify=1"
+			edited := aagText(t, circuits.PerturbSpan(tc.base, 7, 0.9, 1.0, 0.3))
+			mapQuery(t, ts.URL, q, aagText(t, tc.base))
+			got := mapQuery(t, ts.URL, q, edited)
+			if !got.ECO || got.Cached {
+				t.Fatalf("edited submission not ECO-served: %+v", got)
+			}
+			if got.DirtyFraction <= 0 || got.DirtyFraction >= 1 {
+				t.Fatalf("dirty fraction %v, want in (0, 1)", got.DirtyFraction)
+			}
+			if !got.Verified {
+				t.Fatal("ECO response lost the verify bit")
+			}
 
-	resp, data := postJSON(t, ts.URL+"/v1/map", map[string]any{
-		"circuit": aagText(t, base), "policy": "default", "verify": true,
-	})
+			// Byte-identity against a cold map on a server without a cache.
+			_, cold := newTestServer(t, Config{})
+			if want := mapQuery(t, cold.URL, q, edited); got.Netlist != want.Netlist || got.Area != want.Area || got.Delay != want.Delay {
+				t.Fatal("ECO netlist differs from cold map of the edited design")
+			}
+
+			if eco := scrapeCounter(t, ts.URL, "slap_mapcache_eco_hits"); eco != 1 {
+				t.Fatalf("slap_mapcache_eco_hits = %d, want 1", eco)
+			}
+			if n := scrapeCounter(t, ts.URL, "slap_eco_dirty_fraction_count"); n != 1 {
+				t.Fatalf("slap_eco_dirty_fraction_count = %d, want 1", n)
+			}
+
+			// Resubmitting the edit is now an exact hit.
+			if warm := mapQuery(t, ts.URL, q, edited); !warm.Cached || warm.ECO || warm.Netlist != got.Netlist {
+				t.Fatalf("edited resubmission not an exact hit: cached=%v eco=%v", warm.Cached, warm.ECO)
+			}
+		})
+	}
+}
+
+// mapQuery posts circuit to /v1/map with the given query and decodes the
+// 200 answer.
+func mapQuery(t *testing.T, url, query, circuit string) MapResponse {
+	t.Helper()
+	resp, data := postRaw(t, url+"/v1/map?"+query, circuit)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
+		t.Fatalf("%s: status %d: %s", query, resp.StatusCode, data)
 	}
+	var mr MapResponse
+	if err := json.Unmarshal(data, &mr); err != nil {
+		t.Fatal(err)
+	}
+	return mr
+}
 
-	resp, data = postJSON(t, ts.URL+"/v1/map", map[string]any{
-		"circuit": aagText(t, edited), "policy": "default", "netlist": "blif", "verify": true,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
+// TestMapResultCacheRounds pins rounds in the cache key: the same design
+// at rounds=1 and rounds=4 both miss, only the single-round entry carries
+// an ECO snapshot, and resubmitting the multi-round request hits.
+func TestMapResultCacheRounds(t *testing.T) {
+	rc16 := rc16Text(t)
+	for _, tc := range []struct{ name, query string }{
+		{"default", "policy=default"},
+		{"slap", "policy=slap&model=toy"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestServer(t, Config{ResultCacheBytes: -1, ECO: true})
+			if one := mapQuery(t, ts.URL, tc.query+"&rounds=1", rc16); one.Cached || one.RoundsRun != 0 {
+				t.Fatalf("single-round submission: %+v", one)
+			}
+			four := mapQuery(t, ts.URL, tc.query+"&rounds=4", rc16)
+			if four.Cached {
+				t.Fatal("multi-round request was served the single-round cached result")
+			}
+			if four.RoundsRun != 4 || len(four.RoundStats) != 4 {
+				t.Fatalf("multi-round QoR does not reflect the config: %+v", four)
+			}
+			if st := srv.cache.Stats(); st.Misses != 2 || st.Entries != 2 || st.Snapshots != 1 {
+				t.Fatalf("cache stats %+v, want 2 misses, 2 entries, 1 snapshot", st)
+			}
+			if again := mapQuery(t, ts.URL, tc.query+"&rounds=4", rc16); !again.Cached || again.Area != four.Area {
+				t.Fatal("equal multi-round resubmission missed the cache")
+			}
+		})
 	}
-	var got MapResponse
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !got.ECO || got.Cached {
-		t.Fatalf("edited submission not ECO-served: %+v", got)
-	}
-	if got.DirtyFraction <= 0 || got.DirtyFraction >= 1 {
-		t.Fatalf("dirty fraction %v, want in (0, 1)", got.DirtyFraction)
-	}
-	if !got.Verified {
-		t.Fatal("ECO response lost the verify bit")
-	}
+}
 
-	// Byte-identity against a cold map of the same round-tripped graph.
-	g2, err := aig.Decode(aig.FormatAAG, bytes.NewReader([]byte(aagText(t, edited))))
-	if err != nil {
-		t.Fatal(err)
+// TestMapChoicesHitTakesNoView pins that a result-cache hit of a
+// choices=1 mapping takes no choice view: with the view cache off, the
+// repeat is answered from the result cache and builds no second view.
+func TestMapChoicesHitTakesNoView(t *testing.T) {
+	rc16 := rc16Text(t)
+	_, ts := newTestServer(t, Config{ResultCacheBytes: -1, ChoiceCacheBytes: -1})
+	first := mapQuery(t, ts.URL, "policy=default&choices=1", rc16)
+	second := mapQuery(t, ts.URL, "policy=default&choices=1", rc16)
+	if first.Cached || !second.Cached || second.Area != first.Area {
+		t.Fatalf("cached: first %v, second %v", first.Cached, second.Cached)
 	}
-	want, err := mapper.MapStream(g2, mapper.Options{Library: library.ASAP7ish(), Policy: cuts.DefaultPolicy{}})
-	if err != nil {
-		t.Fatal(err)
+	if n := scrapeCounter(t, ts.URL, "slap_choice_builds_total"); n != 1 {
+		t.Fatalf("slap_choice_builds_total = %d, want 1 (the hit built a view)", n)
 	}
-	var buf bytes.Buffer
-	if err := want.Netlist.WriteBLIF(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got.Netlist != buf.String() {
-		t.Fatal("ECO netlist differs from cold map of the edited design")
-	}
+}
 
-	if eco := scrapeCounter(t, ts.URL, "slap_mapcache_eco_hits"); eco != 1 {
-		t.Fatalf("slap_mapcache_eco_hits = %d, want 1", eco)
-	}
-	if n := scrapeCounter(t, ts.URL, "slap_eco_dirty_fraction_count"); n != 1 {
-		t.Fatalf("slap_eco_dirty_fraction_count = %d, want 1", n)
-	}
-
-	// Resubmitting the edit is now an exact hit.
-	resp, data = postJSON(t, ts.URL+"/v1/map", map[string]any{
-		"circuit": aagText(t, edited), "policy": "default", "netlist": "blif", "verify": true,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var warm MapResponse
-	if err := json.Unmarshal(data, &warm); err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Cached || warm.Netlist != got.Netlist {
-		t.Fatalf("edited resubmission not an exact hit: cached=%v", warm.Cached)
+// TestMapNoSnapshotsWithoutECO pins that with ECO off cold maps capture
+// no snapshot: nothing would read it, and it would take cache budget.
+func TestMapNoSnapshotsWithoutECO(t *testing.T) {
+	rc16 := rc16Text(t)
+	srv, ts := newTestServer(t, Config{ResultCacheBytes: -1})
+	mapQuery(t, ts.URL, "policy=default", rc16)
+	mapQuery(t, ts.URL, "policy=slap&model=toy", rc16)
+	if st := srv.cache.Stats(); st.Entries != 2 || st.Snapshots != 0 {
+		t.Fatalf("cache stats %+v, want 2 entries and no snapshot", st)
 	}
 }
 
@@ -243,5 +292,99 @@ func TestClassifySingleflight(t *testing.T) {
 	}
 	if results[0].Cuts != results[1].Cuts || results[0].Nodes != results[1].Nodes {
 		t.Fatalf("shared classifications differ: %+v vs %+v", results[0], results[1])
+	}
+}
+
+// classifyStatus posts body to /v1/classify with the given query and
+// returns the status code; unlike postRaw it is safe off the test
+// goroutine.
+func classifyStatus(url, body, query string) int {
+	resp, err := http.Post(url+"/v1/classify?model=toy&workers=1&"+query, "text/plain", strings.NewReader(body))
+	if err != nil {
+		return 0
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestClassifyLeaderPanicFreesKey pins that a panicking classification
+// does not wedge its singleflight key: the request answers 500, and the
+// next identical request runs, answers 200 and gives its token back.
+func TestClassifyLeaderPanicFreesKey(t *testing.T) {
+	rc16 := rc16Text(t)
+	srv, ts := newTestServer(t, Config{WorkerBudget: 2})
+	var fired atomic.Bool
+	srv.faultHook = func(endpoint string) {
+		if endpoint == "classify run" && fired.CompareAndSwap(false, true) {
+			panic("injected fault in classify run")
+		}
+	}
+	if got := classifyStatus(ts.URL, rc16, ""); got != http.StatusInternalServerError {
+		t.Fatalf("panicking classification: status %d, want 500", got)
+	}
+	if got := classifyStatus(ts.URL, rc16, "timeout_ms=2000"); got != http.StatusOK {
+		t.Fatalf("classification after a panicked leader: status %d, want 200", got)
+	}
+	waitFor(t, func() bool { return srv.Scheduler().InFlight() == 0 })
+}
+
+// TestClassifyFollowerOutlivesLeader pins that a follower lives by its own
+// deadline: when the leader's 200 ms budget ends mid-run, a follower with
+// 20 s left runs the classification itself and answers 200.
+func TestClassifyFollowerOutlivesLeader(t *testing.T) {
+	rc16 := rc16Text(t)
+	srv, ts := newTestServer(t, Config{WorkerBudget: 4})
+	var runs atomic.Int64
+	srv.faultHook = func(endpoint string) {
+		if endpoint != "classify run" || runs.Add(1) != 1 {
+			return
+		}
+		// Hold the leader's run until the follower has joined and the
+		// leader's own budget is spent.
+		for deadline := time.Now().Add(5 * time.Second); srv.classify.Joined() == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(300 * time.Millisecond)
+	}
+	leader := make(chan int, 1)
+	go func() { leader <- classifyStatus(ts.URL, rc16, "timeout_ms=200") }()
+	waitFor(t, func() bool { return runs.Load() == 1 })
+	if got := classifyStatus(ts.URL, rc16, "timeout_ms=20000"); got != http.StatusOK {
+		t.Fatalf("follower: status %d, want 200", got)
+	}
+	if got := <-leader; got != http.StatusGatewayTimeout {
+		t.Fatalf("leader: status %d, want 504", got)
+	}
+}
+
+// TestClassifyExpiredFollowerFreesToken pins that a follower whose own
+// deadline passes stops waiting on the leader and gives its worker token
+// back while the leader still runs.
+func TestClassifyExpiredFollowerFreesToken(t *testing.T) {
+	rc16 := rc16Text(t)
+	srv, ts := newTestServer(t, Config{WorkerBudget: 4})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	srv.faultHook = func(endpoint string) {
+		if endpoint != "classify run" {
+			return
+		}
+		once.Do(func() { close(entered) })
+		<-release
+	}
+	var freeOnce sync.Once
+	free := func() { freeOnce.Do(func() { close(release) }) }
+	defer free()
+	leader := make(chan int, 1)
+	go func() { leader <- classifyStatus(ts.URL, rc16, "") }()
+	<-entered
+	if got := classifyStatus(ts.URL, rc16, "timeout_ms=200"); got != http.StatusGatewayTimeout {
+		t.Fatalf("follower: status %d, want 504", got)
+	}
+	waitFor(t, func() bool { return srv.Scheduler().InFlight() == 1 })
+	free()
+	if got := <-leader; got != http.StatusOK {
+		t.Fatalf("leader: status %d, want 200", got)
 	}
 }
