@@ -13,8 +13,10 @@ import (
 	"testing"
 
 	"slap/internal/aig"
+	"slap/internal/choice"
 	"slap/internal/circuits"
 	"slap/internal/core"
+	"slap/internal/cover"
 	"slap/internal/cuts"
 	"slap/internal/experiments"
 	"slap/internal/infer"
@@ -221,11 +223,11 @@ func BenchmarkEndToEndSLAPMap(b *testing.B) {
 	tr := sharedTraining(b)
 	g := circuits.ArrayMultiplier(8)
 	run := func(b *testing.B, s core.SLAP) {
-		s.Pool = cuts.NewPool(1)
+		pool := cuts.NewPool(1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.MapStreamContext(context.Background(), g); err != nil {
+			if err := slapMapPooled(&s, g, pool); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -267,14 +269,30 @@ func BenchmarkMultiRoundMap(b *testing.B) {
 			s := *tr.SLAP
 			s.Rounds = tc.rounds
 			s.Choices = tc.choices
-			s.Pool = pool
 			for i := 0; i < b.N; i++ {
-				if _, err := s.MapStreamContext(context.Background(), g); err != nil {
+				if err := slapMapPooled(&s, g, pool); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// slapMapPooled maps g as s.MapStreamContext does, building a fresh choice
+// view when s.Choices is set, with cut storage checked out of pool.
+func slapMapPooled(s *core.SLAP, g *aig.AIG, pool *cuts.Pool) error {
+	ctx := context.Background()
+	mg, ch := g, cuts.ChoiceSource(nil)
+	if s.Choices {
+		v, err := choice.BuildContext(ctx, g, s.ChoiceOpts)
+		if err != nil {
+			return err
+		}
+		mg, ch = v.G, v
+	}
+	_, err := mapper.MapStream(mg, mapper.Options{Library: s.Library, Policy: s.Policy(ctx), MergeCap: s.MergeCap,
+		Workers: s.Workers, Pool: pool, Rounds: s.Rounds, DelayFactor: s.DelayFactor, Choices: ch})
+	return err
 }
 
 // BenchmarkCoverRounds runs the priority-cuts baseline through both cover
@@ -519,9 +537,10 @@ func BenchmarkRepeatReplay(b *testing.B) {
 
 // BenchmarkECORemap measures the delta-remapping win on a ~5%-edited
 // design (localised near the POs, the shape real ECOs take): "cold" maps
-// the edited design from scratch, "delta" reuses the baseline snapshot and
-// re-runs classification only on the dirty cone. Both produce byte-
-// identical netlists (pinned by TestSlapMapDeltaByteIdentical).
+// the edited design from scratch, "delta" reuses the baseline snapshot,
+// re-runs classification only on the dirty cone and captures the snapshot
+// the next edit would chain to, as the server's cache front does. Both
+// produce byte-identical netlists (pinned by TestSlapMapDeltaByteIdentical).
 func BenchmarkECORemap(b *testing.B) {
 	tr := sharedTraining(b)
 	s := tr.SLAP
@@ -530,8 +549,11 @@ func BenchmarkECORemap(b *testing.B) {
 	// 5% of the design overall.
 	edited := circuits.PerturbSpan(base, 11, 0.9, 1, 0.5)
 	ctx := context.Background()
-	_, snap, err := s.MapStreamCaptureContext(ctx, base)
-	if err != nil {
+	opt := mapper.Options{Library: s.Library, Policy: s.Policy(ctx), Workers: s.Workers}
+	snap := cover.NewSnapshot(base, opt.Policy, 0)
+	capOpt := opt
+	capOpt.CaptureCuts = snap.Capture
+	if _, err := mapper.MapStream(base, capOpt); err != nil {
 		b.Fatal(err)
 	}
 
@@ -547,7 +569,9 @@ func BenchmarkECORemap(b *testing.B) {
 		b.ReportAllocs()
 		var dirty float64
 		for i := 0; i < b.N; i++ {
-			_, _, st, err := s.MapDeltaContext(ctx, edited, snap)
+			dopt := opt
+			dopt.CaptureCuts = cover.NewSnapshot(edited, opt.Policy, 0).Capture
+			_, st, err := mapper.MapDelta(edited, dopt, snap)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -39,6 +39,7 @@ import (
 	"slap/internal/aig"
 	"slap/internal/choice"
 	"slap/internal/core"
+	"slap/internal/cover"
 	"slap/internal/cuts"
 	"slap/internal/experiments"
 	"slap/internal/infer"
@@ -113,29 +114,25 @@ func (cfg runConfig) choiceOptions() choice.Options {
 }
 
 func run(cfg runConfig) error {
-	circuitName, aagPath, policyName := cfg.circuit, cfg.aag, cfg.policy
-	modelPath, libPath := cfg.model, cfg.lib
-	seed, limit := cfg.seed, cfg.limit
-	if limit < 0 {
-		return fmt.Errorf("-limit must be non-negative, got %d", limit)
+	if cfg.limit < 0 {
+		return fmt.Errorf("-limit must be non-negative, got %d", cfg.limit)
 	}
-	listNames := cfg.list
 	profile, err := experiments.ByName(cfg.profile)
 	if err != nil {
 		return err
 	}
-	if listNames {
+	if cfg.list {
 		for _, d := range experiments.Designs(profile) {
 			fmt.Println(d.Name)
 		}
 		return nil
 	}
 
-	lib, err := loadLibrary(libPath)
+	lib, err := loadLibrary(cfg.lib)
 	if err != nil {
 		return err
 	}
-	g, err := loadCircuit(circuitName, aagPath, profile, cfg.stdin)
+	g, err := loadCircuit(cfg.circuit, cfg.aag, profile, cfg.stdin)
 	if err != nil {
 		return err
 	}
@@ -152,6 +149,11 @@ func run(cfg runConfig) error {
 		}
 		return printResult(cfg, g, res)
 	}
+	policy, done, err := cutPolicy(cfg, lib)
+	if err != nil {
+		return err
+	}
+	defer done()
 	// -choices maps a combined choice view instead of the subject graph; the
 	// view shares the subject's PIs/POs, so verification below still runs
 	// against the original circuit.
@@ -161,65 +163,49 @@ func run(cfg runConfig) error {
 		v := choice.Build(g, cfg.choiceOptions())
 		mg, chSrc = v.G, v
 	}
-	opt := mapper.Options{
-		Library: lib, Workers: cfg.workers,
+	res, err = mapper.MapStream(mg, mapper.Options{
+		Library: lib, Policy: policy, Workers: cfg.workers,
 		Rounds: cfg.rounds, DelayFactor: cfg.delayFactor, Choices: chSrc,
-	}
-	switch policyName {
-	case "default":
-		opt.Policy = cuts.DefaultPolicy{Limit: limit}
-		res, err = mapper.MapStream(mg, opt)
-	case "unlimited":
-		opt.Policy = cuts.UnlimitedPolicy{}
-		res, err = mapper.MapStream(mg, opt)
-	case "shuffle":
-		opt.Policy = &cuts.ShufflePolicy{
-			Rng:   rand.New(rand.NewSource(seed)),
-			Limit: limit,
-		}
-		res, err = mapper.MapStream(mg, opt)
-	case "slap":
-		s, done, serr := newSLAP(cfg, modelPath, lib)
-		if serr != nil {
-			return serr
-		}
-		defer done()
-		s.Rounds = cfg.rounds
-		s.DelayFactor = cfg.delayFactor
-		s.Choices = cfg.choices
-		s.ChoiceOpts = cfg.choiceOptions()
-		res, err = s.MapStreamContext(context.Background(), g)
-	default:
-		return fmt.Errorf("unknown policy %q", policyName)
-	}
+	})
 	if err != nil {
 		return err
 	}
 	return printResult(cfg, g, res)
 }
 
-// newSLAP loads the -model classifier into a SLAP flow with the -workers
-// and -batch settings. The returned function closes the inference
-// coalescer.
-func newSLAP(cfg runConfig, modelPath string, lib *library.Library) (*core.SLAP, func(), error) {
-	if modelPath == "" {
-		return nil, nil, fmt.Errorf("-policy slap requires -model (train one with slap-train)")
+// cutPolicy builds the -policy cut policy; for slap, the keep decision of
+// the -model classifier with the -workers and -batch settings. The
+// returned function releases what the policy holds (the inference
+// coalescer).
+func cutPolicy(cfg runConfig, lib *library.Library) (cuts.Policy, func(), error) {
+	switch cfg.policy {
+	case "default":
+		return cuts.DefaultPolicy{Limit: cfg.limit}, func() {}, nil
+	case "unlimited":
+		return cuts.UnlimitedPolicy{}, func() {}, nil
+	case "shuffle":
+		return &cuts.ShufflePolicy{Rng: rand.New(rand.NewSource(cfg.seed)), Limit: cfg.limit}, func() {}, nil
+	case "slap":
+		if cfg.model == "" {
+			return nil, nil, fmt.Errorf("-policy slap requires -model (train one with slap-train)")
+		}
+		model, err := nn.LoadFile(cfg.model)
+		if err != nil {
+			return nil, nil, err
+		}
+		s := core.New(model, lib)
+		s.Workers = cfg.workers
+		if cfg.batch < 0 {
+			return s.Policy(context.Background()), func() {}, nil
+		}
+		// Each mapping worker classifies a node's cuts in forward passes on
+		// its own goroutine. The kernels keep the per-sample operation
+		// order: QoR is identical to per-sample inference.
+		co := infer.NewCoalescer(infer.NewEngine(model, infer.Options{}), infer.CoalescerOptions{MaxBatch: cfg.batch})
+		s.Batch = co
+		return s.Policy(context.Background()), co.Close, nil
 	}
-	model, err := nn.LoadFile(modelPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	s := core.New(model, lib)
-	s.Workers = cfg.workers
-	if cfg.batch < 0 {
-		return s, func() {}, nil
-	}
-	// Each mapping worker classifies a node's cuts in forward passes on its
-	// own goroutine. The kernels keep the per-sample operation order: QoR is
-	// identical to per-sample inference.
-	co := infer.NewCoalescer(infer.NewEngine(model, infer.Options{}), infer.CoalescerOptions{MaxBatch: cfg.batch})
-	s.Batch = co
-	return s, co.Close, nil
+	return nil, nil, fmt.Errorf("unknown policy %q", cfg.policy)
 }
 
 // printResult renders the QoR block shared by the cold-map and ECO flows.
@@ -279,55 +265,34 @@ func runECO(cfg runConfig, g *aig.AIG, lib *library.Library) (*mapper.Result, er
 	}
 	fmt.Printf("baseline: %s\n", base.Stats())
 
-	switch cfg.policy {
-	case "default", "unlimited":
-		var p cuts.Policy = cuts.DefaultPolicy{Limit: cfg.limit}
-		if cfg.policy == "unlimited" {
-			p = cuts.UnlimitedPolicy{}
-		}
-		opt := mapper.Options{Library: lib, Policy: p, Workers: cfg.workers}
-		snap := mapper.NewSnapshot(base, opt)
-		capOpt := opt
-		capOpt.CaptureCuts = snap.Capture
-		t0 := time.Now()
-		if _, err := mapper.MapStream(base, capOpt); err != nil {
-			return nil, fmt.Errorf("mapping baseline: %w", err)
-		}
-		baseD := time.Since(t0)
-		t1 := time.Now()
-		res, st, err := mapper.MapDelta(g, opt, snap)
-		if err != nil {
-			return nil, fmt.Errorf("delta remap: %w", err)
-		}
-		printDelta(st, baseD, time.Since(t1))
-		return res, nil
-	case "slap":
-		s, done, err := newSLAP(cfg, cfg.model, lib)
-		if err != nil {
-			return nil, err
-		}
-		defer done()
-		ctx := context.Background()
-		t0 := time.Now()
-		_, snap, err := s.MapStreamCaptureContext(ctx, base)
-		if err != nil {
-			return nil, fmt.Errorf("mapping baseline: %w", err)
-		}
-		baseD := time.Since(t0)
-		t1 := time.Now()
-		res, _, st, err := s.MapDeltaContext(ctx, g, snap)
-		if err != nil {
-			return nil, fmt.Errorf("delta remap: %w", err)
-		}
-		printDelta(st, baseD, time.Since(t1))
-		return res, nil
-	default:
+	policy, done, err := cutPolicy(cfg, lib)
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+	snap := cover.NewSnapshot(base, policy, 0)
+	if snap == nil {
 		return nil, fmt.Errorf("policy %q is not ECO-eligible (want default, unlimited or slap)", cfg.policy)
 	}
+	opt := mapper.Options{Library: lib, Policy: policy, Workers: cfg.workers}
+	capOpt := opt
+	capOpt.CaptureCuts = snap.Capture
+	t0 := time.Now()
+	if _, err := mapper.MapStream(base, capOpt); err != nil {
+		return nil, fmt.Errorf("mapping baseline: %w", err)
+	}
+	baseD := time.Since(t0)
+	t1 := time.Now()
+	res, st, err := mapper.MapDelta(g, opt, snap)
+	if err != nil {
+		return nil, fmt.Errorf("delta remap: %w", err)
+	}
+	printDelta(st, baseD, time.Since(t1))
+	return res, nil
 }
 
 // printDelta summarises how much of the baseline's work the delta reused.
-func printDelta(st *mapper.DeltaStats, baseD, deltaD time.Duration) {
+func printDelta(st *cover.DeltaStats, baseD, deltaD time.Duration) {
 	fmt.Printf("eco:     baseline mapped in %s, delta remap in %s\n",
 		baseD.Round(time.Millisecond), deltaD.Round(time.Millisecond))
 	fmt.Printf("         dirty %d/%d ANDs (%.1f%%), %d cuts reused\n",

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"slap/internal/aig"
 	"slap/internal/circuits"
 	"slap/internal/core"
 	"slap/internal/library"
@@ -74,8 +75,9 @@ func TestRunStdinInput(t *testing.T) {
 	}
 }
 
-func TestRunSLAPPolicy(t *testing.T) {
-	dir := t.TempDir()
+// trainModel trains a tiny classifier and saves it under dir.
+func trainModel(t *testing.T, dir string) string {
+	t.Helper()
 	modelPath := filepath.Join(dir, "model.gob")
 	s, _, err := core.Train(core.TrainOptions{
 		Library:        library.ASAP7ish(),
@@ -90,8 +92,100 @@ func TestRunSLAPPolicy(t *testing.T) {
 	if err := s.Model.SaveFile(modelPath); err != nil {
 		t.Fatal(err)
 	}
+	return modelPath
+}
+
+func TestRunSLAPPolicy(t *testing.T) {
+	modelPath := trainModel(t, t.TempDir())
 	if err := run(runConfig{circuit: "rc64b", profile: "fast", policy: "slap", model: modelPath, seed: 1, verify: true}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func writeAAGFile(t *testing.T, path string, g *aig.AIG) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.WriteAAG(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// resultBlock runs cfg and returns the QoR block it prints: policy, area,
+// delay, ADP, cell count and the cut counters.
+func resultBlock(t *testing.T, cfg runConfig) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	err = run(cfg)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatalf("%+v: %v", cfg, err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var block []string
+	for _, line := range strings.Split(string(out), "\n") {
+		for _, p := range []string{"policy:", "area:", "delay:", "ADP:", "cells:", "cuts:"} {
+			if strings.HasPrefix(line, p) {
+				block = append(block, line)
+			}
+		}
+	}
+	return strings.Join(block, "\n")
+}
+
+// TestRunBaselineECO drives the offline ECO: delta-remapping a late-span
+// edit against its baseline must print the QoR and cut counters, peak
+// included, and write the BLIF of a cold map of the edit, under a
+// cone-local policy and under slap; -baseline must refuse what it cannot
+// delta-remap.
+func TestRunBaselineECO(t *testing.T) {
+	dir := t.TempDir()
+	modelPath := trainModel(t, dir)
+	base := circuits.BoothMultiplier(6)
+	basePath, editedPath := filepath.Join(dir, "base.aag"), filepath.Join(dir, "edited.aag")
+	writeAAGFile(t, basePath, base)
+	writeAAGFile(t, editedPath, circuits.PerturbSpan(base, 7, 0.9, 1.0, 0.3))
+
+	for _, policy := range []string{"default", "slap"} {
+		cold, eco := filepath.Join(dir, policy+"-cold.blif"), filepath.Join(dir, policy+"-eco.blif")
+		cfg := runConfig{aag: editedPath, profile: "fast", policy: policy, model: modelPath, seed: 1, verify: true, blif: cold}
+		wantBlock := resultBlock(t, cfg)
+		cfg.baseline, cfg.blif = basePath, eco
+		if got := resultBlock(t, cfg); got != wantBlock {
+			t.Fatalf("%s: -baseline printed\n%s\nwant\n%s", policy, got, wantBlock)
+		}
+		want, err := os.ReadFile(cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(eco)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, got) {
+			t.Fatalf("%s: -baseline BLIF differs from the cold map's", policy)
+		}
+	}
+
+	for _, cfg := range []runConfig{
+		{policy: "shuffle"},
+		{policy: "default", rounds: 2},
+	} {
+		cfg.aag, cfg.baseline, cfg.profile, cfg.seed = editedPath, basePath, "fast", 1
+		if err := run(cfg); err == nil {
+			t.Errorf("-baseline with %+v: want an error", cfg)
+		}
 	}
 }
 

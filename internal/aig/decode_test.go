@@ -133,6 +133,72 @@ func TestDecodeAllocBytes(t *testing.T) {
 	}
 }
 
+// TestDecodeHostileHeaders bounds what a short AIGER body with hostile
+// header counts costs: every table grows with what the body delivers, so
+// each decode allocates under 1 MiB whether it succeeds or fails.
+func TestDecodeHostileHeaders(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{"aag 67108864 0 0 0 0\n", true},
+		{"aag 67108864 67108864 0 0 0\n", false},
+		{"aag 67108864 0 0 67108864 0\n", false},
+		// One input at the far end of the variable range.
+		{"aag 67108864 1 0 1 0\n134217728\n134217729\n", true},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeAuto(strings.NewReader(tc.body))
+		runtime.ReadMemStats(&after)
+		if (err == nil) != tc.ok {
+			t.Errorf("%q: err = %v, want ok %v", tc.body, err, tc.ok)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("%q: decoding allocated %d bytes, want under 1 MiB", tc.body, n)
+		}
+	}
+}
+
+// TestReadAAGSparseVariables decodes a file whose variables are numbered
+// far apart and defined out of order: the sparse and dense
+// tables must resolve every literal as one table would.
+func TestReadAAGSparseVariables(t *testing.T) {
+	body := "aag 100000 3 0 2 2\n200000\n4\n150000\n7\n9\n6 4 200001\n8 6 150000\n"
+	g, err := ReadAAG(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumPIs() != 3 || g.NumPOs() != 2 || g.NumAnds() != 2 {
+		t.Fatalf("decoded %d PIs, %d POs, %d ANDs", g.NumPIs(), g.NumPOs(), g.NumAnds())
+	}
+	// PIs in file order: x (200000), y (4), z (150000). o0 = !(y & !x),
+	// o1 = !(y & !x & z).
+	for m := uint64(0); m < 8; m++ {
+		x, y, z := m&1 == 1, m&2 == 2, m&4 == 4
+		ins := []uint64{0, 0, 0}
+		for i, b := range []bool{x, y, z} {
+			if b {
+				ins[i] = ^uint64(0)
+			}
+		}
+		out := g.Simulate(ins)
+		want0 := !(y && !x)
+		want1 := !(y && !x && z)
+		if (out[0] != 0) != want0 || (out[1] != 0) != want1 {
+			t.Fatalf("x=%v y=%v z=%v: outputs %x %x, want %v %v", x, y, z, out[0], out[1], want0, want1)
+		}
+	}
+	for _, bad := range []string{
+		"aag 100000 1 0 1 0\n200000\n200003\n", // literal beyond maxVar
+		"aag 100000 1 0 1 0\n200000\n199998\n", // in range, never defined
+	} {
+		if _, err := ReadAAG(strings.NewReader(bad)); err == nil {
+			t.Errorf("%q decoded", bad)
+		}
+	}
+}
+
 // TestScanLitsAgreesWithStrconv checks the in-place literal scanner on the
 // edge cases of the strconv path it stands in for: a line it accepts must
 // give the same values there, and an ASCII line strconv accepts must not

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"slap/internal/circuits"
+	"slap/internal/cover"
 	"slap/internal/embed"
 	"slap/internal/library"
+	"slap/internal/mapper"
 	"slap/internal/nn"
 )
 
@@ -31,8 +33,10 @@ func TestMapContextCancellation(t *testing.T) {
 	if _, err := s.MapLUTStreamContext(ctx, g); !errors.Is(err, context.Canceled) {
 		t.Errorf("MapLUTStreamContext(cancelled) err = %v, want context.Canceled", err)
 	}
-	if _, _, err := s.MapStreamCaptureContext(ctx, g); !errors.Is(err, context.Canceled) {
-		t.Errorf("MapStreamCaptureContext(cancelled) err = %v, want context.Canceled", err)
+	opt := slapOptions(ctx, s)
+	opt.CaptureCuts = cover.NewSnapshot(g, opt.Policy, opt.MergeCap).Capture
+	if _, err := mapper.MapStream(g, opt); !errors.Is(err, context.Canceled) {
+		t.Errorf("capturing MapStream(cancelled) err = %v, want context.Canceled", err)
 	}
 	if _, err := s.ClassifyContext(ctx, g); !errors.Is(err, context.Canceled) {
 		t.Errorf("ClassifyContext(cancelled) err = %v, want context.Canceled", err)

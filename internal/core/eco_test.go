@@ -6,7 +6,9 @@ import (
 	"errors"
 	"testing"
 
+	"slap/internal/aig"
 	"slap/internal/circuits"
+	"slap/internal/cover"
 	"slap/internal/mapper"
 )
 
@@ -28,31 +30,58 @@ func requireSameSlapResult(t *testing.T, name string, full, delta *mapper.Result
 		t.Fatalf("%s: QoR differs: full (%v, %v, %v), delta (%v, %v, %v)", name,
 			full.Area, full.Delay, full.EstimatedDelay, delta.Area, delta.Delay, delta.EstimatedDelay)
 	}
-	if full.CutsConsidered != delta.CutsConsidered || full.MatchAttempts != delta.MatchAttempts {
-		t.Fatalf("%s: counters differ: cuts %d/%d, attempts %d/%d", name,
-			full.CutsConsidered, delta.CutsConsidered, full.MatchAttempts, delta.MatchAttempts)
+	if full.CutsConsidered != delta.CutsConsidered || full.MatchAttempts != delta.MatchAttempts || full.PeakCuts != delta.PeakCuts {
+		t.Fatalf("%s: counters differ: cuts %d/%d, attempts %d/%d, peak %d/%d", name,
+			full.CutsConsidered, delta.CutsConsidered, full.MatchAttempts, delta.MatchAttempts, full.PeakCuts, delta.PeakCuts)
 	}
 	if delta.PolicyName != "slap" {
 		t.Fatalf("%s: policy %q, want slap", name, delta.PolicyName)
 	}
 }
 
+// slapOptions maps with s's keep decision, as the server's flow does.
+func slapOptions(ctx context.Context, s *SLAP) mapper.Options {
+	return mapper.Options{Library: s.Library, Policy: s.Policy(ctx), MergeCap: s.MergeCap, Workers: s.Workers}
+}
+
+// slapCapture maps g under s and captures its ECO snapshot.
+func slapCapture(t *testing.T, ctx context.Context, s *SLAP, g *aig.AIG) (*mapper.Result, *cover.Snapshot) {
+	t.Helper()
+	opt := slapOptions(ctx, s)
+	snap := cover.NewSnapshot(g, opt.Policy, opt.MergeCap)
+	opt.CaptureCuts = snap.Capture
+	res, err := mapper.MapStream(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, snap
+}
+
+// slapDelta delta-remaps g under s against snap, capturing the snapshot
+// the next edit chains to.
+func slapDelta(ctx context.Context, s *SLAP, g *aig.AIG, snap *cover.Snapshot) (*mapper.Result, *cover.Snapshot, *cover.DeltaStats, error) {
+	opt := slapOptions(ctx, s)
+	next := cover.NewSnapshot(g, opt.Policy, opt.MergeCap)
+	opt.CaptureCuts = next.Capture
+	res, st, err := mapper.MapDelta(g, opt, snap)
+	return res, next, st, err
+}
+
 // TestSlapMapDeltaByteIdentical pins the SLAP-level ECO: delta-remapping an
 // edited design against a captured baseline reproduces the full flow's
-// result byte-for-byte while re-running inference on the dirty cone only,
-// across worker counts and for both capture flows: the fused capture of
-// MapStreamCaptureContext, and the two-phase capture MapDeltaContext chains
-// (remapping the baseline against its own fused snapshot re-captures it
-// from materialised lists).
+// result byte-for-byte, enumeration peak included, while re-running
+// inference on the dirty cone only, across worker counts and for both
+// ways a snapshot is captured: by a cold map, and chained by a delta remap
+// (remapping the baseline against its own snapshot re-captures it).
 func TestSlapMapDeltaByteIdentical(t *testing.T) {
 	base := circuits.BoothMultiplier(6)
 	edited := circuits.Perturb(base, 7, 0.03)
 	ctx := context.Background()
 
-	for _, streaming := range []bool{false, true} {
+	for _, cold := range []bool{false, true} {
 		for _, workers := range []int{1, 4} {
-			name := "twophase"
-			if streaming {
+			name := "chained"
+			if cold {
 				name = "stream"
 			}
 			if workers > 1 {
@@ -62,12 +91,10 @@ func TestSlapMapDeltaByteIdentical(t *testing.T) {
 				s := untrained(3)
 				s.Workers = workers
 
-				_, snap, err := s.MapStreamCaptureContext(ctx, base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !streaming {
-					if _, snap, _, err = s.MapDeltaContext(ctx, base, snap); err != nil {
+				_, snap := slapCapture(t, ctx, s, base)
+				if !cold {
+					var err error
+					if _, snap, _, err = slapDelta(ctx, s, base, snap); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -80,7 +107,7 @@ func TestSlapMapDeltaByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				delta, next, st, err := s.MapDeltaContext(ctx, edited, snap)
+				delta, next, st, err := slapDelta(ctx, s, edited, snap)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,7 +127,7 @@ func TestSlapMapDeltaByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				delta2, _, st2, err := s.MapDeltaContext(ctx, edited2, next)
+				delta2, _, st2, err := slapDelta(ctx, s, edited2, next)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,11 +146,8 @@ func TestSlapMapDeltaIdenticalGraph(t *testing.T) {
 	g := circuits.TrainRC16()
 	s := untrained(5)
 	ctx := context.Background()
-	full, snap, err := s.MapStreamCaptureContext(ctx, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta, _, st, err := s.MapDeltaContext(ctx, g, snap)
+	full, snap := slapCapture(t, ctx, s, g)
+	delta, _, st, err := slapDelta(ctx, s, g, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,28 +157,45 @@ func TestSlapMapDeltaIdenticalGraph(t *testing.T) {
 	}
 }
 
-// TestSlapMapDeltaMismatch pins the refusal contract: configuration drift
-// and nil snapshots are rejected so callers fall back to a cold map.
+// TestSlapMapDeltaMismatch pins the refusal contract: configuration drift,
+// nil snapshots, a multi-round schedule and a changed depth are rejected
+// so callers fall back to a cold map.
 func TestSlapMapDeltaMismatch(t *testing.T) {
 	g := circuits.TrainRC16()
 	s := untrained(5)
 	ctx := context.Background()
-	_, snap, err := s.MapStreamCaptureContext(ctx, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := s.MapDeltaContext(ctx, g, nil); !errors.Is(err, ErrSlapDeltaIneligible) {
+	_, snap := slapCapture(t, ctx, s, g)
+	if _, _, _, err := slapDelta(ctx, s, g, nil); !errors.Is(err, cover.ErrDeltaIneligible) {
 		t.Fatalf("nil snapshot: err = %v", err)
 	}
 	drift := untrained(5)
 	drift.GoodMax = s.GoodMax + 1
 	drift.Model, drift.Library = s.Model, s.Library
-	if _, _, _, err := drift.MapDeltaContext(ctx, g, snap); !errors.Is(err, ErrSlapSnapshotMismatch) {
+	if _, _, _, err := slapDelta(ctx, drift, g, snap); !errors.Is(err, cover.ErrSnapshotMismatch) {
 		t.Fatalf("threshold drift: err = %v", err)
 	}
 	other := untrained(6) // different model pointer
 	other.Library = s.Library
-	if _, _, _, err := other.MapDeltaContext(ctx, g, snap); !errors.Is(err, ErrSlapSnapshotMismatch) {
+	if _, _, _, err := slapDelta(ctx, other, g, snap); !errors.Is(err, cover.ErrSnapshotMismatch) {
 		t.Fatalf("model drift: err = %v", err)
+	}
+	opt := slapOptions(ctx, s)
+	opt.Rounds = 2
+	if _, _, err := mapper.MapDelta(g, opt, snap); !errors.Is(err, cover.ErrDeltaIneligible) {
+		t.Fatalf("multi-round delta: err = %v", err)
+	}
+	// A new PO one level above the deepest node changes the depth.
+	deeper := circuits.TrainRC16()
+	for _, po := range deeper.POs() {
+		if deeper.Level(po.Lit.Node()) == deeper.MaxLevel() {
+			deeper.AddPO("deep", deeper.And(po.Lit, aig.MakeLit(deeper.PIs()[0], false)))
+			break
+		}
+	}
+	if deeper.MaxLevel() != g.MaxLevel()+1 {
+		t.Fatalf("edited depth %d, want %d", deeper.MaxLevel(), g.MaxLevel()+1)
+	}
+	if _, _, _, err := slapDelta(ctx, s, deeper, snap); !errors.Is(err, cover.ErrDeltaIneligible) {
+		t.Fatalf("depth change: err = %v", err)
 	}
 }

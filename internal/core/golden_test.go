@@ -18,6 +18,7 @@ import (
 	"slap/internal/aig"
 	"slap/internal/choice"
 	"slap/internal/circuits"
+	"slap/internal/cover"
 	"slap/internal/cuts"
 	"slap/internal/infer"
 	"slap/internal/library"
@@ -41,18 +42,18 @@ const goldenModelFile = "testdata/golden_model.gob"
 // peaks, which depend on how long cut storage lives rather than on what
 // the mapper computes.
 type goldenDigest struct {
-	Netlist        string             `json:"netlist,omitempty"`
-	AreaBits       string             `json:"area_bits,omitempty"`
-	DelayBits      string             `json:"delay_bits,omitempty"`
-	CutsConsidered int                `json:"cuts_considered"`
-	MatchAttempts  int                `json:"match_attempts,omitempty"`
-	LUTs           int                `json:"luts,omitempty"`
-	Depth          int32              `json:"depth,omitempty"`
-	Rounds         []asicRound        `json:"rounds,omitempty"`
-	LUTRounds      []lutRound         `json:"lut_rounds,omitempty"`
-	Delta          *mapper.DeltaStats `json:"delta,omitempty"`
-	Classes        string             `json:"classes,omitempty"`
-	Histogram      []int              `json:"histogram,omitempty"`
+	Netlist        string            `json:"netlist,omitempty"`
+	AreaBits       string            `json:"area_bits,omitempty"`
+	DelayBits      string            `json:"delay_bits,omitempty"`
+	CutsConsidered int               `json:"cuts_considered"`
+	MatchAttempts  int               `json:"match_attempts,omitempty"`
+	LUTs           int               `json:"luts,omitempty"`
+	Depth          int32             `json:"depth,omitempty"`
+	Rounds         []asicRound       `json:"rounds,omitempty"`
+	LUTRounds      []lutRound        `json:"lut_rounds,omitempty"`
+	Delta          *cover.DeltaStats `json:"delta,omitempty"`
+	Classes        string            `json:"classes,omitempty"`
+	Histogram      []int             `json:"histogram,omitempty"`
 }
 
 // asicRound and lutRound are the recorded shapes of one round's stats on
@@ -235,7 +236,7 @@ func goldenDigests(t testing.TB) map[string]goldenDigest {
 	for _, gc := range goldenCircuits()[:2] {
 		edited := circuits.PerturbSpan(gc.g, 3, 0.7, 1, 0.05)
 		opt := mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}}
-		msnap := mapper.NewSnapshot(gc.g, opt)
+		msnap := cover.NewSnapshot(gc.g, opt.Policy, opt.MergeCap)
 		copt := opt
 		copt.CaptureCuts = msnap.Capture
 		if _, err := mapper.MapStream(gc.g, copt); err != nil {
@@ -280,11 +281,14 @@ func slapGoldenDigests(t testing.TB, model *SLAP, out map[string]goldenDigest) {
 	for _, gc := range goldenCircuits()[:2] {
 		edited := circuits.PerturbSpan(gc.g, 3, 0.7, 1, 0.05)
 		s := *model
-		_, snap, err := s.MapStreamCaptureContext(ctx, gc.g)
-		if err != nil {
+		opt := mapper.Options{Library: s.Library, Policy: s.Policy(ctx)}
+		snap := cover.NewSnapshot(gc.g, opt.Policy, opt.MergeCap)
+		copt := opt
+		copt.CaptureCuts = snap.Capture
+		if _, err := mapper.MapStream(gc.g, copt); err != nil {
 			t.Fatalf("%s: capture: %v", gc.name, err)
 		}
-		res, _, st, err := s.MapDeltaContext(ctx, edited, snap)
+		res, st, err := mapper.MapDelta(edited, opt, snap)
 		if err != nil {
 			t.Fatalf("%s: core delta: %v", gc.name, err)
 		}

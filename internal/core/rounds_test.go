@@ -216,15 +216,15 @@ func TestMultiRoundDeterminismMatrix(t *testing.T) {
 				sv.Rounds = 4
 				sv.DelayFactor = 1.05
 				sv.Choices = true
-				if pooled {
-					sv.Pool = cuts.NewPool(0)
-				}
 				var res *mapper.Result
 				var err error
-				if streaming {
-					res, err = sv.MapStreamContext(context.Background(), g)
-				} else {
+				switch {
+				case !streaming:
 					res = mapTwoPhase(t, &sv, g)
+				case pooled:
+					res = mapPooled(t, &sv, g, cuts.NewPool(0))
+				default:
+					res, err = sv.MapStreamContext(context.Background(), g)
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", cfg, err)

@@ -68,9 +68,6 @@ type SLAP struct {
 	// order, so filtering decisions — and hence mapping QoR — are identical
 	// either way.
 	Batch Batcher
-	// Pool, when set, lets MapStreamContext and MapLUTStreamContext recycle
-	// cut-arena storage across runs of the same graph shape.
-	Pool *cuts.Pool
 	// Rounds selects multi-round mapping: round 1 is the delay-optimal
 	// (depth-optimal for LUTs) pass, later rounds re-select covers by area
 	// flow under the round-1 required times, and the final round adds
@@ -375,7 +372,7 @@ func (s *SLAP) inferNodes(ctx context.Context, nodes []uint32, scratches []*infe
 func (s *SLAP) filterNodes(ctx context.Context, emb *embed.Embedder, nodes []uint32, sets, out, extras [][]cuts.Cut, scratches []*inferScratch) error {
 	return s.inferNodes(ctx, nodes, scratches, func(ctx context.Context, i int, sc *inferScratch) error {
 		n := nodes[i]
-		kept, ex, err := s.filterNode(ctx, emb, n, sets[n], sc)
+		kept, ex, err := s.filterNode(ctx, emb, n, sets[n], sc, extras != nil)
 		if err != nil {
 			return err
 		}
@@ -447,14 +444,15 @@ func (s *SLAP) classifyCuts(ctx context.Context, emb *embed.Embedder, n uint32, 
 // trivial cut. Kept cuts are ordered by predicted class — the learned
 // priority-cuts ranking.
 //
-// When Rounds > 1 it also returns the node's recovery pool: the average
-// cuts shadowed by good ones, class-ranked. Bad-class cuts never enter
-// either list, and the pool reuses the classes of the single inference
-// pass above — the per-round pruning adds no model evaluations.
+// With pool set (multi-round mapping) it also returns the node's recovery
+// pool: the average cuts shadowed by good ones, class-ranked. Bad-class
+// cuts never enter either list, and the pool reuses the classes of the
+// single inference pass above — the per-round pruning adds no model
+// evaluations.
 //
 // Both lists are exact-size allocations the caller owns; everything else
 // lives in sc.
-func (s *SLAP) filterNode(ctx context.Context, emb *embed.Embedder, n uint32, cs []cuts.Cut, sc *inferScratch) ([]cuts.Cut, []cuts.Cut, error) {
+func (s *SLAP) filterNode(ctx context.Context, emb *embed.Embedder, n uint32, cs []cuts.Cut, sc *inferScratch, pool bool) ([]cuts.Cut, []cuts.Cut, error) {
 	idx, classes, err := s.classifyCuts(ctx, emb, n, cs, sc)
 	if err != nil {
 		return nil, nil, err
@@ -484,7 +482,7 @@ func (s *SLAP) filterNode(ctx context.Context, emb *embed.Embedder, n uint32, cs
 	placeByClass(out, cs, idx, classes, counts, keepLo, keepHi)
 	out[kept] = trivialOf(n, cs)
 	var extra []cuts.Cut
-	if s.Rounds > 1 && good > 0 && avg > 0 {
+	if pool && good > 0 && avg > 0 {
 		extra = make([]cuts.Cut, avg)
 		placeByClass(extra, cs, idx, classes, counts, avgLo, avgHi)
 	}

@@ -377,9 +377,9 @@ func TestFilterNodeSteadyStateAllocs(t *testing.T) {
 			probs[i] = make([]float64, s.Model.Classes)
 			probs[i][tc.class(i)] = 1
 		}
-		s.Batch, s.Rounds = stubBatcher{probs}, tc.rounds
+		s.Batch = stubBatcher{probs}
 		run := func() {
-			if _, _, err := s.filterNode(context.Background(), emb, n, cs, sc); err != nil {
+			if _, _, err := s.filterNode(context.Background(), emb, n, cs, sc, tc.rounds > 1); err != nil {
 				panic(err)
 			}
 		}

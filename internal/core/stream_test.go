@@ -43,8 +43,8 @@ func requireSameStreamResult(t *testing.T, name string, want, got *mapper.Result
 }
 
 // filterTwoPhase materialises the ML-filtered cut lists of g (or of its
-// choice view) in two phases, the way MapDeltaContext and ClassifyContext
-// work: Run collects the whole exhaustive cut universe, then one pass
+// choice view) in two phases, the paper's separate enumerate and classify
+// stages: Run collects the whole exhaustive cut universe, then one pass
 // filters every AND node. It returns the mapped graph, the filtered
 // lists, the recovery pools (nil unless Rounds > 1), the AND nodes in
 // ascending order and the enumeration peak.
@@ -114,10 +114,27 @@ func mapLUTTwoPhase(t testing.TB, s *SLAP, g *aig.AIG) *lutmap.Result {
 	return res
 }
 
+// mapPooled is MapStreamContext with cut storage checked out of pool, as
+// the server maps.
+func mapPooled(t testing.TB, s *SLAP, g *aig.AIG, pool *cuts.Pool) *mapper.Result {
+	t.Helper()
+	ctx := context.Background()
+	mg, ch, err := s.choiceGraph(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mapper.MapStream(mg, mapper.Options{Library: s.Library, Policy: s.Policy(ctx), MergeCap: s.MergeCap,
+		Workers: s.Workers, Pool: pool, Rounds: s.Rounds, DelayFactor: s.DelayFactor, Choices: ch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestMapStreamMatchesMapContext pins the fused SLAP pipeline to the
-// materialising two-phase composition MapDeltaContext builds on: identical
-// netlist bytes, metrics and counters, across worker counts and arena
-// pooling.
+// materialising two-phase composition of the paper's separate stages:
+// identical netlist bytes, metrics and counters, across worker counts and
+// arena pooling.
 func TestMapStreamMatchesMapContext(t *testing.T) {
 	graphs := []*circuitCase{
 		{"rc16", circuits.TrainRC16()},
@@ -132,12 +149,14 @@ func TestMapStreamMatchesMapContext(t *testing.T) {
 			for _, pooled := range []bool{false, true} {
 				s2 := untrained(3)
 				s2.Workers = workers
+				var got *mapper.Result
 				if pooled {
-					s2.Pool = pool
-				}
-				got, err := s2.MapStreamContext(context.Background(), gc.g)
-				if err != nil {
-					t.Fatalf("%s: MapStreamContext: %v", gc.name, err)
+					got = mapPooled(t, s2, gc.g, pool)
+				} else {
+					var err error
+					if got, err = s2.MapStreamContext(context.Background(), gc.g); err != nil {
+						t.Fatalf("%s: MapStreamContext: %v", gc.name, err)
+					}
 				}
 				requireSameStreamResult(t, fmt.Sprintf("%s/workers=%d/pool=%v", gc.name, workers, pooled), want, got)
 			}
@@ -191,10 +210,9 @@ func TestMapLUTStreamMatchesTwoPhase(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		s2 := untrained(9)
 		s2.Workers = workers
-		s2.Pool = cuts.NewPool(1)
-		got, err := s2.MapLUTStreamContext(context.Background(), g)
+		got, err := lutmap.MapStream(g, lutmap.Options{Policy: s2.Policy(context.Background()), Workers: workers, Pool: cuts.NewPool(1)})
 		if err != nil {
-			t.Fatalf("MapLUTStreamContext: %v", err)
+			t.Fatalf("lutmap.MapStream: %v", err)
 		}
 		if want.Depth != got.Depth || want.NumLUTs() != got.NumLUTs() || want.CutsConsidered != got.CutsConsidered {
 			t.Fatalf("workers=%d: (depth %d, luts %d, cuts %d), want (%d, %d, %d)",

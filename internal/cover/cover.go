@@ -14,6 +14,7 @@
 package cover
 
 import (
+	"fmt"
 	"math"
 
 	"slap/internal/aig"
@@ -213,20 +214,77 @@ func New[I any](g *aig.AIG, model Model[I], sched Schedule) *Engine[I] {
 // Enumerate runs en's streaming enumeration into the engine: every node's
 // list is consumed as soon as its level completes, after capture (when
 // set) has seen it. With pool set, cut storage is checked out of it.
-func (e *Engine[I]) Enumerate(en *cuts.Enumerator, pool *cuts.Pool, capture func(uint32, []cuts.Cut)) error {
+//
+// When en.Policy is a cuts.LevelFilter, the filter runs on each completed
+// level, and its kept lists are what capture and the engine see; the
+// engine asks it for recovery pools when the schedule has more than one
+// round. reused, when non-nil, holds a delta remap's clean lists (see
+// Snapshot.Reuse): under a cone-local policy the enumerator installs them
+// instead of merging those nodes, and under a filter enumeration runs in
+// full (fanouts merge from the unfiltered lists) and only the filter is
+// skipped.
+func (e *Engine[I]) Enumerate(en *cuts.Enumerator, pool *cuts.Pool, capture func(uint32, []cuts.Cut), reused [][]cuts.Cut) error {
+	lf, filtered := en.Policy.(cuts.LevelFilter)
+	if filtered && reused != nil && e.sched.Rounds > 1 {
+		return fmt.Errorf("%w: a snapshot keeps no recovery pools", ErrDeltaIneligible)
+	}
 	if pool != nil {
 		en.Arena = pool.Get(en.G)
 		defer pool.Put(en.Arena)
 	}
-	res, err := en.RunStream(func(_ int32, nodes []uint32, sets [][]cuts.Cut) error {
+	var filter func(nodes []uint32, sets, kept, extras [][]cuts.Cut) error
+	var kept, extras [][]cuts.Cut
+	if filtered {
+		var done func()
+		filter, done = lf.Begin(en.G)
+		defer done()
+		if kept = reused; kept == nil {
+			kept = make([][]cuts.Cut, en.G.NumNodes())
+		}
+		if e.sched.Rounds > 1 {
+			extras = make([][]cuts.Cut, en.G.NumNodes())
+		}
+	} else if reused != nil {
+		en.Reuse = func(n uint32) []cuts.Cut { return reused[n] }
+	}
+	var dirty []uint32
+	sink := func(_ int32, nodes []uint32, sets [][]cuts.Cut) error {
+		lists := sets
+		if filter != nil {
+			todo := nodes
+			if reused != nil {
+				dirty = dirty[:0]
+				for _, n := range nodes {
+					if reused[n] == nil {
+						dirty = append(dirty, n)
+					}
+				}
+				todo = dirty
+			}
+			if err := filter(todo, sets, kept, extras); err != nil {
+				return err
+			}
+			lists = kept
+		}
+		// Kept lists borrow the level's storage too: consume them before
+		// the enumerator retires it.
 		for _, n := range nodes {
 			if capture != nil {
-				capture(n, sets[n])
+				capture(n, lists[n])
 			}
-			e.ConsumeNode(n, sets[n])
+			e.ConsumeNode(n, lists[n])
+			if filter == nil {
+				continue
+			}
+			kept[n] = nil
+			if extras != nil && extras[n] != nil {
+				e.ConsumeExtras(n, extras[n])
+				extras[n] = nil
+			}
 		}
 		return nil
-	})
+	}
+	res, err := en.RunStream(sink)
 	if err != nil {
 		return err
 	}

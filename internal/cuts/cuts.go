@@ -188,6 +188,22 @@ type Policy interface {
 // falls back to the sequential path automatically.
 type ParallelSafe interface{ ParallelSafe() bool }
 
+// LevelFilter is an optional Policy extension for a keep decision that
+// reads more than a node's own cone (SLAP's cut embeddings read fanouts
+// and levels) and so runs once per completed wavefront level, between
+// enumeration and the consumer. Its Process returns its input: the
+// enumerator keeps the unfiltered lists, and fanouts merge from them.
+type LevelFilter interface {
+	Policy
+	// Begin starts a run over g. filter writes kept[n], the kept list of
+	// sets[n], for every node of one level, and extras[n], the node's
+	// recovery pool, when extras is non-nil; done ends the run.
+	Begin(g *aig.AIG) (filter func(nodes []uint32, sets, kept, extras [][]Cut) error, done func())
+	// Sig identifies the keep decision: filters with equal Sig keep equal
+	// lists.
+	Sig() string
+}
+
 // PolicyParallelSafe reports whether p may be invoked concurrently. The nil
 // (exhaustive) policy is safe by definition.
 func PolicyParallelSafe(p Policy) bool {

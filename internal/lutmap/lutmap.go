@@ -6,9 +6,8 @@
 // The paper argues its findings "can be extended to benefit FPGA-mapping
 // ... as the nature of the problem is the same"; this package demonstrates
 // exactly that: it is the unit-LUT cost model over the same internal/cover
-// engine the ASIC mapper uses, so any cuts.Policy — and the SLAP ML
-// filter, which feeds its filtered lists into a Stream — plugs into LUT
-// mapping unchanged.
+// engine the ASIC mapper uses, so any cuts.Policy — the SLAP ML filter,
+// a cuts.LevelFilter, included — plugs into LUT mapping unchanged.
 package lutmap
 
 import (
@@ -172,7 +171,7 @@ func (st *Stream) Finish() (*Result, error) {
 func MapStream(g *aig.AIG, opt Options) (*Result, error) {
 	st := NewStream(g, opt)
 	e := &cuts.Enumerator{G: g, Policy: opt.Policy, MergeCap: opt.MergeCap, Workers: opt.Workers, Choices: opt.Choices}
-	if err := st.Enumerate(e, opt.Pool, nil); err != nil {
+	if err := st.Enumerate(e, opt.Pool, nil, nil); err != nil {
 		return nil, err
 	}
 	return st.Finish()

@@ -75,8 +75,8 @@ func KeyOf(g *aig.AIG, sig string) Key {
 	return Key{Hi: h1, Lo: h2}
 }
 
-// Snapshot is the ECO baseline a cache entry may carry. mapper.Snapshot and
-// core's slap snapshot both implement it.
+// Snapshot is the ECO baseline a cache entry may carry. cover.Snapshot,
+// the one snapshot of every policy, implements it.
 type Snapshot interface {
 	// NodeHashes returns the baseline graph's ordered cone hashes.
 	NodeHashes() []uint64

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"slap/internal/circuits"
+	"slap/internal/cover"
 	"slap/internal/cuts"
 	"slap/internal/library"
 )
@@ -87,7 +88,7 @@ func TestMapDeltaByteIdentical(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					opt := Options{Library: lib, Policy: pol.p, Workers: workers}
-					snap := NewSnapshot(base, opt)
+					snap := cover.NewSnapshot(base, opt.Policy, opt.MergeCap)
 					if snap == nil {
 						t.Fatal("options unexpectedly ECO-ineligible")
 					}
@@ -149,7 +150,7 @@ func TestMapDeltaIdenticalGraph(t *testing.T) {
 	lib := library.ASAP7ish()
 	g := circuits.CarryLookaheadAdder(16)
 	opt := Options{Library: lib, Policy: cuts.DefaultPolicy{}}
-	snap := NewSnapshot(g, opt)
+	snap := cover.NewSnapshot(g, opt.Policy, opt.MergeCap)
 	capOpt := opt
 	capOpt.CaptureCuts = snap.Capture
 	full, err := MapStream(g, capOpt)
@@ -176,16 +177,16 @@ func TestMapDeltaIneligiblePolicies(t *testing.T) {
 		cuts.SingleAttributePolicy{},
 	} {
 		opt := Options{Library: lib, Policy: p}
-		if snap := NewSnapshot(g, opt); snap != nil {
+		if snap := cover.NewSnapshot(g, opt.Policy, opt.MergeCap); snap != nil {
 			t.Fatalf("%T unexpectedly eligible for snapshots", p)
 		}
-		good := NewSnapshot(g, Options{Library: lib, Policy: cuts.DefaultPolicy{}})
+		good := cover.NewSnapshot(g, cuts.DefaultPolicy{}, 0)
 		if _, _, err := MapDelta(g, opt, good); err == nil {
 			t.Fatalf("%T delta-remap did not error", p)
 		}
 	}
 	// Mismatched enumeration signatures must be refused too.
-	snapA := NewSnapshot(g, Options{Library: lib, Policy: cuts.DefaultPolicy{Limit: 10}})
+	snapA := cover.NewSnapshot(g, cuts.DefaultPolicy{Limit: 10}, 0)
 	if _, _, err := MapDelta(g, Options{Library: lib, Policy: cuts.DefaultPolicy{Limit: 20}}, snapA); err == nil {
 		t.Fatal("mismatched cut limits did not error")
 	}

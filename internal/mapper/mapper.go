@@ -48,10 +48,11 @@ type Options struct {
 	// Pool, when set, lets MapStream check cut-arena storage in and out
 	// across runs of the same graph shape.
 	Pool *cuts.Pool
-	// CaptureCuts, when set, observes every AND node's finalised
-	// post-policy cut list exactly once, before the enumerator retires its
-	// storage — the hook must copy anything it keeps. Invoked from a single
-	// goroutine. Snapshot.Capture fits this hook to record an ECO baseline.
+	// CaptureCuts, when set, observes every AND node's finalised cut list
+	// (post-policy, or kept by a level filter) exactly once, before the
+	// enumerator retires its storage — the hook must copy anything it
+	// keeps. Invoked from a single goroutine. cover.Snapshot.Capture fits
+	// this hook to record an ECO baseline.
 	CaptureCuts func(n uint32, cs []cuts.Cut)
 	// Rounds is the total number of selection rounds. Values <= 1 keep the
 	// classic schedule (delay pass + the two recovery passes unless
@@ -275,15 +276,38 @@ func MapStream(g *aig.AIG, opt Options) (*Result, error) {
 	return mapStream(g, opt, nil)
 }
 
-// mapStream is MapStream with an optional enumeration reuse hook (see
-// cuts.Enumerator.Reuse), through which MapDelta installs its clean lists.
-func mapStream(g *aig.AIG, opt Options, reuse func(uint32) []cuts.Cut) (*Result, error) {
+// MapDelta maps g by reusing the snapshot of a structurally similar
+// baseline mapped under the same policy and merge cap (see cover.Snapshot):
+// clean nodes take their cut lists from the snapshot, dirty nodes re-run
+// the policy — or, under a level filter, its keep decision — and
+// everything else is the ordinary MapStream flow, including its Workers,
+// Pool and CaptureCuts, so a delta can capture the snapshot the next edit
+// remaps against. The Result is byte-identical to MapStream(g, opt):
+// netlist, QoR, counters and PeakCuts.
+func MapDelta(g *aig.AIG, opt Options, snap *cover.Snapshot) (*Result, *cover.DeltaStats, error) {
+	if opt.Choices != nil {
+		return nil, nil, cover.ErrDeltaIneligible
+	}
+	reused, st, err := snap.Reuse(g, opt.Policy, opt.MergeCap)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := mapStream(g, opt, reused)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, st, nil
+}
+
+// mapStream is MapStream with a delta remap's clean lists (see
+// cover.Engine.Enumerate).
+func mapStream(g *aig.AIG, opt Options, reused [][]cuts.Cut) (*Result, error) {
 	st, err := NewStream(g, opt)
 	if err != nil {
 		return nil, err
 	}
-	e := &cuts.Enumerator{G: g, Policy: opt.Policy, MergeCap: opt.MergeCap, Workers: opt.Workers, Choices: opt.Choices, Reuse: reuse}
-	if err := st.Enumerate(e, opt.Pool, opt.CaptureCuts); err != nil {
+	e := &cuts.Enumerator{G: g, Policy: opt.Policy, MergeCap: opt.MergeCap, Workers: opt.Workers, Choices: opt.Choices}
+	if err := st.Enumerate(e, opt.Pool, opt.CaptureCuts, reused); err != nil {
 		return nil, err
 	}
 	return st.Finish()

@@ -225,6 +225,28 @@ func TestMapChoicesHitTakesNoView(t *testing.T) {
 	}
 }
 
+// TestMapChoiceBuildsMetered pins that every fresh choice view is
+// metered, whatever the policy and target: with the view cache off, each
+// choices=1 map builds its own view, and each build moves the build count
+// and the proof outcomes.
+func TestMapChoiceBuildsMetered(t *testing.T) {
+	rc16 := rc16Text(t)
+	_, ts := newTestServer(t, Config{ChoiceCacheBytes: -1})
+	proved := `slap_choice_proofs_total\{outcome="proved"\}`
+	mapQuery(t, ts.URL, "policy=default&choices=1", rc16)
+	perBuild := scrapeCounter(t, ts.URL, proved)
+	for i, q := range []string{"policy=slap&model=toy&choices=1", "policy=slap&model=toy&choices=1&target=lut"} {
+		mapQuery(t, ts.URL, q, rc16)
+		builds := int64(i + 2)
+		if n := scrapeCounter(t, ts.URL, "slap_choice_builds_total"); n != builds {
+			t.Fatalf("after %s: slap_choice_builds_total = %d, want %d", q, n, builds)
+		}
+		if n := scrapeCounter(t, ts.URL, proved); n != builds*perBuild {
+			t.Fatalf("after %s: proved members = %d, want %d", q, n, builds*perBuild)
+		}
+	}
+}
+
 // TestMapNoSnapshotsWithoutECO pins that with ECO off cold maps capture
 // no snapshot: nothing would read it, and it would take cache budget.
 func TestMapNoSnapshotsWithoutECO(t *testing.T) {

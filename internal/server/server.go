@@ -226,9 +226,9 @@ func (s *Server) Close() {
 	})
 }
 
-// slapFor configures the SLAP flow of one mapping request: the request's
-// round/choice knobs, the granted workers, the model's shared batcher and
-// the server's arena pool and view cache.
+// slapFor configures the SLAP keep decision of one mapping request: the
+// granted workers and the model's shared batcher, plus the request's
+// round/choice knobs, which its ConfigSig signs.
 func (s *Server) slapFor(req *MapRequest, model *nn.Model, lib *library.Library, workers int) *core.SLAP {
 	sl := core.New(model, lib)
 	sl.Workers = workers
@@ -237,8 +237,6 @@ func (s *Server) slapFor(req *MapRequest, model *nn.Model, lib *library.Library,
 	sl.DelayFactor = req.DelayFactor
 	sl.Choices = req.Choices
 	sl.ChoiceOpts = s.cfg.ChoiceOptions
-	sl.Views = s.views
-	sl.Pool = s.pool
 	return sl
 }
 
@@ -851,7 +849,7 @@ func (s *Server) executeMap(ctx context.Context, req *MapRequest, g *aig.AIG, li
 		policy = "default"
 	}
 
-	var cutPolicy cuts.Policy // nil for slap, which filters through core.SLAP
+	var cutPolicy cuts.Policy
 	switch policy {
 	case "default":
 		cutPolicy = cuts.DefaultPolicy{Limit: req.Limit}
@@ -859,24 +857,20 @@ func (s *Server) executeMap(ctx context.Context, req *MapRequest, g *aig.AIG, li
 		cutPolicy = cuts.UnlimitedPolicy{}
 	case "shuffle":
 		cutPolicy = &cuts.ShufflePolicy{Rng: rand.New(rand.NewSource(req.Seed)), Limit: req.Limit}
+	case "slap":
+		cutPolicy = s.slapFor(req, model, lib, workers).Policy(ctx)
 	}
 
 	resp := &MapResponse{Target: target, Workers: workers}
 	if target == "lut" {
-		var res *lutmap.Result
-		var err error
-		if policy == "slap" {
-			res, err = s.slapFor(req, model, lib, workers).MapLUTStreamContext(ctx, g)
-		} else {
-			mg, ch, cerr := s.requestChoiceView(ctx, g, req.Choices)
-			if cerr != nil {
-				return nil, cerr
-			}
-			res, err = lutmap.MapStream(mg, lutmap.Options{
-				Policy: cutPolicy, Workers: workers, Pool: s.pool,
-				Rounds: req.Rounds, DelayFactor: req.DelayFactor, Choices: ch,
-			})
+		mg, ch, err := s.requestChoiceView(ctx, g, req.Choices)
+		if err != nil {
+			return nil, err
 		}
+		res, err := lutmap.MapStream(mg, lutmap.Options{
+			Policy: cutPolicy, Workers: workers, Pool: s.pool,
+			Rounds: req.Rounds, DelayFactor: req.DelayFactor, Choices: ch,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -898,7 +892,7 @@ func (s *Server) executeMap(ctx context.Context, req *MapRequest, g *aig.AIG, li
 		return resp, nil
 	}
 
-	served, err := s.mapASIC(ctx, req, g, lib, model, workers, policy, cutPolicy)
+	served, err := s.mapASIC(ctx, req, g, lib, workers, policy, cutPolicy)
 	if err != nil {
 		return nil, err
 	}
