@@ -518,13 +518,13 @@ func BenchmarkRepeatReplay(b *testing.B) {
 				return res, nil, err
 			},
 		}
-		if _, err := cache.Serve(ctx, g, flow); err != nil {
+		if _, err := cache.Serve(ctx, g, mapcache.KeyOf(g, flow.Sig), flow); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sv, err := cache.Serve(ctx, g, flow)
+			sv, err := cache.Serve(ctx, g, mapcache.KeyOf(g, flow.Sig), flow)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -29,6 +29,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -252,7 +253,8 @@ func printResult(cfg runConfig, g *aig.AIG, res *mapper.Result) error {
 // runECO is the -baseline flow: map the baseline circuit with snapshot
 // capture, then delta-remap the subject graph against it. Only the dirty
 // cone re-runs enumeration policy (and, for slap, CNN classification); the
-// returned result is byte-identical to a cold map of the subject.
+// returned result is byte-identical to a cold map of the subject. A delta
+// the snapshot refuses falls back to that cold map.
 func runECO(cfg runConfig, g *aig.AIG, lib *library.Library) (*mapper.Result, error) {
 	bf, err := os.Open(cfg.baseline)
 	if err != nil {
@@ -284,6 +286,14 @@ func runECO(cfg runConfig, g *aig.AIG, lib *library.Library) (*mapper.Result, er
 	baseD := time.Since(t0)
 	t1 := time.Now()
 	res, st, err := mapper.MapDelta(g, opt, snap)
+	if errors.Is(err, cover.ErrDeltaIneligible) {
+		// The edit cannot reuse this baseline (under a level filter, a
+		// changed depth rescales every node's features): map it cold, as
+		// the server's cache front does.
+		fmt.Printf("eco:     baseline mapped in %s, delta refused (%v), mapping cold\n",
+			baseD.Round(time.Millisecond), err)
+		return mapper.MapStream(g, opt)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("delta remap: %w", err)
 	}

@@ -147,8 +147,9 @@ func resultBlock(t *testing.T, cfg runConfig) string {
 // TestRunBaselineECO drives the offline ECO: delta-remapping a late-span
 // edit against its baseline must print the QoR and cut counters, peak
 // included, and write the BLIF of a cold map of the edit, under a
-// cone-local policy and under slap; -baseline must refuse what it cannot
-// delta-remap.
+// cone-local policy and under slap. An edit that changes the graph depth,
+// which slap's delta refuses, maps cold under both. -baseline must refuse
+// the configurations it cannot delta-remap.
 func TestRunBaselineECO(t *testing.T) {
 	dir := t.TempDir()
 	modelPath := trainModel(t, dir)
@@ -156,14 +157,29 @@ func TestRunBaselineECO(t *testing.T) {
 	basePath, editedPath := filepath.Join(dir, "base.aag"), filepath.Join(dir, "edited.aag")
 	writeAAGFile(t, basePath, base)
 	writeAAGFile(t, editedPath, circuits.PerturbSpan(base, 7, 0.9, 1.0, 0.3))
+	// A one-gate baseline and an edit that adds a level on top of it.
+	shallowPath, deeperPath := filepath.Join(dir, "shallow.aag"), filepath.Join(dir, "deeper.aag")
+	for path, text := range map[string]string{
+		shallowPath: "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n",
+		deeperPath:  "aag 4 2 0 2 2\n2\n4\n6\n8\n6 2 4\n8 6 3\n",
+	} {
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	for _, policy := range []string{"default", "slap"} {
-		cold, eco := filepath.Join(dir, policy+"-cold.blif"), filepath.Join(dir, policy+"-eco.blif")
-		cfg := runConfig{aag: editedPath, profile: "fast", policy: policy, model: modelPath, seed: 1, verify: true, blif: cold}
+	for _, tc := range []struct{ name, policy, base, edited string }{
+		{"default", "default", basePath, editedPath},
+		{"slap", "slap", basePath, editedPath},
+		{"default-deeper", "default", shallowPath, deeperPath},
+		{"slap-deeper", "slap", shallowPath, deeperPath},
+	} {
+		cold, eco := filepath.Join(dir, tc.name+"-cold.blif"), filepath.Join(dir, tc.name+"-eco.blif")
+		cfg := runConfig{aag: tc.edited, profile: "fast", policy: tc.policy, model: modelPath, seed: 1, verify: true, blif: cold}
 		wantBlock := resultBlock(t, cfg)
-		cfg.baseline, cfg.blif = basePath, eco
+		cfg.baseline, cfg.blif = tc.base, eco
 		if got := resultBlock(t, cfg); got != wantBlock {
-			t.Fatalf("%s: -baseline printed\n%s\nwant\n%s", policy, got, wantBlock)
+			t.Fatalf("%s: -baseline printed\n%s\nwant\n%s", tc.name, got, wantBlock)
 		}
 		want, err := os.ReadFile(cold)
 		if err != nil {
@@ -174,7 +190,7 @@ func TestRunBaselineECO(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(want, got) {
-			t.Fatalf("%s: -baseline BLIF differs from the cold map's", policy)
+			t.Fatalf("%s: -baseline BLIF differs from the cold map's", tc.name)
 		}
 	}
 

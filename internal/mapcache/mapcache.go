@@ -5,7 +5,8 @@
 // repeats are answered in O(1); near-misses delta-remap against the
 // nearest cached relative (by cone-hash overlap) through its ECO snapshot;
 // and a singleflight group collapses N concurrent identical submissions
-// into one mapping whose result everyone shares.
+// into one mapping whose result everyone shares. Hit lets a caller answer
+// an exact repeat before it commits resources to a miss.
 //
 // Invalidation is purely content-driven: the key covers the full graph
 // encoding (including PI/PO names, which surface in rendered netlists) and
@@ -168,7 +169,14 @@ func New(budget int64) *Cache {
 
 // Get returns the entry stored under k, promoting it to most recently
 // used. The hit/miss counters track every call.
-func (c *Cache) Get(k Key) (*Entry, bool) {
+func (c *Cache) Get(k Key) (*Entry, bool) { return c.lookup(k, true) }
+
+// Hit is Get counting only hits. A caller that answers a hit itself and
+// sends a miss on to Serve leaves the miss to Serve's own Get, so each
+// request counts one hit or one miss.
+func (c *Cache) Hit(k Key) (*Entry, bool) { return c.lookup(k, false) }
+
+func (c *Cache) lookup(k Key, countMiss bool) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[k]; ok {
@@ -176,7 +184,9 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 		c.hits++
 		return el.Value.(*Entry), true
 	}
-	c.misses++
+	if countMiss {
+		c.misses++
+	}
 	return nil, false
 }
 
@@ -323,13 +333,14 @@ type Served struct {
 	Dirty float64
 }
 
-// Serve answers one mapping of g through the cache. Inside a singleflight
-// keyed by (g, f.Sig) the leader looks the key up, then on a miss tries
-// f.Delta against the nearest cached relative, falls back to a cold f.Map,
-// verifies the fresh result and adds it; concurrent identical calls share
-// the leader's entry and count as hits. On a nil cache Serve runs f.Map
-// and f.Verify only.
-func (c *Cache) Serve(ctx context.Context, g *aig.AIG, f Flow) (Served, error) {
+// Serve answers one mapping of g through the cache under key, which must
+// be KeyOf(g, f.Sig): a caller that has already looked the key up passes
+// it on, so the graph is hashed once. Inside a singleflight on key the
+// leader looks it up, then on a miss tries f.Delta against the nearest
+// cached relative, falls back to a cold f.Map, verifies the fresh result
+// and adds it; concurrent identical calls share the leader's entry and
+// count as hits. On a nil cache Serve runs f.Map and f.Verify only.
+func (c *Cache) Serve(ctx context.Context, g *aig.AIG, key Key, f Flow) (Served, error) {
 	var sv Served
 	if c == nil {
 		res, _, err := f.Map(false)
@@ -338,7 +349,6 @@ func (c *Cache) Serve(ctx context.Context, g *aig.AIG, f Flow) (Served, error) {
 		}
 		return Served{Result: res, Verified: f.Verify != nil && f.Verify(res)}, nil
 	}
-	key := KeyOf(g, f.Sig)
 	e, shared, err := c.flight.Do(ctx, key, func() (*Entry, error) {
 		// The lookup runs inside the flight, so a result added between a
 		// miss and the flight claim is still found.

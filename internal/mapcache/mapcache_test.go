@@ -60,6 +60,32 @@ func TestCacheHitMissAndPromotion(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Bytes <= 0 {
 		t.Fatalf("stats %+v, want 1 hit 1 miss 1 entry", st)
 	}
+
+	// Hit counts a hit and leaves a miss to the Serve that follows it, so
+	// a request looked up first and then served counts once.
+	if _, ok := c.Hit(Key{3, 4}); ok {
+		t.Fatal("Hit found an absent key")
+	}
+	if e, ok := c.Hit(k); !ok || e.Key != k {
+		t.Fatal("Hit missed the stored entry")
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("stats %+v after Hit, want 2 hits 1 miss", st)
+	}
+	g := circuits.RandomAIG(1, 8, 100)
+	f := Flow{Sig: "s", Map: func(bool) (*mapper.Result, Snapshot, error) {
+		return &mapper.Result{Netlist: netlist.New("t")}, nil, nil
+	}}
+	key := KeyOf(g, f.Sig)
+	if _, ok := c.Hit(key); ok {
+		t.Fatal("Hit found an unmapped graph")
+	}
+	if sv, err := c.Serve(context.Background(), g, key, f); err != nil || sv.Cached {
+		t.Fatalf("serve after a missed Hit: %+v err %v", sv, err)
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 2 {
+		t.Fatalf("stats %+v after a missed Hit and its Serve, want 2 hits 2 misses", st)
+	}
 }
 
 func TestCacheLRUEvictionUnderByteBudget(t *testing.T) {
@@ -123,7 +149,7 @@ func TestSingleflightDedup(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			attempted.Add(1)
-			sv, err := c.Serve(context.Background(), g, flow)
+			sv, err := serve(context.Background(), c, g, flow)
 			if err != nil {
 				t.Error(err)
 			}
@@ -158,17 +184,22 @@ func TestSingleflightErrorPropagation(t *testing.T) {
 	g := circuits.RandomAIG(1, 8, 100)
 	wantErr := errors.New("mapping exploded")
 	failing := Flow{Sig: "s", Map: func(bool) (*mapper.Result, Snapshot, error) { return nil, nil, wantErr }}
-	if _, err := c.Serve(context.Background(), g, failing); !errors.Is(err, wantErr) {
+	if _, err := serve(context.Background(), c, g, failing); !errors.Is(err, wantErr) {
 		t.Fatalf("leader got err=%v", err)
 	}
 	// Nothing was cached and the flight is gone: a retry runs fresh.
 	ok := Flow{Sig: "s", Map: func(bool) (*mapper.Result, Snapshot, error) {
 		return &mapper.Result{Netlist: netlist.New("t")}, nil, nil
 	}}
-	sv, err := c.Serve(context.Background(), g, ok)
+	sv, err := serve(context.Background(), c, g, ok)
 	if sv.Cached || err != nil || sv.Result == nil {
 		t.Fatalf("retry got %+v err=%v", sv, err)
 	}
+}
+
+// serve runs c.Serve under the key of (g, f.Sig), as the server does.
+func serve(ctx context.Context, c *Cache, g *aig.AIG, f Flow) (Served, error) {
+	return c.Serve(ctx, g, KeyOf(g, f.Sig), f)
 }
 
 // fakeFlow counts the calls Serve makes into one flow.
@@ -213,19 +244,19 @@ func TestServeFlow(t *testing.T) {
 	ff := &fakeFlow{}
 	f := ff.flow(base)
 
-	sv, err := c.Serve(ctx, base, f)
+	sv, err := serve(ctx, c, base, f)
 	if err != nil || sv.Cached || sv.ECO || !sv.Verified {
 		t.Fatalf("cold serve %+v err %v", sv, err)
 	}
 	if ff.maps != 1 || ff.captures != 1 || ff.deltas != 0 || ff.verifies != 1 {
 		t.Fatalf("cold serve ran %+v", *ff)
 	}
-	if sv, err = c.Serve(ctx, base, f); err != nil || !sv.Cached || !sv.Verified || ff.maps != 1 || ff.verifies != 1 {
+	if sv, err = serve(ctx, c, base, f); err != nil || !sv.Cached || !sv.Verified || ff.maps != 1 || ff.verifies != 1 {
 		t.Fatalf("repeat %+v err %v ran %+v, want a hit with no work", sv, err, *ff)
 	}
 
 	// A delta that refuses the snapshot falls back to a cold map.
-	sv, err = c.Serve(ctx, circuits.PerturbSpan(base, 7, 0.9, 1.0, 0.3), f)
+	sv, err = serve(ctx, c, circuits.PerturbSpan(base, 7, 0.9, 1.0, 0.3), f)
 	if err != nil || sv.ECO || sv.Cached || sv.Dirty != 0 {
 		t.Fatalf("refused delta served %+v err %v", sv, err)
 	}
@@ -236,14 +267,14 @@ func TestServeFlow(t *testing.T) {
 	// An accepted delta is the answer, and it is cached.
 	ff.deltaOK = true
 	edit := circuits.PerturbSpan(base, 8, 0.9, 1.0, 0.3)
-	sv, err = c.Serve(ctx, edit, f)
+	sv, err = serve(ctx, c, edit, f)
 	if err != nil || !sv.ECO || sv.Dirty != 0.25 || !sv.Verified {
 		t.Fatalf("eco serve %+v err %v", sv, err)
 	}
 	if ff.deltas != 2 || ff.maps != 2 || ff.verifies != 3 {
 		t.Fatalf("eco serve ran %+v", *ff)
 	}
-	sv, err = c.Serve(ctx, edit, f)
+	sv, err = serve(ctx, c, edit, f)
 	if err != nil || !sv.Cached || sv.ECO || ff.deltas != 2 || ff.verifies != 3 {
 		t.Fatalf("eco resubmission %+v err %v ran %+v, want a hit", sv, err, *ff)
 	}
@@ -253,7 +284,7 @@ func TestServeFlow(t *testing.T) {
 
 	// Without Delta nothing reads a snapshot, so none is captured.
 	f.Delta = nil
-	if _, err := c.Serve(ctx, circuits.RandomAIG(3, 8, 100), f); err != nil || ff.captures != 2 || c.Stats().Snapshots != 2 {
+	if _, err := serve(ctx, c, circuits.RandomAIG(3, 8, 100), f); err != nil || ff.captures != 2 || c.Stats().Snapshots != 2 {
 		t.Fatalf("delta-less flow captured: err %v ran %+v", err, *ff)
 	}
 
@@ -261,7 +292,7 @@ func TestServeFlow(t *testing.T) {
 	var none *Cache
 	ff = &fakeFlow{deltaOK: true}
 	for i := 0; i < 2; i++ {
-		if sv, err = none.Serve(ctx, base, ff.flow(base)); err != nil || sv.Cached || sv.ECO || !sv.Verified {
+		if sv, err = serve(ctx, none, base, ff.flow(base)); err != nil || sv.Cached || sv.ECO || !sv.Verified {
 			t.Fatalf("nil-cache serve %+v err %v", sv, err)
 		}
 	}

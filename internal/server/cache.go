@@ -13,14 +13,16 @@ import (
 	"slap/internal/mapper"
 )
 
-// mapASIC serves one asic mapping through the result cache's front. It
-// builds the request's flow: the options signature, the cold map, the ECO
-// delta and the verify check. Serve does the rest: an exact hit skips
-// mapping, concurrent identical submissions collapse into one run, and a
-// miss with cfg.ECO first tries to delta-remap against the nearest cached
-// relative. Without a cache the flow is only the map and the verify check.
-// Every policy, SLAP's keep decision included, runs the same flow.
-func (s *Server) mapASIC(ctx context.Context, req *MapRequest, g *aig.AIG, lib *library.Library, workers int, policy string, cutPolicy cuts.Policy) (mapcache.Served, error) {
+// mapASIC serves one asic mapping through the result cache's front under
+// key, which handleMap computed when it looked the request up. It builds
+// the request's flow: the options signature, the cold map, the ECO delta
+// and the verify check. Serve does the rest: a result added since that
+// lookup is still a hit, concurrent identical submissions collapse into
+// one run, and a miss with cfg.ECO first tries to delta-remap against the
+// nearest cached relative. Without a cache the flow is only the map and
+// the verify check. Every policy, SLAP's keep decision included, runs the
+// same flow.
+func (s *Server) mapASIC(ctx context.Context, req *MapRequest, g *aig.AIG, lib *library.Library, workers int, cutPolicy cuts.Policy, key mapcache.Key) (mapcache.Served, error) {
 	var f mapcache.Flow
 	if req.Verify {
 		f.Verify = func(r *mapper.Result) bool {
@@ -50,7 +52,7 @@ func (s *Server) mapASIC(ctx context.Context, req *MapRequest, g *aig.AIG, lib *
 		return res, snap, err
 	}
 	if s.cache != nil {
-		f.Sig = s.mapperSig(req, lib, policy, cutPolicy)
+		f.Sig = s.mapperSig(req, lib, cutPolicy)
 	}
 	// ECO snapshots and delta remapping are defined for the single-round,
 	// no-choice flow only; multi-round configurations still get exact-key
@@ -74,20 +76,21 @@ func (s *Server) mapASIC(ctx context.Context, req *MapRequest, g *aig.AIG, lib *
 			return res, next, st.DirtyFraction, true
 		}
 	}
-	return s.cache.Serve(ctx, g, f)
+	return s.cache.Serve(ctx, g, key, f)
 }
 
 // mapperSig is the result-cache signature of an asic mapping. It pins
 // every option that shapes the result; scheduling knobs (workers, arena
-// pool) stay out because they cannot change the output bytes. A level
-// filter signs itself (core.SLAP.ConfigSig).
-func (s *Server) mapperSig(req *MapRequest, lib *library.Library, policy string, cutPolicy cuts.Policy) string {
+// pool) stay out because they cannot change the output bytes, so a
+// request is signed before it is granted any. A level filter signs itself
+// (core.SLAP.ConfigSig).
+func (s *Server) mapperSig(req *MapRequest, lib *library.Library, cutPolicy cuts.Policy) string {
 	if lf, ok := cutPolicy.(cuts.LevelFilter); ok {
 		return lf.Sig()
 	}
 	limit := req.Limit
 	seed := int64(0)
-	switch policy {
+	switch req.Policy {
 	case "unlimited":
 		limit = 0
 	case "shuffle":
@@ -109,5 +112,5 @@ func (s *Server) mapperSig(req *MapRequest, lib *library.Library, policy string,
 		cSig = s.cfg.ChoiceOptions.Sig()
 	}
 	return fmt.Sprintf("asic/policy=%s/limit=%d/seed=%d/lib=%s@%p/rounds=%d/df=%g/choices=%s",
-		policy, limit, seed, lib.Name, lib, rounds, df, cSig)
+		req.Policy, limit, seed, lib.Name, lib, rounds, df, cSig)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"regexp"
 	"strconv"
@@ -408,5 +409,128 @@ func TestClassifyExpiredFollowerFreesToken(t *testing.T) {
 	free()
 	if got := <-leader; got != http.StatusOK {
 		t.Fatalf("leader: status %d, want 200", got)
+	}
+}
+
+// TestMapHitWhileBudgetHeld pins that an exact result-cache hit is
+// answered before the scheduler. While another mapping holds the whole
+// one-token budget, a repeat answers from the cache at once, with
+// queue_ms and workers 0 and the cold answer's netlist bytes, and a
+// verify=1 repeat of the entry, cached without verify, runs the check.
+// Once the scheduler drains, a hit still answers and a miss is refused.
+func TestMapHitWhileBudgetHeld(t *testing.T) {
+	rc16 := rc16Text(t)
+	srv, ts := newTestServer(t, Config{WorkerBudget: 1, ResultCacheBytes: -1})
+	q := "policy=default&netlist=blif"
+	cold := mapQuery(t, ts.URL, q, rc16)
+
+	hold := make(chan struct{})
+	var freeOnce sync.Once
+	free := func() { freeOnce.Do(func() { close(hold) }) }
+	defer free()
+	srv.faultHook = func(endpoint string) {
+		if endpoint == "/v1/map" {
+			<-hold
+		}
+	}
+	holder := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/map?policy=unlimited", "text/plain", strings.NewReader(rc16))
+		if err != nil {
+			holder <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		holder <- resp.StatusCode
+	}()
+	waitFor(t, func() bool { return srv.Scheduler().InFlight() == 1 })
+
+	for _, verify := range []bool{false, true} {
+		hit := mapQuery(t, ts.URL, q+"&timeout_ms=2000&verify="+strconv.FormatBool(verify), rc16)
+		if !hit.Cached || hit.QueueMS != 0 || hit.Workers != 0 || hit.Verified != verify {
+			t.Fatalf("verify=%v: repeat answered cached=%v queue_ms=%v workers=%d verified=%v, want a token-free hit",
+				verify, hit.Cached, hit.QueueMS, hit.Workers, hit.Verified)
+		}
+		if hit.Netlist != cold.Netlist || hit.Area != cold.Area || hit.Delay != cold.Delay {
+			t.Fatalf("verify=%v: hit differs from the cold answer", verify)
+		}
+		if n := srv.Scheduler().InFlight(); n != 1 {
+			t.Fatalf("verify=%v: %d tokens in flight during the hit, want the holder's 1", verify, n)
+		}
+	}
+	free()
+	if code := <-holder; code != http.StatusOK {
+		t.Fatalf("holding mapping: status %d", code)
+	}
+	waitFor(t, func() bool { return srv.Scheduler().InFlight() == 0 })
+
+	srv.Scheduler().Close()
+	if hit := mapQuery(t, ts.URL, q, rc16); !hit.Cached || hit.Netlist != cold.Netlist {
+		t.Fatal("hit during the drain was not answered from the cache")
+	}
+	if resp, data := postRaw(t, ts.URL+"/v1/map?policy=shuffle", rc16); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("miss during the drain: status %d, want 503 (%s)", resp.StatusCode, data)
+	}
+}
+
+// TestMapHitRacesWritesAndEvictions runs hits beside the writes and
+// evictions of concurrent misses. Four clients send a seeded mix of
+// exact repeats, late-span edits and cold designs, under default and
+// slap, to a two-token server whose result cache holds only a few of the
+// answers. Every answer must equal a cache-less cold map's, no token may
+// stay borrowed, and the cache must stay inside its byte budget.
+func TestMapHitRacesWritesAndEvictions(t *testing.T) {
+	base := circuits.BoothMultiplier(4)
+	designs := []string{aagText(t, base), rc16Text(t), aagText(t, circuits.CarryLookaheadAdder(8))}
+	for seed := int64(1); seed <= 3; seed++ {
+		designs = append(designs, aagText(t, circuits.PerturbSpan(base, seed, 0.9, 1.0, 0.3)))
+	}
+	queries := []string{"policy=default&netlist=blif", "policy=slap&model=toy&netlist=blif"}
+
+	_, ref := newTestServer(t, Config{WorkerBudget: 2})
+	want := make([][]MapResponse, len(designs))
+	for d, design := range designs {
+		for _, q := range queries {
+			want[d] = append(want[d], mapQuery(t, ref.URL, q, design))
+		}
+	}
+
+	// About 5 MB of answers, with ECO snapshots, against 1.5 MiB: the
+	// largest answer fits, and the mix evicts.
+	const budget = 3 << 19
+	srv, ts := newTestServer(t, Config{WorkerBudget: 2, ResultCacheBytes: budget, ECO: true})
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			for i := 0; i < 12; i++ {
+				d, q := rng.Intn(len(designs)), rng.Intn(len(queries))
+				url := ts.URL + "/v1/map?" + queries[q] + "&verify=" + strconv.FormatBool(rng.Intn(2) == 0)
+				resp, err := http.Post(url, "text/plain", strings.NewReader(designs[d]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var got MapResponse
+				err = json.NewDecoder(resp.Body).Decode(&got)
+				resp.Body.Close()
+				switch w := want[d][q]; {
+				case resp.StatusCode != http.StatusOK || err != nil:
+					t.Errorf("design %d, %s: status %d, decode error %v", d, queries[q], resp.StatusCode, err)
+				case got.Netlist != w.Netlist || got.Area != w.Area || got.Delay != w.Delay:
+					t.Errorf("design %d, %s (cached=%v eco=%v): answer differs from a cold map's", d, queries[q], got.Cached, got.ECO)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if n := srv.Scheduler().InFlight(); n != 0 {
+		t.Fatalf("%d tokens in flight at quiescence", n)
+	}
+	if st := srv.cache.Stats(); st.Bytes > budget || st.Evictions == 0 || st.Hits == 0 {
+		t.Fatalf("cache stats %+v: want bytes within %d, evictions and hits", st, budget)
 	}
 }

@@ -143,6 +143,19 @@ func (m *serviceMetrics) AddCuts(n int) {
 	m.mappings.Inc()
 }
 
+// ObserveMap records one mapping answer, a cache hit's included: its cuts,
+// peak live cuts, rounds and the final round's area gain.
+func (m *serviceMetrics) ObserveMap(resp *MapResponse) {
+	m.AddCuts(resp.CutsConsidered)
+	m.peakCuts.SetMax(float64(resp.PeakCuts))
+	m.rounds.Observe(float64(max(resp.RoundsRun, 1)))
+	if n := len(resp.RoundStats); n > 1 {
+		if gain, ok := roundAreaGain(resp.RoundStats[0], resp.RoundStats[n-1]); ok {
+			m.roundGain.Observe(gain)
+		}
+	}
+}
+
 // ObserveChoiceBuild records one fresh choice-view build: per-phase wall
 // time plus the prover's outcome tallies.
 func (m *serviceMetrics) ObserveChoiceBuild(v *choice.View) {

@@ -721,6 +721,26 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	}
 
 	t0 := time.Now()
+	// An exact result-cache hit is answered here, on the handler goroutine,
+	// before the scheduler: it takes no worker token, so it never queues
+	// behind a running mapping, and it still answers while the scheduler
+	// drains. Signatures leave the worker count out, so the key needs no
+	// grant; a miss hands it to the cache front, and the graph is hashed
+	// once per request.
+	var key mapcache.Key
+	if s.cache != nil && req.Target == "asic" {
+		key = mapcache.KeyOf(g, s.mapperSig(req, lib, s.cutPolicy(ctx, req, lib, model, 0)))
+		if e, ok := s.cache.Hit(key); ok {
+			resp, err := asicAnswer(req, g, 0, mapcache.Served{Result: e.Result, Verified: e.Verified, Cached: true})
+			if err != nil {
+				writeError(w, schedStatus(err), err)
+				return
+			}
+			s.metrics.ObserveMap(resp)
+			s.writeMap(w, resp, 0, t0)
+			return
+		}
+	}
 	granted, release, err := s.sched.Acquire(ctx, req.Workers)
 	if err != nil {
 		writeError(w, schedStatus(err), err)
@@ -752,20 +772,9 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 				out = outcome{nil, fmt.Errorf("mapping panicked: %v", p)}
 			}
 		}()
-		resp, err := s.executeMap(ctx, req, g, lib, model, granted)
+		resp, err := s.executeMap(ctx, req, g, lib, model, granted, key)
 		if resp != nil {
-			s.metrics.AddCuts(resp.CutsConsidered)
-			s.metrics.peakCuts.SetMax(float64(resp.PeakCuts))
-			rounds := resp.RoundsRun
-			if rounds < 1 {
-				rounds = 1
-			}
-			s.metrics.rounds.Observe(float64(rounds))
-			if n := len(resp.RoundStats); n > 1 {
-				if gain, ok := roundAreaGain(resp.RoundStats[0], resp.RoundStats[n-1]); ok {
-					s.metrics.roundGain.Observe(gain)
-				}
-			}
+			s.metrics.ObserveMap(resp)
 		}
 		out = outcome{resp, err}
 	}()
@@ -776,14 +785,19 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 			writeError(w, schedStatus(out.err), out.err)
 			return
 		}
-		out.resp.QueueMS = queueMS
-		out.resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
-		out.resp.Worker = s.cfg.WorkerName
-		s.stampWorker(w)
-		writeJSON(w, http.StatusOK, out.resp)
+		s.writeMap(w, out.resp, queueMS, t0)
 	case <-ctx.Done():
 		writeError(w, schedStatus(ctx.Err()), fmt.Errorf("mapping abandoned: %w", ctx.Err()))
 	}
+}
+
+// writeMap stamps a mapping's timings and worker name and sends it.
+func (s *Server) writeMap(w http.ResponseWriter, resp *MapResponse, queueMS float64, t0 time.Time) {
+	resp.QueueMS = queueMS
+	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
+	resp.Worker = s.cfg.WorkerName
+	s.stampWorker(w)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // MaxRounds bounds a /v1/map request's rounds. Each recovery round is a
@@ -795,15 +809,19 @@ const MaxRounds = 16
 // validateMap rejects a /v1/map request whose options name no known
 // policy, target or netlist format, ask for more than MaxRounds rounds,
 // carry a non-finite delay factor or a negative cut limit — before any
-// worker token is taken.
+// worker token is taken. It fills in the default policy and target.
 func validateMap(req *MapRequest) error {
 	switch req.Policy {
-	case "", "default", "unlimited", "shuffle", "slap":
+	case "":
+		req.Policy = "default"
+	case "default", "unlimited", "shuffle", "slap":
 	default:
 		return fmt.Errorf("unknown policy %q (want default, unlimited, shuffle or slap)", req.Policy)
 	}
 	switch req.Target {
-	case "", "asic", "lut":
+	case "":
+		req.Target = "asic"
+	case "asic", "lut":
 	default:
 		return fmt.Errorf("unknown target %q (want asic or lut)", req.Target)
 	}
@@ -833,36 +851,31 @@ func (s *Server) stampWorker(w http.ResponseWriter) {
 	}
 }
 
-// executeMap runs one validated mapping with the granted worker count.
+// cutPolicy builds the request's cut policy. SLAP's keep decision
+// classifies on up to workers goroutines; workers never changes a
+// policy's signature.
+func (s *Server) cutPolicy(ctx context.Context, req *MapRequest, lib *library.Library, model *nn.Model, workers int) cuts.Policy {
+	switch req.Policy {
+	case "unlimited":
+		return cuts.UnlimitedPolicy{}
+	case "shuffle":
+		return &cuts.ShufflePolicy{Rng: rand.New(rand.NewSource(req.Seed)), Limit: req.Limit}
+	case "slap":
+		return s.slapFor(req, model, lib, workers).Policy(ctx)
+	}
+	return cuts.DefaultPolicy{Limit: req.Limit}
+}
+
+// executeMap runs one validated mapping with the granted worker count;
+// an asic mapping goes through the result cache's front under key.
 // Each request maps its own freshly decoded graph; the only shared state is
 // the registry's model (read-only) and library (internally locked memo).
-func (s *Server) executeMap(ctx context.Context, req *MapRequest, g *aig.AIG, lib *library.Library, model *nn.Model, workers int) (*MapResponse, error) {
+func (s *Server) executeMap(ctx context.Context, req *MapRequest, g *aig.AIG, lib *library.Library, model *nn.Model, workers int, key mapcache.Key) (*MapResponse, error) {
 	if s.faultHook != nil {
 		s.faultHook("/v1/map")
 	}
-	target := req.Target
-	if target == "" {
-		target = "asic"
-	}
-	policy := req.Policy
-	if policy == "" {
-		policy = "default"
-	}
-
-	var cutPolicy cuts.Policy
-	switch policy {
-	case "default":
-		cutPolicy = cuts.DefaultPolicy{Limit: req.Limit}
-	case "unlimited":
-		cutPolicy = cuts.UnlimitedPolicy{}
-	case "shuffle":
-		cutPolicy = &cuts.ShufflePolicy{Rng: rand.New(rand.NewSource(req.Seed)), Limit: req.Limit}
-	case "slap":
-		cutPolicy = s.slapFor(req, model, lib, workers).Policy(ctx)
-	}
-
-	resp := &MapResponse{Target: target, Workers: workers}
-	if target == "lut" {
+	cutPolicy := s.cutPolicy(ctx, req, lib, model, workers)
+	if req.Target == "lut" {
 		mg, ch, err := s.requestChoiceView(ctx, g, req.Choices)
 		if err != nil {
 			return nil, err
@@ -877,6 +890,7 @@ func (s *Server) executeMap(ctx context.Context, req *MapRequest, g *aig.AIG, li
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		resp := &MapResponse{Target: req.Target, Workers: workers}
 		if req.Verify {
 			if err := res.EquivalentTo(g, 8, rand.New(rand.NewSource(99))); err != nil {
 				return nil, fmt.Errorf("equivalence check failed: %w", err)
@@ -888,11 +902,11 @@ func (s *Server) executeMap(ctx context.Context, req *MapRequest, g *aig.AIG, li
 		resp.Depth = res.Depth
 		resp.CutsConsidered = res.CutsConsidered
 		resp.PeakCuts = res.PeakCuts
-		resp.RoundsRun, resp.RoundStats = roundRecords(target, res.RoundStats)
+		resp.RoundsRun, resp.RoundStats = roundRecords(req.Target, res.RoundStats)
 		return resp, nil
 	}
 
-	served, err := s.mapASIC(ctx, req, g, lib, workers, policy, cutPolicy)
+	served, err := s.mapASIC(ctx, req, g, lib, workers, cutPolicy, key)
 	if err != nil {
 		return nil, err
 	}
@@ -902,19 +916,32 @@ func (s *Server) executeMap(ctx context.Context, req *MapRequest, g *aig.AIG, li
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	return asicAnswer(req, g, workers, served)
+}
+
+// asicAnswer builds the answer to an asic mapping that the result cache's
+// front served, whether handleMap found it before the scheduler or a
+// worker ran Serve: the QoR and cache fields, the verify check of an
+// entry cached without one, and the netlist. A hit answered either way is
+// the same answer.
+func asicAnswer(req *MapRequest, g *aig.AIG, workers int, served mapcache.Served) (*MapResponse, error) {
 	res := served.Result
-	resp.Policy = res.PolicyName
-	resp.PeakCuts = res.PeakCuts
-	resp.Area = res.Area
-	resp.Delay = res.Delay
-	resp.ADP = res.ADP()
-	resp.Cells = res.Netlist.NumCells()
-	resp.CutsConsidered = res.CutsConsidered
-	resp.MatchAttempts = res.MatchAttempts
-	resp.Cached = served.Cached
-	resp.ECO = served.ECO
-	resp.DirtyFraction = served.Dirty
-	resp.RoundsRun, resp.RoundStats = roundRecords(target, res.RoundStats)
+	resp := &MapResponse{
+		Policy:         res.PolicyName,
+		Target:         req.Target,
+		Area:           res.Area,
+		Delay:          res.Delay,
+		ADP:            res.ADP(),
+		Cells:          res.Netlist.NumCells(),
+		CutsConsidered: res.CutsConsidered,
+		PeakCuts:       res.PeakCuts,
+		MatchAttempts:  res.MatchAttempts,
+		Workers:        workers,
+		Cached:         served.Cached,
+		ECO:            served.ECO,
+		DirtyFraction:  served.Dirty,
+	}
+	resp.RoundsRun, resp.RoundStats = roundRecords(req.Target, res.RoundStats)
 	if req.Verify {
 		// Cached entries carry their verify bit; an entry cached without
 		// verification is checked here without re-mapping.
@@ -926,6 +953,7 @@ func (s *Server) executeMap(ctx context.Context, req *MapRequest, g *aig.AIG, li
 		resp.Verified = true
 	}
 	var buf bytes.Buffer
+	var err error
 	switch req.Netlist {
 	case "verilog":
 		err = res.Netlist.WriteVerilog(&buf)
