@@ -216,13 +216,16 @@ func BenchmarkCutEnumeration(b *testing.B) {
 // BenchmarkEndToEndSLAPMap measures the complete SLAP mapping flow on a
 // mid-size multiplier: matching fused into the enumeration wavefront, cut
 // storage retired level by level, and a pooled arena reused across
-// iterations. per-sample runs the CNN one cut at a time; batched wires
-// inference as slap-serve does, one engine behind a coalescer, with two
-// mapping workers.
+// iterations. batched wires inference as slap-serve does, one engine behind
+// a coalescer, with two mapping workers.
 func BenchmarkEndToEndSLAPMap(b *testing.B) {
 	tr := sharedTraining(b)
 	g := circuits.ArrayMultiplier(8)
-	run := func(b *testing.B, s core.SLAP) {
+	b.Run("batched", func(b *testing.B) {
+		co := infer.NewCoalescer(infer.NewEngine(tr.SLAP.Model, infer.Options{}), infer.CoalescerOptions{})
+		defer co.Close()
+		s := *tr.SLAP
+		s.Batch, s.Workers = co, 2
 		pool := cuts.NewPool(1)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -231,18 +234,6 @@ func BenchmarkEndToEndSLAPMap(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("per-sample", func(b *testing.B) {
-		s := *tr.SLAP
-		s.Batch = nil
-		run(b, s)
-	})
-	b.Run("batched", func(b *testing.B) {
-		co := infer.NewCoalescer(infer.NewEngine(tr.SLAP.Model, infer.Options{}), infer.CoalescerOptions{})
-		defer co.Close()
-		s := *tr.SLAP
-		s.Batch, s.Workers = co, 2
-		run(b, s)
 	})
 }
 

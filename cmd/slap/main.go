@@ -43,7 +43,6 @@ import (
 	"slap/internal/cover"
 	"slap/internal/cuts"
 	"slap/internal/experiments"
-	"slap/internal/infer"
 	"slap/internal/library"
 	"slap/internal/mapper"
 	"slap/internal/nn"
@@ -61,7 +60,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "seed for the shuffle policy")
 		limit       = flag.Int("limit", 0, "per-node cut budget for default/shuffle policies (0 = 250)")
 		workers     = flag.Int("workers", 0, "cut-enumeration/inference workers (0 = all CPU cores, 1 = sequential)")
-		batch       = flag.Int("batch", 256, "largest batched-inference forward pass for -policy slap (negative = per-sample inference)")
 		verify      = flag.Bool("verify", true, "check mapped netlist equivalence against the AIG")
 		listNames   = flag.Bool("list", false, "list built-in circuit names and exit")
 		showCells   = flag.Bool("cells", false, "print the cell-type histogram")
@@ -80,7 +78,7 @@ func main() {
 	if err := run(runConfig{
 		circuit: *circuitName, aag: *aagPath, baseline: *baseline, profile: *profileName,
 		policy: *policyName, model: *modelPath, lib: *libPath,
-		seed: *seed, limit: *limit, workers: *workers, batch: *batch,
+		seed: *seed, limit: *limit, workers: *workers,
 		verify: *verify, list: *listNames,
 		cells: *showCells, verilog: *verilogOut, blif: *blifOut, report: *report,
 		rounds: *rounds, delayFactor: *delayFactor, choices: *choices,
@@ -96,7 +94,7 @@ func main() {
 type runConfig struct {
 	circuit, aag, baseline, profile, policy, model, lib string
 	seed                                                int64
-	limit, workers, batch                               int
+	limit, workers                                      int
 	verify, list, cells, report                         bool
 	verilog, blif                                       string
 	rounds                                              int
@@ -150,11 +148,10 @@ func run(cfg runConfig) error {
 		}
 		return printResult(cfg, g, res)
 	}
-	policy, done, err := cutPolicy(cfg, lib)
+	policy, err := cutPolicy(cfg, lib)
 	if err != nil {
 		return err
 	}
-	defer done()
 	// -choices maps a combined choice view instead of the subject graph; the
 	// view shares the subject's PIs/POs, so verification below still runs
 	// against the original circuit.
@@ -175,38 +172,30 @@ func run(cfg runConfig) error {
 }
 
 // cutPolicy builds the -policy cut policy; for slap, the keep decision of
-// the -model classifier with the -workers and -batch settings. The
-// returned function releases what the policy holds (the inference
-// coalescer).
-func cutPolicy(cfg runConfig, lib *library.Library) (cuts.Policy, func(), error) {
+// the -model classifier with the -workers setting. Each mapping worker
+// classifies a node's cuts through the batched engine, whose kernels keep
+// the per-sample operation order.
+func cutPolicy(cfg runConfig, lib *library.Library) (cuts.Policy, error) {
 	switch cfg.policy {
 	case "default":
-		return cuts.DefaultPolicy{Limit: cfg.limit}, func() {}, nil
+		return cuts.DefaultPolicy{Limit: cfg.limit}, nil
 	case "unlimited":
-		return cuts.UnlimitedPolicy{}, func() {}, nil
+		return cuts.UnlimitedPolicy{}, nil
 	case "shuffle":
-		return &cuts.ShufflePolicy{Rng: rand.New(rand.NewSource(cfg.seed)), Limit: cfg.limit}, func() {}, nil
+		return &cuts.ShufflePolicy{Rng: rand.New(rand.NewSource(cfg.seed)), Limit: cfg.limit}, nil
 	case "slap":
 		if cfg.model == "" {
-			return nil, nil, fmt.Errorf("-policy slap requires -model (train one with slap-train)")
+			return nil, fmt.Errorf("-policy slap requires -model (train one with slap-train)")
 		}
 		model, err := nn.LoadFile(cfg.model)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		s := core.New(model, lib)
 		s.Workers = cfg.workers
-		if cfg.batch < 0 {
-			return s.Policy(context.Background()), func() {}, nil
-		}
-		// Each mapping worker classifies a node's cuts in forward passes on
-		// its own goroutine. The kernels keep the per-sample operation
-		// order: QoR is identical to per-sample inference.
-		co := infer.NewCoalescer(infer.NewEngine(model, infer.Options{}), infer.CoalescerOptions{MaxBatch: cfg.batch})
-		s.Batch = co
-		return s.Policy(context.Background()), co.Close, nil
+		return s.Policy(context.Background()), nil
 	}
-	return nil, nil, fmt.Errorf("unknown policy %q", cfg.policy)
+	return nil, fmt.Errorf("unknown policy %q", cfg.policy)
 }
 
 // printResult renders the QoR block shared by the cold-map and ECO flows.
@@ -267,11 +256,10 @@ func runECO(cfg runConfig, g *aig.AIG, lib *library.Library) (*mapper.Result, er
 	}
 	fmt.Printf("baseline: %s\n", base.Stats())
 
-	policy, done, err := cutPolicy(cfg, lib)
+	policy, err := cutPolicy(cfg, lib)
 	if err != nil {
 		return nil, err
 	}
-	defer done()
 	snap := cover.NewSnapshot(base, policy, 0)
 	if snap == nil {
 		return nil, fmt.Errorf("policy %q is not ECO-eligible (want default, unlimited or slap)", cfg.policy)

@@ -127,6 +127,22 @@ func lutDigest(r *lutmap.Result) goldenDigest {
 	return d
 }
 
+// referenceBatcher puts infer.Reference, the per-sample nn.Model forward
+// pass, behind the Batcher interface: the reference the batched paths are
+// compared with.
+type referenceBatcher struct{ infer.Reference }
+
+func (r referenceBatcher) PredictBatch(ctx context.Context, xs [][]float64) ([][]float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return r.ForwardBatch(xs)
+}
+
+// perSample returns a Batcher that classifies through m's per-sample
+// forward pass.
+func perSample(m *nn.Model) Batcher { return referenceBatcher{infer.Reference{M: m}} }
+
 func loadGoldenModel(t testing.TB) *SLAP {
 	t.Helper()
 	m, err := nn.LoadFile(goldenModelFile)
@@ -173,6 +189,7 @@ func goldenPolicy(name string) cuts.Policy {
 func goldenDigests(t testing.TB) map[string]goldenDigest {
 	t.Helper()
 	model := loadGoldenModel(t)
+	model.Batch = perSample(model.Model)
 	lib := library.ASAP7ish()
 	out := map[string]goldenDigest{}
 	for _, gc := range goldenCircuits() {
@@ -314,7 +331,8 @@ func slapGoldenDigests(t testing.TB, model *SLAP, out map[string]goldenDigest) {
 
 // TestGoldenDigests maps a fixed matrix of circuits, policies, targets and
 // round/choice configurations, plus ECO delta remaps and classification,
-// and requires every digest to match the recorded one bit for bit.
+// and requires every digest to match the recorded one bit for bit. SLAP
+// classifies through the per-sample forward pass (infer.Reference).
 func TestGoldenDigests(t *testing.T) {
 	want := recordedDigests(t)
 	got := goldenDigests(t)

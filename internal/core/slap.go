@@ -60,13 +60,13 @@ type SLAP struct {
 	// wavefront of cuts.Enumerator) and inference (0 = GOMAXPROCS,
 	// 1 = fully sequential).
 	Workers int
-	// Batch, when set, routes inference through a batched backend: each
-	// worker submits a whole node's cut embeddings as one PredictBatch call
-	// instead of running the per-sample Model forward pass per cut. Both
-	// *infer.Engine and *infer.Coalescer satisfy it; nil keeps the
-	// per-sample path. The batched kernels accumulate in the per-sample
-	// order, so filtering decisions — and hence mapping QoR — are identical
-	// either way.
+	// Batch classifies cuts: each inference worker submits a whole node's
+	// cut embeddings as one PredictBatch call. Both *infer.Engine and
+	// *infer.Coalescer satisfy it; nil classifies through an infer.Engine
+	// over Model built for each mapping or classification call. The
+	// engine's kernels accumulate in the per-sample order, so its classes
+	// — and hence filtering decisions and mapping QoR — are those of
+	// Model.PredictClass.
 	Batch Batcher
 	// Rounds selects multi-round mapping: round 1 is the delay-optimal
 	// (depth-optimal for LUTs) pass, later rounds re-select covers by area
@@ -98,13 +98,11 @@ type SLAP struct {
 	Views *choice.Cache
 }
 
-// inferScratch is one worker's reusable filter-step storage: a
-// single-sample buffer for the per-sample path, a growable slab for
-// whole-node batch submissions, and the node's cut indices, classes and
-// per-class counts. CutInto overwrites every position and the model never
-// retains its input, so reuse across cuts and nodes is exact.
+// inferScratch is one worker's reusable filter-step storage: a growable
+// slab for whole-node batch submissions, and the node's cut indices,
+// classes and per-class counts. CutInto overwrites every position and no
+// backend retains its input, so reuse across nodes is exact.
 type inferScratch struct {
-	x       []float64
 	slab    []float64
 	xs      [][]float64
 	idx     []int
@@ -128,16 +126,18 @@ func (sc *inferScratch) batch(n int) ([]float64, [][]float64) {
 
 // Batcher classifies batches of cut embeddings. It is satisfied by
 // infer.Engine (one pass per call) and infer.Coalescer (passes of bounded
-// size, reported to a metrics collector); core declares the interface
-// locally so it does not depend on internal/infer.
+// size, reported to a metrics collector). Being an interface, it lets a
+// caller wrap the backend, to time it or to put the per-sample
+// infer.Reference behind it.
 type Batcher interface {
 	// PredictBatch returns one probability vector per input, or an error
 	// (e.g. ctx done, backend closed) that fails the whole mapping call.
 	PredictBatch(ctx context.Context, xs [][]float64) ([][]float64, error)
 }
 
-// argmaxClass mirrors nn.Model.PredictClass exactly (first-wins on ties) so
-// batched and per-sample classification agree on every input.
+// argmaxClass mirrors nn.Model.PredictClass exactly (first-wins on ties),
+// so classes from batched probabilities agree with the per-sample ones on
+// every input.
 func argmaxClass(probs []float64) int {
 	best, bi := math.Inf(-1), 0
 	for c, p := range probs {
@@ -287,6 +287,17 @@ func Train(opt TrainOptions) (*SLAP, *TrainReport, error) {
 	return s, report, nil
 }
 
+// withBatch returns s when it has a Batcher, and otherwise a copy that
+// classifies through an infer.Engine over s.Model built for one call.
+func (s *SLAP) withBatch() *SLAP {
+	if s.Batch != nil {
+		return s
+	}
+	c := *s
+	c.Batch = infer.NewEngine(s.Model, infer.Options{})
+	return &c
+}
+
 // inferScratches returns one pooled scratch per inference worker: Workers,
 // or GOMAXPROCS when unset. Hand them back with putScratches once no
 // worker uses them.
@@ -400,9 +411,9 @@ func (s *SLAP) batchProbs(ctx context.Context, emb *embed.Embedder, n uint32, cs
 }
 
 // classifyCuts predicts the QoR class of every non-trivial cut of n:
-// classes[k] belongs to cs[idx[k]]. With a Batcher set, the node's
-// embeddings go out as one batch; otherwise each cut runs the per-sample
-// forward pass. Both slices live in sc until the worker's next call.
+// classes[k] belongs to cs[idx[k]]. The node's embeddings go out to
+// s.Batch as one batch. Both slices live in sc until the worker's next
+// call.
 func (s *SLAP) classifyCuts(ctx context.Context, emb *embed.Embedder, n uint32, cs []cuts.Cut, sc *inferScratch) (idx, classes []int, err error) {
 	idx = sc.idx[:0]
 	for i := range cs {
@@ -416,16 +427,6 @@ func (s *SLAP) classifyCuts(ctx context.Context, emb *embed.Embedder, n uint32, 
 	}
 	classes = sc.classes[:len(idx)]
 	if len(idx) == 0 {
-		return idx, classes, nil
-	}
-	if s.Batch == nil {
-		if sc.x == nil {
-			sc.x = make([]float64, embed.Size)
-		}
-		for k, i := range idx {
-			emb.CutInto(n, &cs[i], sc.x)
-			classes[k] = s.Model.PredictClass(sc.x)
-		}
 		return idx, classes, nil
 	}
 	probs, err := s.batchProbs(ctx, emb, n, cs, idx, sc)
@@ -572,13 +573,14 @@ type Classification struct {
 
 // ClassifyContext enumerates all k-cuts of g and predicts each non-trivial
 // cut's QoR class, without filtering or mapping. It materialises the whole
-// cut universe first and then classifies it in one pass, so the
-// inference workers meet no per-level barrier. Parallelism follows
-// s.Workers; cancellation follows ctx.
+// cut universe first (Run copies each level out of the arena) and then
+// classifies it in one pass, so the inference workers meet no per-level
+// barrier. Parallelism follows s.Workers; cancellation follows ctx.
 func (s *SLAP) ClassifyContext(ctx context.Context, g *aig.AIG) (*Classification, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	s = s.withBatch()
 	enum := &cuts.Enumerator{G: g, Policy: cuts.UnlimitedPolicy{}, MergeCap: s.MergeCap, Workers: s.Workers}
 	res := enum.Run()
 	if err := ctx.Err(); err != nil {

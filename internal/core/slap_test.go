@@ -111,6 +111,7 @@ func TestTrainRequiresLibrary(t *testing.T) {
 // cut lists and returns the filtered lists.
 func filterAll(t testing.TB, s *SLAP, g *aig.AIG) [][]cuts.Cut {
 	t.Helper()
+	s = s.withBatch()
 	res := (&cuts.Enumerator{G: g, Policy: cuts.UnlimitedPolicy{}, MergeCap: s.MergeCap, Workers: s.Workers}).Run()
 	emb := embed.NewEmbedder(g)
 	emb.PrecomputeAll()
@@ -293,16 +294,17 @@ func TestSLAPMapLUT(t *testing.T) {
 	}
 }
 
-// TestBatchedFilterMatchesPerSample pins the PR's headline guarantee: wiring
-// a batched inference backend (bare Engine or pass-splitting Coalescer) into
-// SLAP changes throughput only — the surviving cut sets and the mapped QoR
-// are identical to per-sample Predict, because the engine's kernels keep the
-// per-sample operation order.
+// TestBatchedFilterMatchesPerSample pins the batched engine's guarantee:
+// classifying through it (bare, behind the pass-splitting Coalescer, or as
+// the engine a nil Batch builds) changes throughput only — the surviving
+// cut sets and the mapped QoR are identical to per-sample Predict through
+// infer.Reference, because the engine's kernels keep the per-sample
+// operation order.
 func TestBatchedFilterMatchesPerSample(t *testing.T) {
 	s, _ := trainSmall(t)
 	g := circuits.TrainRC16()
 
-	s.Batch = nil
+	s.Batch = perSample(s.Model)
 	perCuts := filterAll(t, s, g)
 	perRes, err := s.MapStreamContext(context.Background(), g)
 	if err != nil {
@@ -318,6 +320,7 @@ func TestBatchedFilterMatchesPerSample(t *testing.T) {
 	}{
 		{"engine", eng},
 		{"coalescer", co},
+		{"nil", nil},
 	} {
 		s.Batch = tc.batch
 		got := filterAll(t, s, g)

@@ -1,12 +1,12 @@
 // Fused SLAP mapping: enumeration, ML cut filtering and Boolean matching
 // run as one streaming pipeline over the level wavefront. SLAP's keep
 // decision is a cuts.LevelFilter: the shared cover engine runs it on each
-// completed level, in parallel over the inference workers (per-sample or
-// batched), and feeds the kept lists to the unchanged matching and cover
-// selection of either target before the enumerator retires the level's
-// cut storage — so the full cut universe is never materialised. Filtering
-// decisions are per-node deterministic, so the result equals that of the
-// paper's separate enumerate, classify and map stages.
+// completed level, in parallel over the batched inference workers, and
+// feeds the kept lists to the unchanged matching and cover selection of
+// either target before the enumerator retires the level's cut storage —
+// so the full cut universe is never materialised. Filtering decisions are
+// per-node deterministic, so the result equals that of the paper's
+// separate enumerate, classify and map stages.
 package core
 
 import (
@@ -73,18 +73,20 @@ func (slapPolicy) Name() string { return "slap" }
 // Sig implements cuts.LevelFilter.
 func (p slapPolicy) Sig() string { return p.s.ConfigSig() }
 
-// Begin implements cuts.LevelFilter. It takes the embedder and the
-// inference scratches before enumeration fans out. sync.Pool keeps a
-// returned scratch in the P that returned it, and after a parallel level
-// the enumerating goroutine often resumes on another P, which cannot take it:
-// taken at the first level, the scratches (and their grown slabs) would
-// be allocated afresh on about every other map.
+// Begin implements cuts.LevelFilter. It takes the embedder, the inference
+// scratches and, when s.Batch is nil, the call's engine before enumeration
+// fans out. sync.Pool keeps a returned scratch in the P that returned it,
+// and after a parallel level the enumerating goroutine often resumes on
+// another P, which cannot take it: taken at the first level, the
+// scratches (and their grown slabs) would be allocated afresh on about
+// every other map.
 func (p slapPolicy) Begin(g *aig.AIG) (func(nodes []uint32, sets, kept, extras [][]cuts.Cut) error, func()) {
+	s := p.s.withBatch()
 	emb := embed.NewEmbedder(g)
 	emb.PrecomputeAll()
-	scratches := p.s.inferScratches()
+	scratches := s.inferScratches()
 	filter := func(nodes []uint32, sets, kept, extras [][]cuts.Cut) error {
-		return p.s.filterNodes(p.ctx, emb, nodes, sets, kept, extras, scratches)
+		return s.filterNodes(p.ctx, emb, nodes, sets, kept, extras, scratches)
 	}
 	return filter, func() { putScratches(scratches) }
 }

@@ -55,6 +55,7 @@ func filterTwoPhase(t testing.TB, s *SLAP, g *aig.AIG) (*aig.AIG, [][]cuts.Cut, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	s = s.withBatch()
 	res := (&cuts.Enumerator{G: mg, Policy: cuts.UnlimitedPolicy{}, MergeCap: s.MergeCap, Workers: s.Workers, Choices: ch}).Run()
 	emb := embed.NewEmbedder(mg)
 	emb.PrecomputeAll()
@@ -171,10 +172,12 @@ type circuitCase struct {
 
 // TestMapStreamBatchedBackend drives the fused pipeline through the
 // batched inference engine and the coalescer — the per-level Batch hook —
-// and requires byte-identity with the per-sample fused run.
+// and requires byte-identity with the fused run through the per-sample
+// reference.
 func TestMapStreamBatchedBackend(t *testing.T) {
 	g := circuits.BoothMultiplier(6)
 	s := untrained(7)
+	s.Batch = perSample(s.Model)
 	want, err := s.MapStreamContext(context.Background(), g)
 	if err != nil {
 		t.Fatalf("per-sample MapStream: %v", err)

@@ -1,8 +1,8 @@
-// Arena-pooled cut storage: a streaming enumeration run carves its cut
-// lists and leaf slices out of an Arena instead of the heap, and a Pool
-// keyed by graph identity hands the same Arena back to repeated mappings of
-// the same design — the dominant slap-serve pattern and every dataset
-// shuffle sweep — so the steady state allocates nothing.
+// Arena-pooled cut storage: every enumeration run carves its cut lists and
+// leaf slices out of an Arena (a fresh one when the caller lends none), and
+// a Pool keyed by graph identity hands the same Arena back to repeated
+// mappings of the same design — the dominant slap-serve pattern and every
+// dataset shuffle sweep — so the steady state allocates nothing.
 package cuts
 
 import (

@@ -51,7 +51,7 @@ func (s *scratch) enrichChoices(e *Enumerator, res *Result, n uint32, out []Cut,
 			if mem.Compl {
 				f = f.Not()
 			}
-			if s.a != nil && len(out) == cap(out) {
+			if len(out) == cap(out) {
 				out = s.growCutList(out)
 			}
 			out = append(out, Cut{

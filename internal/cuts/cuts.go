@@ -248,7 +248,8 @@ type Enumerator struct {
 	Workers int
 	// Arena, when non-nil, provides pooled cut storage for RunStream so a
 	// repeated mapping of the same graph shape allocates nothing in steady
-	// state (see Pool). Run ignores it.
+	// state (see Pool); nil makes a fresh arena for each run. Run ignores
+	// it: it runs on a fresh arena and copies its lists out.
 	Arena *Arena
 	// Reuse, when non-nil, is consulted before each AND node is merged: a
 	// non-nil list is installed verbatim and the node's merge/policy
@@ -266,7 +267,7 @@ type Enumerator struct {
 	// choice.go for the eligibility rule sources must uphold.
 	Choices ChoiceSource
 
-	// s is the sequential/owner scratch, shared with worker 0.
+	// s is MakeCut's scratch; enumeration runs take theirs from the arena.
 	s *scratch
 }
 
@@ -276,13 +277,6 @@ const DefaultMergeCap = 2000
 // minParallelAnds gates the wavefront path: below this graph size the
 // per-level barriers cost more than the merges they spread.
 const minParallelAnds = 128
-
-func (e *Enumerator) scratch() *scratch {
-	if e.s == nil {
-		e.s = newScratch(e.G)
-	}
-	return e.s
-}
 
 // effectiveWorkers resolves the Workers knob against the policy and graph.
 func (e *Enumerator) effectiveWorkers() int {
@@ -297,24 +291,47 @@ func (e *Enumerator) effectiveWorkers() int {
 }
 
 // Run enumerates cuts for all nodes and keeps every list: a collector sink
-// over RunStream without an arena, so nothing is recycled and each level's
-// lists stay valid after retirement. Consumers that need the whole cut
-// universe at once (classification, ECO delta remapping, tests) use it.
+// over a fresh arena's stream that copies each level's lists, leaves
+// included, out of the arena before retirement recycles them. Every list
+// stays valid after Run returns, and PeakCuts equals TotalCuts. Consumers
+// that need the whole cut universe at once (classification, tests) use
+// it.
 func (e *Enumerator) Run() *Result {
-	kept := make([][]Cut, e.G.NumNodes())
+	g := e.G
+	out := &Result{Sets: make([][]Cut, g.NumNodes())}
+	// A fresh arena fits g and the sink never fails, so the run cannot.
 	res, _ := e.runStream(nil, func(_ int32, nodes []uint32, sets [][]Cut) error {
-		for _, n := range nodes {
-			kept[n] = sets[n]
-		}
+		copyLists(out.Sets, nodes, sets)
 		return nil
 	})
-	for n, cs := range kept {
-		if cs != nil {
-			res.Sets[n] = cs
+	copyLists(out.Sets, g.PIs(), res.Sets)
+	out.TotalCuts = res.TotalCuts
+	out.PeakCuts = res.TotalCuts
+	return out
+}
+
+// copyLists copies the lists of nodes from sets into dst, carving every
+// cut from one slab and every leaf from another.
+func copyLists(dst [][]Cut, nodes []uint32, sets [][]Cut) {
+	nc, nl := 0, 0
+	for _, n := range nodes {
+		nc += len(sets[n])
+		for i := range sets[n] {
+			nl += len(sets[n][i].Leaves)
 		}
 	}
-	res.PeakCuts = res.TotalCuts
-	return res
+	cs, ls := make([]Cut, nc), make([]uint32, nl)
+	for _, n := range nodes {
+		src := sets[n]
+		d := cs[:len(src):len(src)]
+		cs = cs[len(src):]
+		for i := range src {
+			d[i] = src[i]
+			k := copy(ls, src[i].Leaves)
+			d[i].Leaves, ls = ls[:k:k], ls[k:]
+		}
+		dst[n] = d
+	}
 }
 
 // processNode computes one AND node's final cut list.
@@ -334,42 +351,18 @@ func (e *Enumerator) processNode(s *scratch, res *Result, n uint32, capN int) {
 		cs = e.Policy.Process(e.G, n, cs)
 	}
 	cs = s.ensureTrivialCut(n, cs)
-	if s.a != nil {
-		// Record the block backing this node's list so level retirement can
-		// recycle it. Policies keep the merge array (sort/filter/truncate in
-		// place), so cs still views the checked-out block; if a policy ever
-		// substituted its own array, putCutBlock's power-of-two check drops
-		// it to the garbage collector instead.
-		s.a.blocks[n] = cs
-	}
+	// Record the block backing this node's list so level retirement can
+	// recycle it. Policies keep the merge array (sort/filter/truncate in
+	// place), so cs still views the checked-out block; if a policy ever
+	// substituted its own array, putCutBlock's power-of-two check drops it
+	// to the garbage collector instead.
+	s.a.blocks[n] = cs
 	res.Sets[n] = cs
 }
 
-func trivialCut(n uint32) Cut {
-	return Cut{
-		Leaves: []uint32{n},
-		Sig:    leafSig([]uint32{n}),
-		TT:     tt.Var(0),
-		Volume: 0,
-	}
-}
-
-func ensureTrivial(n uint32, cs []Cut) []Cut {
-	for i := range cs {
-		if cs[i].IsTrivial(n) {
-			return cs
-		}
-	}
-	return append(cs, trivialCut(n))
-}
-
-// ensureTrivialCut is ensureTrivial with arena-backed storage: the appended
-// trivial cut's leaf slice is interned and the cut block is grown through
-// the arena instead of the heap.
+// ensureTrivialCut appends the trivial cut {n} when cs lacks it: its leaf
+// slice is interned and the cut block is grown through the arena.
 func (s *scratch) ensureTrivialCut(n uint32, cs []Cut) []Cut {
-	if s.a == nil {
-		return ensureTrivial(n, cs)
-	}
 	for i := range cs {
 		if cs[i].IsTrivial(n) {
 			return cs
@@ -411,26 +404,23 @@ func (s *scratch) beginLevel(l int32) {
 }
 
 // flushChunk registers the current partial leaf chunk under the active
-// scope so it can be recycled, and detaches it. Without an arena the chunk
-// is simply dropped to the garbage collector (pre-arena behaviour).
+// scope so it can be recycled, and detaches it.
 func (s *scratch) flushChunk() {
 	if cap(s.arena) == 0 {
 		s.arena = nil
 		return
 	}
-	if s.a != nil {
-		if s.curLevel >= 0 {
-			s.chunksByLevel[s.curLevel] = append(s.chunksByLevel[s.curLevel], s.arena)
-		} else {
-			s.runChunks = append(s.runChunks, s.arena)
-		}
+	if s.curLevel >= 0 {
+		s.chunksByLevel[s.curLevel] = append(s.chunksByLevel[s.curLevel], s.arena)
+	} else {
+		s.runChunks = append(s.runChunks, s.arena)
 	}
 	s.arena = nil
 }
 
 // releaseLevelChunks recycles the leaf chunks scoped to a retired level.
 func (s *scratch) releaseLevelChunks(l int32) {
-	if s.a == nil || int(l) >= len(s.chunksByLevel) {
+	if int(l) >= len(s.chunksByLevel) {
 		return
 	}
 	if s.curLevel == l {
@@ -445,9 +435,6 @@ func (s *scratch) releaseLevelChunks(l int32) {
 // reclaimChunks returns every outstanding leaf chunk to the arena (end of a
 // run, or Arena reclaim after an aborted one).
 func (s *scratch) reclaimChunks() {
-	if s.a == nil {
-		return
-	}
 	s.flushChunk()
 	for i, ch := range s.runChunks {
 		s.a.putLeafChunk(ch)
@@ -486,14 +473,13 @@ type scratch struct {
 	tabCur   uint32
 	tabCount int
 
-	// arena provides leaf-slice storage for accepted cuts in chunked
-	// bulk allocations.
+	// arena is the leaf chunk accepted cuts' leaf slices are carved from.
 	arena []uint32
 
-	// a, when non-nil, supplies pooled blocks and chunks (streaming runs).
+	// a supplies the cut blocks and leaf chunks of an enumeration run.
 	// curLevel scopes filled leaf chunks: >= 0 registers them per level in
-	// chunksByLevel so retirement can recycle them; -1 (index-order driver
-	// and MakeCut) accumulates them in runChunks until Arena reclaim.
+	// chunksByLevel so retirement can recycle them; -1 (index-order driver)
+	// accumulates them in runChunks until Arena reclaim.
 	a             *Arena
 	curLevel      int32
 	chunksByLevel [][][]uint32
@@ -523,12 +509,7 @@ func (s *scratch) mergeNode(n uint32, cs0, cs1 []Cut, capN int) []Cut {
 	if est > capN {
 		est = capN
 	}
-	var out []Cut
-	if s.a != nil {
-		out = s.a.getCutBlock(est + 1)
-	} else {
-		out = make([]Cut, 0, est+1)
-	}
+	out := s.a.getCutBlock(est + 1)
 	s.resetTable(est)
 	var buf [K]uint32
 	for i := range cs0 {
@@ -558,7 +539,7 @@ func (s *scratch) mergeNode(n uint32, cs0, cs1 []Cut, capN int) []Cut {
 			// variable. Cone evaluation also yields the volume in the same
 			// traversal.
 			f, vol := s.coneTT(n, leaves)
-			if s.a != nil && len(out) == cap(out) {
+			if len(out) == cap(out) {
 				out = s.growCutList(out)
 			}
 			out = append(out, Cut{
@@ -649,17 +630,13 @@ func (s *scratch) growTable(out []Cut) {
 	}
 }
 
-// internLeaves copies an accepted leaf union into the arena, so the merge
-// loop allocates one chunk per ~arenaChunk leaves instead of one slice per
-// cut.
+// internLeaves copies an accepted leaf union into the current leaf chunk,
+// so the merge loop checks out one chunk per ~arenaChunk leaves instead of
+// allocating one slice per cut.
 func (s *scratch) internLeaves(src []uint32) []uint32 {
 	if cap(s.arena)-len(s.arena) < len(src) {
-		if s.a != nil {
-			s.flushChunk()
-			s.arena = s.a.getLeafChunk()
-		} else {
-			s.arena = make([]uint32, 0, arenaChunk)
-		}
+		s.flushChunk()
+		s.arena = s.a.getLeafChunk()
 	}
 	i := len(s.arena)
 	s.arena = append(s.arena, src...)
@@ -670,7 +647,10 @@ func (s *scratch) internLeaves(src []uint32) []uint32 {
 // its truth table and volume by cone evaluation. The leaf set must be a
 // valid cut of root (every PI-to-root path passes through a leaf).
 func (e *Enumerator) MakeCut(root uint32, leaves []uint32) Cut {
-	f, vol := e.scratch().coneTT(root, leaves)
+	if e.s == nil {
+		e.s = newScratch(e.G)
+	}
+	f, vol := e.s.coneTT(root, leaves)
 	return Cut{
 		Leaves: append([]uint32(nil), leaves...),
 		Sig:    leafSig(leaves),

@@ -392,10 +392,13 @@ func benchMergeInputs(b *testing.B) (*Enumerator, uint32, aig.Lit, aig.Lit, []Cu
 }
 
 // BenchmarkMergeNode isolates the per-node merge step (leaf union, dedupe,
-// cone evaluation) — the enumeration hot path.
+// cone evaluation) — the enumeration hot path. It merges on an arena
+// scratch, as a run does, and hands the cut block and leaf chunks back
+// after each merge.
 func BenchmarkMergeNode(b *testing.B) {
 	e, n, _, _, cs0, cs1 := benchMergeInputs(b)
-	s := e.scratch()
+	a := NewArena(e.G)
+	s := a.scratchFor(0, e.G.MaxLevel())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -403,6 +406,8 @@ func BenchmarkMergeNode(b *testing.B) {
 		if len(out) == 0 {
 			b.Fatal("merge produced no cuts")
 		}
+		a.putCutBlock(out)
+		s.reclaimChunks()
 	}
 }
 

@@ -2,7 +2,7 @@
 // a sink (the fused mapper) and releases a level's cut storage as soon as
 // every consumer of that level has been merged — the level-retirement rule.
 // Peak cut memory drops from the whole graph to the widest live window, and
-// with an Arena attached the released blocks are recycled in place.
+// the released blocks are recycled in place through the run's Arena.
 package cuts
 
 import (
@@ -20,8 +20,7 @@ import (
 type LevelSink func(level int32, nodes []uint32, sets [][]Cut) error
 
 // streamState is the per-run bookkeeping of RunStream. It lives on the
-// driver's stack; all backing slices come from the Arena when one is
-// attached.
+// driver's stack; all backing slices come from the run's Arena.
 type streamState struct {
 	res      *Result
 	a        *Arena
@@ -49,13 +48,15 @@ type streamState struct {
 // preserves their visit-order-dependent state, with sinks still fired per
 // completed level prefix. Cut sets are identical for every worker count.
 //
+// Cut storage comes from e.Arena, or from a fresh arena when it is nil.
 // After RunStream returns, AND entries of Result.Sets have been released;
 // only TotalCuts and PeakCuts remain meaningful.
 func (e *Enumerator) RunStream(sink LevelSink) (*Result, error) {
 	return e.runStream(e.Arena, sink)
 }
 
-// runStream is RunStream over an explicit arena (nil = heap storage).
+// runStream is RunStream over an explicit arena; nil makes a fresh one for
+// the run.
 func (e *Enumerator) runStream(a *Arena, sink LevelSink) (*Result, error) {
 	g := e.G
 	capN := e.MergeCap
@@ -70,23 +71,15 @@ func (e *Enumerator) runStream(a *Arena, sink LevelSink) (*Result, error) {
 	g.Fanout(0)
 	g.HasInvertedFanout(0)
 
-	var res *Result
-	if a != nil {
-		if a.g != g && a.key != KeyOf(g) {
-			return nil, fmt.Errorf("cuts: arena is keyed to a different graph")
-		}
-		a.attach(g)
-		res = &a.res
-		*res = Result{Sets: a.sets}
-		a.bindPIs(res)
-	} else {
-		res = &Result{Sets: make([][]Cut, g.NumNodes())}
-		for n := uint32(1); n < uint32(g.NumNodes()); n++ {
-			if g.IsPI(n) {
-				res.Sets[n] = []Cut{trivialCut(n)}
-			}
-		}
+	if a == nil {
+		a = NewArena(g)
+	} else if a.g != g && a.key != KeyOf(g) {
+		return nil, fmt.Errorf("cuts: arena is keyed to a different graph")
 	}
+	a.attach(g)
+	res := &a.res
+	*res = Result{Sets: a.sets}
+	a.bindPIs(res)
 
 	st := streamState{res: res, a: a, sink: sink, maxLevel: maxLevel}
 	e.buildLevelPlan(&st)
@@ -115,24 +108,14 @@ func (e *Enumerator) buildLevelPlan(st *streamState) {
 	nLv := int(st.maxLevel) + 1
 	numAnds := g.NumAnds()
 
-	var retireAfter, cursor []int32
-	if a := st.a; a != nil {
-		st.levelNodes = growUint32(&a.levelNodes, numAnds)
-		st.levelOff = growInt32(&a.levelOff, nLv+1)
-		st.levelCuts = growInt32(&a.levelCuts, nLv)
-		st.retireLv = growInt32(&a.retireLv, nLv)
-		st.retireOff = growInt32(&a.retireOff, nLv+1)
-		retireAfter = growInt32(&a.retireAfter, nLv)
-		cursor = growInt32(&a.cursor, nLv+1)
-	} else {
-		st.levelNodes = make([]uint32, numAnds)
-		st.levelOff = make([]int32, nLv+1)
-		st.levelCuts = make([]int32, nLv)
-		st.retireLv = make([]int32, nLv)
-		st.retireOff = make([]int32, nLv+1)
-		retireAfter = make([]int32, nLv)
-		cursor = make([]int32, nLv+1)
-	}
+	a := st.a
+	st.levelNodes = growUint32(&a.levelNodes, numAnds)
+	st.levelOff = growInt32(&a.levelOff, nLv+1)
+	st.levelCuts = growInt32(&a.levelCuts, nLv)
+	st.retireLv = growInt32(&a.retireLv, nLv)
+	st.retireOff = growInt32(&a.retireOff, nLv+1)
+	retireAfter := growInt32(&a.retireAfter, nLv)
+	cursor := growInt32(&a.cursor, nLv+1)
 
 	// Counting sort of the AND nodes by level, ascending index within each.
 	for i := range st.levelOff {
@@ -224,25 +207,15 @@ func growUint32(p *[]uint32, n int) []uint32 {
 // consumers are all complete is retired.
 func (e *Enumerator) streamLevels(st *streamState, capN int) error {
 	workers := e.effectiveWorkers()
-	if st.a != nil {
-		for i := 0; i < workers; i++ {
-			st.a.scratchFor(i, st.maxLevel)
-		}
-		st.scratches = st.a.scratches[:workers]
-	} else {
-		st.scratches = make([]*scratch, workers)
-		st.scratches[0] = e.scratch()
-		for i := 1; i < workers; i++ {
-			st.scratches[i] = newScratch(e.G)
-		}
+	for i := 0; i < workers; i++ {
+		st.a.scratchFor(i, st.maxLevel)
 	}
+	st.scratches = st.a.scratches[:workers]
 	for L := int32(0); L <= st.maxLevel; L++ {
 		nodes := st.levelNodes[st.levelOff[L]:st.levelOff[L+1]]
 		if len(nodes) > 0 {
-			if st.a != nil {
-				for _, s := range st.scratches {
-					s.beginLevel(L)
-				}
+			for _, s := range st.scratches {
+				s.beginLevel(L)
 			}
 			if workers == 1 || len(nodes) < 2*workers {
 				// Narrow levels run inline: a goroutine handoff per node
@@ -296,21 +269,10 @@ func (e *Enumerator) runLevelChunks(res *Result, scratches []*scratch, nodes []u
 // as soon as the completed prefix covers it.
 func (e *Enumerator) streamIndexOrder(st *streamState, capN int) error {
 	g := e.G
-	var s *scratch
-	if st.a != nil {
-		s = st.a.scratchFor(0, st.maxLevel)
-		st.scratches = st.a.scratches[:1]
-	} else {
-		s = e.scratch()
-		st.scratches = []*scratch{s}
-	}
+	s := st.a.scratchFor(0, st.maxLevel)
+	st.scratches = st.a.scratches[:1]
 	nLv := int(st.maxLevel) + 1
-	var remaining []int32
-	if st.a != nil {
-		remaining = growInt32(&st.a.cursor, nLv)
-	} else {
-		remaining = make([]int32, nLv)
-	}
+	remaining := growInt32(&st.a.cursor, nLv)
 	for l := 0; l < nLv; l++ {
 		remaining[l] = st.levelOff[l+1] - st.levelOff[l]
 	}
@@ -373,11 +335,9 @@ func (st *streamState) retireThrough(M int32) {
 func (st *streamState) retireLevel(L int32) {
 	nodes := st.levelNodes[st.levelOff[L]:st.levelOff[L+1]]
 	for _, n := range nodes {
-		if st.a != nil {
-			if b := st.a.blocks[n]; b != nil {
-				st.a.putCutBlock(b)
-				st.a.blocks[n] = nil
-			}
+		if b := st.a.blocks[n]; b != nil {
+			st.a.putCutBlock(b)
+			st.a.blocks[n] = nil
 		}
 		st.res.Sets[n] = nil
 	}

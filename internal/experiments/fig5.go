@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"slap/internal/core"
-	"slap/internal/infer"
 	"slap/internal/library"
 )
 
@@ -18,8 +17,8 @@ type TrainOutcome struct {
 
 // RunTraining trains the model under the profile (experiment §V-B) and
 // returns both the SLAP instance (reused by Table II and Fig. 5) and the
-// accuracy report. The instance classifies through the batched engine, as
-// slap-serve does; its results are bit-identical to per-sample inference.
+// accuracy report. Like every SLAP instance, it classifies through the
+// batched engine, whose results are bit-identical to per-sample inference.
 func RunTraining(p Profile, lib *library.Library, progress func(string)) (*TrainOutcome, error) {
 	if progress == nil {
 		progress = func(string) {}
@@ -36,7 +35,6 @@ func RunTraining(p Profile, lib *library.Library, progress func(string)) (*Train
 	if err != nil {
 		return nil, err
 	}
-	s.Batch = infer.NewEngine(s.Model, infer.Options{})
 	return &TrainOutcome{SLAP: s, Report: rep}, nil
 }
 

@@ -20,7 +20,8 @@ var latencyBuckets = []float64{
 }
 
 // batchSizeBuckets are the upper bounds of the inference batch-size
-// histogram; the top bucket sits above any realistic MaxBatch.
+// histogram; the top bucket sits above infer.DefaultMaxBatch, the largest
+// pass the server's coalescers run.
 var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 // dirtyFractionBuckets are the upper bounds of the ECO dirty-cone-fraction

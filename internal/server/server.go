@@ -55,16 +55,11 @@ type Config struct {
 	// shard directory) outlives completion before being garbage-collected
 	// (0 = DefaultJobRetention, negative = keep forever).
 	JobRetention time.Duration
-	// MaxBatch is the largest batched inference forward pass: slap
-	// mappings and classifications classify each node's cuts in passes of
-	// at most this many samples through one engine per model
-	// (0 = infer.DefaultMaxBatch, negative = disable batching and run the
-	// per-sample path).
-	MaxBatch int
 	// ArenaCache is how many cut arenas the server caches across mapping
 	// requests, keyed by graph identity, so repeated mappings of the same
 	// design reuse cut storage instead of reallocating it
-	// (0 = cuts.DefaultPoolArenas, negative = no caching).
+	// (0 = cuts.DefaultPoolArenas, negative = no caching: each mapping
+	// carves its cuts from a fresh arena).
 	ArenaCache int
 	// ResultCacheBytes is the byte budget of the content-addressed mapping
 	// result cache: asic mappings are keyed by graph structure + names +
@@ -116,9 +111,10 @@ type Server struct {
 	jobsSeq atomic.Int64
 
 	// pool caches cut arenas across mapping requests (nil when ArenaCache
-	// is negative): a service re-mapping the same design — parameter
-	// sweeps, policy comparisons — reuses all cut storage from the previous
-	// run instead of reallocating it.
+	// is negative, and then each mapping runs on a fresh arena): a service
+	// re-mapping the same design — parameter sweeps, policy comparisons —
+	// reuses all cut storage from the previous run instead of reallocating
+	// it.
 	pool *cuts.Pool
 
 	// cache holds mapped results content-addressed by (graph, options), so
@@ -139,7 +135,8 @@ type Server struct {
 
 	// coalescers holds one inference coalescer per registry model
 	// (*nn.Model -> *infer.Coalescer), created on first slap/classify use
-	// so requests against the same model share one engine.
+	// so requests against the same model share one engine. Each runs
+	// forward passes of at most infer.DefaultMaxBatch samples.
 	coalescers sync.Map
 
 	// faultHook, when set (tests only), runs at the start of every mapping
@@ -241,19 +238,12 @@ func (s *Server) slapFor(req *MapRequest, model *nn.Model, lib *library.Library,
 }
 
 // batcherFor returns the shared batched-inference hook for model, creating
-// the engine + coalescer pair on first use. Returns an untyped nil when
-// batching is disabled, so core sees Batch == nil and stays per-sample.
-func (s *Server) batcherFor(model *nn.Model) core.Batcher {
-	if s.cfg.MaxBatch < 0 {
-		return nil
-	}
+// the engine + coalescer pair on first use.
+func (s *Server) batcherFor(model *nn.Model) *infer.Coalescer {
 	if v, ok := s.coalescers.Load(model); ok {
 		return v.(*infer.Coalescer)
 	}
-	co := infer.NewCoalescer(infer.NewEngine(model, infer.Options{}), infer.CoalescerOptions{
-		MaxBatch:  s.cfg.MaxBatch,
-		Collector: s.metrics,
-	})
+	co := infer.NewCoalescer(infer.NewEngine(model, infer.Options{}), infer.CoalescerOptions{Collector: s.metrics})
 	if prev, loaded := s.coalescers.LoadOrStore(model, co); loaded {
 		co.Close()
 		return prev.(*infer.Coalescer)

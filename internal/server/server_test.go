@@ -827,31 +827,13 @@ func TestInferBatchMetricsExported(t *testing.T) {
 	}
 }
 
-// TestBatchingDisabled checks MaxBatch < 0 falls back to per-sample inference
-// (no batched passes recorded) while requests still succeed.
-func TestBatchingDisabled(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: -1})
-	resp, data := postRaw(t, ts.URL+"/v1/classify?model=toy", rc16Text(t))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("classify: status %d (%s)", resp.StatusCode, data)
-	}
-	respM, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(respM.Body)
-	respM.Body.Close()
-	if v := metricsGauge(t, string(body), "slap_infer_batch_size_count"); v != 0 {
-		t.Errorf("batching disabled but %v batched passes recorded", v)
-	}
-}
-
 // TestStreamingServerParity maps the same circuit through the default
 // server, whose streaming pipeline recycles cut storage through the arena
-// pool, and one with the pool disabled, and requires identical mapping
-// figures and netlist bytes — the HTTP-level view of the pipeline's
-// byte-identity guarantee — then checks the arena pool and peak-cut
-// telemetry on /metrics after repeated same-graph requests.
+// pool, and one with the pool disabled, which maps on a fresh arena, and
+// requires identical mapping figures and netlist bytes — the HTTP-level
+// view of the pipeline's byte-identity guarantee — then checks the arena
+// pool and peak-cut telemetry on /metrics after repeated same-graph
+// requests.
 func TestStreamingServerParity(t *testing.T) {
 	_, stream := newTestServer(t, Config{})
 	_, unpooled := newTestServer(t, Config{ArenaCache: -1})
