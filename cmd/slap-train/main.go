@@ -191,7 +191,7 @@ func runSharded(ctx context.Context, opt options, maps int, lib *library.Library
 	if !opt.Quiet {
 		cfg.Progress = func(e genjob.Event) { fmt.Println("  " + e.String()) }
 	}
-	ds, rep, err := genjob.Run(ctx, cfg)
+	ds, rep, err := genjob.Run(ctx, cfg, nil)
 	if err != nil {
 		if rep != nil && len(rep.FailedShards) > 0 {
 			return nil, fmt.Errorf("%w (failed shards: %v; completed shards are checkpointed, re-run with -resume)",

@@ -112,7 +112,7 @@ type Coordinator struct {
 	workers map[string]*worker
 	ring    *Ring
 
-	jobs    sync.Map // job id -> *fleetJob
+	jobs    sync.Map // job id -> *genjob.Job
 	jobsSeq atomic.Int64
 
 	stop chan struct{}
@@ -227,7 +227,7 @@ func (c *Coordinator) Close() {
 	close(c.stop)
 	c.wg.Wait()
 	c.jobs.Range(func(_, v any) bool {
-		v.(*fleetJob).cancel()
+		v.(*genjob.Job).Cancel()
 		return true
 	})
 	c.journal.close()

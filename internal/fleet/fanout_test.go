@@ -7,13 +7,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"slap/internal/dataset"
 	"slap/internal/genjob"
+	"slap/internal/library"
 	"slap/internal/server"
 )
 
@@ -44,16 +48,15 @@ func pickFanoutPlan(t *testing.T, circuits, maps int) (shards int, owned map[str
 // byte-identical to a single-process dataset.Generate with the same seed.
 func TestFanoutByteIdenticalWithWorkerDeath(t *testing.T) {
 	req := DatasetJobRequest{
-		MapsPerCircuit: 3,
-		Seed:           42,
-		MaxAttempts:    4,
+		Sweep:       genjob.Sweep{MapsPerCircuit: 3, Seed: 42},
+		MaxAttempts: 4,
 	}
-	names, dcfg, err := fleetSweepConfig(req)
+	dcfg, err := req.Resolve(library.ASAP7ish())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 2 {
-		t.Fatalf("default sweep resolves %v, want rc16+cla16", names)
+	if len(dcfg.Circuits) != 2 {
+		t.Fatalf("default sweep resolves %d circuits, want rc16+cla16", len(dcfg.Circuits))
 	}
 	req.Shards, _ = pickFanoutPlan(t, len(dcfg.Circuits), req.MapsPerCircuit)
 
@@ -127,7 +130,7 @@ func TestFanoutByteIdenticalWithWorkerDeath(t *testing.T) {
 		t.Fatalf("job submit answered %d (%+v), want 202 with id", resp.StatusCode, submitted)
 	}
 
-	var st DatasetJobStatus
+	var st genjob.Status
 	deadline := time.Now().Add(3 * time.Minute)
 	for {
 		resp, err := http.Get(ts.URL + submitted.StatusURL)
@@ -193,31 +196,51 @@ func TestFanoutByteIdenticalWithWorkerDeath(t *testing.T) {
 	}
 }
 
-// TestFanoutRejectsBadRequests checks job validation fails fast.
+// TestFanoutRejectsBadRequests checks job validation fails fast: a bad
+// request, or one past the sweep bounds, is refused before anything is
+// allocated by its counts or a journal record is appended.
 func TestFanoutRejectsBadRequests(t *testing.T) {
 	stub := stubWorker(t, "w", func(w http.ResponseWriter, r *http.Request) {})
+	journal := filepath.Join(t.TempDir(), "coordinator.journal")
 	_, ts := newCoordinator(t, Config{
-		Workers: []StaticWorker{{Name: "w", URL: stub.URL}},
-		JobsDir: t.TempDir(),
+		Workers:     []StaticWorker{{Name: "w", URL: stub.URL}},
+		JournalPath: journal,
+		JobsDir:     t.TempDir(),
 	})
+	journaled, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		body string
-		want int
 	}{
-		{"no maps", `{}`, http.StatusBadRequest},
-		{"bad circuit", `{"maps_per_circuit":2,"circuits":["nope"]}`, http.StatusBadRequest},
-		{"bad metric", `{"maps_per_circuit":2,"metric":"speed"}`, http.StatusBadRequest},
-		{"bad json", `{`, http.StatusBadRequest},
+		{"no maps", `{}`},
+		{"bad circuit", `{"maps_per_circuit":2,"circuits":["nope"]}`},
+		{"bad metric", `{"maps_per_circuit":2,"metric":"speed"}`},
+		{"bad json", `{`},
+		{"maps over the bound", `{"maps_per_circuit":2000000}`},
+		{"a billion maps and shards", `{"maps_per_circuit":1000000000,"shards":1000000000}`},
+		{"too many circuits", `{"maps_per_circuit":2,"circuits":[` + strings.Repeat(`"rc16",`, genjob.MaxCircuits) + `"rc16"]}`},
+		{"shards over the bound", `{"maps_per_circuit":2,"shards":4097}`},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/jobs/dataset", "application/json", bytes.NewReader([]byte(tc.body)))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(ts.URL+"/v1/jobs/dataset", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s: answered %d, want %d", tc.name, resp.StatusCode, tc.want)
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: answered %d, want 400", tc.name, resp.StatusCode)
 		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("%s: refusal allocated %d bytes, want at most 1 MiB", tc.name, alloc)
+		}
+	}
+	if now, err := os.ReadFile(journal); err != nil || !bytes.Equal(now, journaled) {
+		t.Errorf("refused jobs appended to the journal (%d bytes, was %d; %v)", len(now), len(journaled), err)
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/fleet-9999")

@@ -54,12 +54,14 @@ type journalRecord struct {
 	URL    string `json:"url,omitempty"`
 	Static bool   `json:"static,omitempty"`
 
-	// opJobSubmit / opJobDone / opJobFailed
-	Job    string             `json:"job,omitempty"`
-	OutDir string             `json:"out_dir,omitempty"`
-	Req    *DatasetJobRequest `json:"req,omitempty"`
-	File   string             `json:"file,omitempty"` // opJobDone: merged dataset path
-	Err    string             `json:"err,omitempty"`  // opJobFailed: cause
+	// opJobSubmit / opJobDone / opJobFailed. Req is the DatasetJobRequest
+	// as submitted: raw bytes re-marshal to themselves, so its checksum
+	// holds however the request type lays out its fields.
+	Job    string          `json:"job,omitempty"`
+	OutDir string          `json:"out_dir,omitempty"`
+	Req    json.RawMessage `json:"req,omitempty"`
+	File   string          `json:"file,omitempty"` // opJobDone: merged dataset path
+	Err    string          `json:"err,omitempty"`  // opJobFailed: cause
 
 	Sum string `json:"sum,omitempty"`
 }

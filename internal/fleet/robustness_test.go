@@ -19,6 +19,8 @@ import (
 
 	"slap/internal/chaos"
 	"slap/internal/dataset"
+	"slap/internal/genjob"
+	"slap/internal/library"
 )
 
 // affineOrder computes the ring preference order the coordinator will use
@@ -465,12 +467,12 @@ func TestCoordinatorCrashResumeByteIdentical(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	req := DatasetJobRequest{
+	req := DatasetJobRequest{Sweep: genjob.Sweep{
 		Circuits:       []string{"rc16", "cla16"},
 		MapsPerCircuit: 3,
 		Shards:         6,
 		Seed:           11,
-	}
+	}}
 	body, _ := json.Marshal(req)
 	resp, err = http.Post(ts1.URL+"/v1/jobs/dataset", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -529,7 +531,7 @@ func TestCoordinatorCrashResumeByteIdentical(t *testing.T) {
 		t.Fatal("self-registered worker w2 not re-adopted from the journal")
 	}
 
-	var final DatasetJobStatus
+	var final genjob.Status
 	deadline = time.Now().Add(120 * time.Second)
 	for {
 		final = jobStatus(t, ts2.URL, submitted.ID)
@@ -549,7 +551,7 @@ func TestCoordinatorCrashResumeByteIdentical(t *testing.T) {
 	}
 
 	// Byte-identity against the single-process reference.
-	_, dcfg, err := fleetSweepConfig(req)
+	dcfg, err := req.Resolve(library.ASAP7ish())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +592,7 @@ func TestCoordinatorCrashResumeByteIdentical(t *testing.T) {
 }
 
 // jobStatus fetches one fleet job's status.
-func jobStatus(t *testing.T, base, id string) DatasetJobStatus {
+func jobStatus(t *testing.T, base, id string) genjob.Status {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/jobs/" + id)
 	if err != nil {
@@ -601,7 +603,7 @@ func jobStatus(t *testing.T, base, id string) DatasetJobStatus {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("job status answered %d: %s", resp.StatusCode, b)
 	}
-	var st DatasetJobStatus
+	var st genjob.Status
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

@@ -1,25 +1,30 @@
 // Package genjob runs a dataset.Config sweep as a set of deterministic,
 // seed-addressed shards with the fault tolerance a corpus-scale run needs
-// (ROADMAP: "Sharded dataset generation", OpenABC-D-sized sweeps):
+// (ROADMAP: "Sharded dataset generation", OpenABC-D-sized sweeps). Run is
+// the one sweep runner: slap-train, slap-serve's dataset jobs and the fleet
+// coordinator's fan-out all go through it, the coordinator with an
+// Executor that ships each attempt to a worker.
 //
 //   - each shard is a contiguous mapping range of one circuit, so its
 //     results depend only on the master seed and the map indices — never
 //     on worker count, shard count, or which process ran it;
-//   - shards execute on a bounded worker pool, each attempt under
-//     recover(), so one panicking mapping costs one retry, not the job;
+//   - shards execute on a bounded pool, each attempt under recover(), so
+//     one panicking mapping costs one retry, not the job;
 //   - failed attempts retry with capped exponential backoff plus jitter,
-//     giving up per-shard after MaxAttempts without sinking the job;
-//   - completed shards persist as checksummed files journaled in an
+//     giving up per-shard after MaxAttempts; a run whose failed shards
+//     exceed FailureBudget cancels the shards still pending;
+//   - every attempt's frame, produced here or elsewhere, is verified
+//     before it is written; written shards are journaled in an
 //     append-only JSON-lines manifest, so a crashed or SIGKILLed run
 //     resumes from disk, re-running only missing or corrupt shards;
-//   - Merge re-verifies every checksum before assembly and the result is
-//     byte-identical to a single-process dataset.Generate with the same
-//     master seed.
+//   - the merge re-verifies every shard file before assembly, and the
+//     result is byte-identical to a single-process dataset.Generate with
+//     the same master seed.
 package genjob
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -33,10 +38,10 @@ import (
 
 // Spec addresses one shard: the mapping range [Start, End) of one circuit.
 type Spec struct {
-	Shard   int
-	Circuit int
-	Start   int
-	End     int
+	Shard   int `json:"shard"`
+	Circuit int `json:"circuit"`
+	Start   int `json:"start"`
+	End     int `json:"end"`
 }
 
 // Maps returns the number of mappings the shard covers.
@@ -88,7 +93,7 @@ type FaultKind int
 const (
 	// FaultNone leaves the attempt alone.
 	FaultNone FaultKind = iota
-	// FaultPanic panics inside the shard worker, exercising the
+	// FaultPanic panics inside the attempt, exercising the
 	// recover-to-error path.
 	FaultPanic
 	// FaultTransient fails the attempt with a transient error,
@@ -119,6 +124,9 @@ type Event struct {
 	Shard   int
 	Attempt int
 	Err     error
+	// Worker names who produced a "done" shard's frame (empty when it ran
+	// here).
+	Worker string
 }
 
 // String renders the event as one log line.
@@ -157,8 +165,7 @@ type Config struct {
 	// Shards is the requested shard count (see Plan for how it is
 	// realised; 0 = one shard per circuit).
 	Shards int
-	// Workers bounds concurrently executing shards (0 = GOMAXPROCS via
-	// the dataset default semantics is wrong here; 0 = 4).
+	// Workers bounds concurrently executing shards (0 = 4).
 	Workers int
 	// Resume allows reusing an OutDir that already holds a manifest;
 	// completed shards are verified and kept, everything else re-runs.
@@ -182,7 +189,12 @@ type Config struct {
 	Progress func(Event)
 }
 
-// Report summarises a Run or Merge.
+// Executor runs one attempt at a shard elsewhere and returns the shard's
+// frame (the bytes its file holds) and the name of whoever produced it.
+// Run trusts no byte of the frame before verifying it.
+type Executor func(ctx context.Context, sp Spec) (frame []byte, by string, err error)
+
+// Report summarises a Run.
 type Report struct {
 	// Shards is the planned shard count; Reused counts shards accepted
 	// from a previous run, Executed those run (or re-run) here.
@@ -243,12 +255,13 @@ func (cfg *Config) emit(e Event) {
 const verifyRounds = 4
 
 // Run executes (or resumes) the sharded sweep and merges the result.
+// Each attempt at a shard runs through exec, or here when exec is nil.
 // It returns the merged dataset — byte-identical to dataset.Generate with
 // the same master seed when no shard was budgeted away — plus a report.
 // On error the report still describes how far the run got; completed
 // shards stay on disk, so a later Run with Resume set picks up from the
 // manifest.
-func Run(ctx context.Context, cfg Config) (*dataset.Dataset, *Report, error) {
+func Run(ctx context.Context, cfg Config, exec Executor) (*dataset.Dataset, *Report, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, nil, err
@@ -298,7 +311,7 @@ func Run(ctx context.Context, cfg Config) (*dataset.Dataset, *Report, error) {
 		if round >= verifyRounds {
 			return nil, rep, fmt.Errorf("genjob: %d shards still invalid after %d verify rounds", len(pending), round)
 		}
-		if err := runPool(ctx, &cfg, man, fp, pending, rep, failed); err != nil {
+		if err := runPool(ctx, &cfg, exec, man, fp, pending, rep, failed); err != nil {
 			return nil, rep, err
 		}
 		// Re-verify everything executed this round from disk before it may
@@ -342,85 +355,41 @@ func Run(ctx context.Context, cfg Config) (*dataset.Dataset, *Report, error) {
 	return ds, rep, nil
 }
 
-// Merge verifies and reassembles an existing job directory without
-// executing anything: every planned shard must be journaled done and its
-// file must pass full verification, except shards journaled failed, which
-// are tolerated up to FailureBudget. It is the offline counterpart of the
-// merge step Run ends with.
-func Merge(cfg Config) (*dataset.Dataset, *Report, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, nil, err
-	}
-	dcfg := cfg.Dataset
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = len(dcfg.Circuits)
-	}
-	specs := Plan(len(dcfg.Circuits), dcfg.MapsPerCircuit, shards)
-	rep := &Report{Shards: len(specs)}
-	fp := fingerprintConfig(dcfg)
-	man, err := openManifest(cfg.OutDir, fp, len(specs), true)
-	if err != nil {
-		return nil, rep, err
-	}
-	defer man.close()
-
-	for _, sp := range specs {
-		e, ok := man.entry(sp.Shard)
-		if !ok {
-			return nil, rep, fmt.Errorf("genjob: shard %d missing from manifest (incomplete run?)", sp.Shard)
-		}
-		switch e.Status {
-		case "done":
-			if verr := verifyShard(cfg.OutDir, sp, fp, e); verr != nil {
-				rep.Corrupt++
-				return nil, rep, fmt.Errorf("genjob: shard %d rejected: %w", sp.Shard, verr)
-			}
-			rep.Reused++
-		case "failed":
-			rep.FailedShards = append(rep.FailedShards, sp.Shard)
-		default:
-			return nil, rep, fmt.Errorf("genjob: shard %d has unknown status %q", sp.Shard, e.Status)
-		}
-	}
-	if len(rep.FailedShards) > cfg.FailureBudget {
-		return nil, rep, fmt.Errorf("genjob: %d shards failed permanently (budget %d)", len(rep.FailedShards), cfg.FailureBudget)
-	}
-	ds, err := mergeVerified(&cfg, specs, fp, rep)
-	if err != nil {
-		return nil, rep, err
-	}
-	return ds, rep, nil
-}
-
-// runPool executes the given shards on the bounded worker pool.
-func runPool(ctx context.Context, cfg *Config, man *manifest, fp string, shards []Spec, rep *Report, failed map[int]error) error {
+// runPool executes the given shards on the bounded worker pool. Once more
+// shards have failed than the budget allows the run is lost, so the shards
+// still queued or running are canceled.
+func runPool(ctx context.Context, cfg *Config, exec Executor, man *manifest, fp string, shards []Spec, rep *Report, failed map[int]error) error {
+	pctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var (
 		wg   sync.WaitGroup
-		mu   sync.Mutex // guards rep counters, failed, firstErr
+		mu   sync.Mutex // guards rep counters, failed, fail
 		sem  = make(chan struct{}, cfg.Workers)
 		fail error
 	)
 	for _, sp := range shards {
-		if ctx.Err() != nil {
+		sem <- struct{}{}
+		if pctx.Err() != nil {
 			break
 		}
 		wg.Add(1)
-		sem <- struct{}{}
 		go func(sp Spec) {
 			defer func() { <-sem; wg.Done() }()
-			retries, err := runShard(ctx, cfg, man, fp, sp)
+			retries, err := runShard(pctx, cfg, exec, man, fp, sp)
 			mu.Lock()
 			defer mu.Unlock()
 			rep.Executed++
 			rep.Retries += retries
-			if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-				failed[sp.Shard] = err
-				cfg.emit(Event{Kind: "failed", Shard: sp.Shard, Err: err})
-				if rerr := man.record(manifestEntry{Shard: sp.Shard, Status: "failed", Attempts: cfg.MaxAttempts, Err: err.Error()}); rerr != nil && fail == nil {
-					fail = rerr
-				}
+			if err == nil || pctx.Err() != nil {
+				return
+			}
+			failed[sp.Shard] = err
+			cfg.emit(Event{Kind: "failed", Shard: sp.Shard, Err: err})
+			if rerr := man.record(manifestEntry{Shard: sp.Shard, Status: "failed", Attempts: cfg.MaxAttempts, Err: err.Error()}); rerr != nil && fail == nil {
+				fail = rerr
+			}
+			if len(failed) > cfg.FailureBudget {
+				cancel()
 			}
 		}(sp)
 	}
@@ -432,12 +401,14 @@ func runPool(ctx context.Context, cfg *Config, man *manifest, fp string, shards 
 }
 
 // runShard attempts one shard up to MaxAttempts times with jittered
-// exponential backoff between attempts, persisting and journaling the
-// first success. It returns the number of retried attempts.
-func runShard(ctx context.Context, cfg *Config, man *manifest, fp string, sp Spec) (retries int, err error) {
+// exponential backoff between attempts. An attempt's frame is verified
+// before it is written, and journaled once it is. It returns the number
+// of retried attempts.
+func runShard(ctx context.Context, cfg *Config, exec Executor, man *manifest, fp string, sp Spec) (retries int, err error) {
 	// Jitter must not perturb dataset determinism, so it gets its own
 	// seed lane derived from the master seed and shard id.
 	rng := rand.New(rand.NewSource(cfg.Dataset.Seed ^ (int64(sp.Shard)+1)*0x9E3779B9))
+	file := shardFileName(sp.Shard)
 	var lastErr error
 	for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -449,24 +420,23 @@ func runShard(ctx context.Context, cfg *Config, man *manifest, fp string, sp Spe
 		}
 		cfg.emit(Event{Kind: "attempt", Shard: sp.Shard, Attempt: attempt})
 
-		outcomes, err := executeShard(ctx, cfg.Dataset, sp, fault)
+		frame, by, err := attemptShard(ctx, cfg, exec, fp, sp, fault)
+		var sha string
 		if err == nil {
-			payload, sha, encErr := encodeShard(&shardPayload{Spec: sp, Fingerprint: fp, Outcomes: outcomes})
-			if encErr != nil {
-				return retries, encErr
+			_, sha, err = parseShardBytes(frame, cmp.Or(by, "local"), sp, fp)
+		}
+		if err == nil {
+			err = writeShardFile(filepath.Join(cfg.OutDir, file), frame, fault)
+		}
+		if err == nil {
+			if err := man.record(manifestEntry{Shard: sp.Shard, Status: "done", File: file, SHA: sha, Attempts: attempt}); err != nil {
+				return retries, err
 			}
-			file := shardFileName(sp.Shard)
-			if werr := writeShardFile(filepath.Join(cfg.OutDir, file), sp.Shard, payload, fault); werr != nil {
-				err = werr
-			} else if merr := man.record(manifestEntry{Shard: sp.Shard, Status: "done", File: file, SHA: sha, Attempts: attempt}); merr != nil {
-				return retries, merr
-			} else {
-				cfg.emit(Event{Kind: "done", Shard: sp.Shard, Attempt: attempt})
-				return retries, nil
-			}
+			cfg.emit(Event{Kind: "done", Shard: sp.Shard, Attempt: attempt, Worker: by})
+			return retries, nil
 		}
 		lastErr = err
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if ctx.Err() != nil {
 			return retries, err
 		}
 		if attempt == cfg.MaxAttempts {
@@ -481,21 +451,41 @@ func runShard(ctx context.Context, cfg *Config, man *manifest, fp string, sp Spe
 	return retries, fmt.Errorf("genjob: shard %d failed after %d attempts: %w", sp.Shard, cfg.MaxAttempts, lastErr)
 }
 
-// executeShard runs the shard's mapping range with panics converted to
-// errors, so one poisoned mapping costs a retry instead of the process.
-func executeShard(ctx context.Context, dcfg dataset.Config, sp Spec, fault FaultKind) (outcomes []dataset.MapOutcome, err error) {
+// attemptShard runs one attempt at a shard, through exec or here, and
+// returns its frame and who produced it. Injected panic and transient
+// faults fire here. A panic becomes an error, so one poisoned mapping costs
+// a retry instead of the process.
+func attemptShard(ctx context.Context, cfg *Config, exec Executor, fp string, sp Spec, fault FaultKind) (frame []byte, by string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			outcomes, err = nil, fmt.Errorf("genjob: shard %d panicked: %v", sp.Shard, r)
+			frame, by, err = nil, "", fmt.Errorf("genjob: shard %d panicked: %v", sp.Shard, r)
 		}
 	}()
 	switch fault {
 	case FaultPanic:
 		panic("injected fault: panic")
 	case FaultTransient:
-		return nil, fmt.Errorf("genjob: injected transient fault")
+		return nil, "", fmt.Errorf("genjob: injected transient fault")
 	}
-	return dataset.GenerateOutcomes(ctx, dcfg, sp.Circuit, sp.Start, sp.End)
+	if exec != nil {
+		return exec(ctx, sp)
+	}
+	frame, _, err = shardFrame(ctx, cfg.Dataset, fp, sp)
+	return frame, "", err
+}
+
+// shardFrame runs the shard's mapping range and returns its frame and the
+// payload's SHA-256 hex.
+func shardFrame(ctx context.Context, dcfg dataset.Config, fp string, sp Spec) ([]byte, string, error) {
+	outcomes, err := dataset.GenerateOutcomes(ctx, dcfg, sp.Circuit, sp.Start, sp.End)
+	if err != nil {
+		return nil, "", err
+	}
+	payload, sha, err := encodeShard(&shardPayload{Spec: sp, Fingerprint: fp, Outcomes: outcomes})
+	if err != nil {
+		return nil, "", err
+	}
+	return frameShard(sp.Shard, payload), sha, nil
 }
 
 // sleepBackoff waits the jittered, capped exponential delay for the given

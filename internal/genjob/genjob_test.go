@@ -99,7 +99,7 @@ func TestPlanCoversEveryMapExactlyOnce(t *testing.T) {
 
 func TestRunMatchesSingleProcessGenerate(t *testing.T) {
 	cfg := testConfig(t.TempDir(), 5)
-	ds, rep, err := Run(context.Background(), cfg)
+	ds, rep, err := Run(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRunMatchesSingleProcessGenerate(t *testing.T) {
 
 	// A second run over the same directory reuses every shard.
 	cfg.Resume = true
-	ds2, rep2, err := Run(context.Background(), cfg)
+	ds2, rep2, err := Run(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFaultInjectionPanicAndTransient(t *testing.T) {
 		}
 		return FaultNone
 	}
-	ds, rep, err := Run(context.Background(), cfg)
+	ds, rep, err := Run(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestCrashResumeDeterminism(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, _, err := Run(ctx, cfg); err == nil {
+	if _, _, err := Run(ctx, cfg, nil); err == nil {
 		t.Fatal("killed run reported success")
 	}
 
@@ -199,7 +199,7 @@ func TestCrashResumeDeterminism(t *testing.T) {
 
 	cfg.Progress = nil
 	cfg.Resume = true
-	ds, rep, err := Run(context.Background(), cfg)
+	ds, rep, err := Run(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,12 +213,13 @@ func TestCrashResumeDeterminism(t *testing.T) {
 }
 
 // TestFlippedByteDetected corrupts one persisted shard by a single byte:
-// Merge must reject it, and a resumed Run must detect it, re-run the
-// shard, and still produce the exact dataset.
+// a resumed Run must reject it on its checksum, re-run the shard, and
+// still produce the exact dataset; a further resume then reuses every
+// shard.
 func TestFlippedByteDetected(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(dir, 5)
-	ds, _, err := Run(context.Background(), cfg)
+	ds, _, err := Run(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,29 +234,29 @@ func TestFlippedByteDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mcfg := cfg
-	mcfg.Resume = true
-	if _, _, err := Merge(mcfg); err == nil {
-		t.Fatal("Merge accepted a tampered shard")
-	} else if !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("unexpected rejection reason: %v", err)
+	cfg.Resume = true
+	var rejected []error
+	cfg.Progress = func(e Event) {
+		if e.Kind == "corrupt" {
+			rejected = append(rejected, e.Err)
+		}
 	}
-
-	ds2, rep, err := Run(context.Background(), mcfg)
+	ds2, rep, err := Run(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Corrupt == 0 {
-		t.Fatalf("corrupt shard not reported: %+v", rep)
+	if rep.Corrupt != 1 || len(rejected) != 1 || !strings.Contains(rejected[0].Error(), "checksum") {
+		t.Fatalf("tampered shard not rejected on its checksum: %+v, %v", rep, rejected)
 	}
-	if rep.Executed == 0 {
-		t.Fatalf("corrupt shard not re-run: %+v", rep)
+	if rep.Executed != 1 {
+		t.Fatalf("corrupt shard not re-run alone: %+v", rep)
 	}
 	assertIdentical(t, ds2, ds)
 
-	// After the repair, Merge verifies clean again.
-	if _, _, err := Merge(mcfg); err != nil {
-		t.Fatalf("Merge after repair: %v", err)
+	// After the repair, every shard verifies clean again.
+	cfg.Progress = nil
+	if _, rep, err := Run(context.Background(), cfg, nil); err != nil || rep.Reused != rep.Shards {
+		t.Fatalf("resume after repair: %+v, %v", rep, err)
 	}
 }
 
@@ -275,7 +276,7 @@ func TestTruncatedWriteDetected(t *testing.T) {
 		}
 		return FaultNone
 	}
-	ds, rep, err := Run(context.Background(), cfg)
+	ds, rep, err := Run(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestCorruptByteDetected(t *testing.T) {
 		}
 		return FaultNone
 	}
-	ds, rep, err := Run(context.Background(), cfg)
+	ds, rep, err := Run(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,13 +329,13 @@ func TestFailureBudget(t *testing.T) {
 		return cfg
 	}
 
-	if _, rep, err := Run(context.Background(), mk(0)); err == nil {
+	if _, rep, err := Run(context.Background(), mk(0), nil); err == nil {
 		t.Fatal("exhausted shard within budget 0 must fail the job")
 	} else if len(rep.FailedShards) != 1 || rep.FailedShards[0] != 1 {
 		t.Fatalf("failed shards: %+v", rep)
 	}
 
-	ds, rep, err := Run(context.Background(), mk(1))
+	ds, rep, err := Run(context.Background(), mk(1), nil)
 	if err != nil {
 		t.Fatalf("budget 1 should tolerate one failed shard: %v", err)
 	}
@@ -345,49 +346,73 @@ func TestFailureBudget(t *testing.T) {
 	if ds.Len() == 0 || ds.Len() >= reference(t).Len() {
 		t.Fatalf("degraded dataset size %d out of range", ds.Len())
 	}
+
+	// Past the budget the run is lost, so the shards still queued are
+	// canceled instead of run: one at a time, shards 2 and 3 never start.
+	seq := mk(0)
+	seq.Workers = 1
+	if _, rep, err := Run(context.Background(), seq, nil); err == nil || rep.Executed != 2 {
+		t.Fatalf("over-budget run executed %d shards (err %v), want 2", rep.Executed, err)
+	}
+}
+
+// TestRunVerifiesExecutorFrames runs the sweep through an Executor whose
+// first frame for each shard has a flipped payload byte. The runner must
+// reject each such frame before writing it, retry, and credit every shard
+// to the worker that produced its good frame.
+func TestRunVerifiesExecutorFrames(t *testing.T) {
+	cfg := testConfig(t.TempDir(), 4)
+	var mu sync.Mutex
+	tried := map[int]bool{}
+	credited := map[string]int{}
+	cfg.Progress = func(e Event) {
+		if e.Kind == "done" {
+			mu.Lock()
+			credited[e.Worker]++
+			mu.Unlock()
+		}
+	}
+	exec := func(ctx context.Context, sp Spec) ([]byte, string, error) {
+		frame, _, err := ExecuteShardBytes(ctx, testDatasetConfig(), sp)
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil || tried[sp.Shard] {
+			return frame, "steady", err
+		}
+		tried[sp.Shard] = true
+		frame[len(frame)-1] ^= 0x40
+		return frame, "flaky", nil
+	}
+	ds, rep, err := Run(context.Background(), cfg, exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Retries != rep.Shards || rep.Corrupt != 0 {
+		t.Fatalf("bad frames must cost one retry each and never reach disk: %+v", rep)
+	}
+	if credited["steady"] != rep.Shards || len(credited) != 1 {
+		t.Fatalf("shards credited %v, want all %d to steady", credited, rep.Shards)
+	}
+	assertIdentical(t, ds, reference(t))
 }
 
 func TestResumeSafety(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(dir, 3)
-	if _, _, err := Run(context.Background(), cfg); err != nil {
+	if _, _, err := Run(context.Background(), cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Same directory without Resume: refuse, two runs must not interleave.
-	if _, _, err := Run(context.Background(), cfg); err == nil {
+	if _, _, err := Run(context.Background(), cfg, nil); err == nil {
 		t.Fatal("second run without Resume accepted")
 	}
 	// Resume with a different sweep config: fingerprint mismatch.
 	other := cfg
 	other.Resume = true
 	other.Dataset.Seed = 99
-	if _, _, err := Run(context.Background(), other); err == nil {
+	if _, _, err := Run(context.Background(), other, nil); err == nil {
 		t.Fatal("resume with different seed accepted")
 	} else if !strings.Contains(err.Error(), "different sweep") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
-func TestMergeRequiresCompleteRun(t *testing.T) {
-	dir := t.TempDir()
-	cfg := testConfig(dir, 4)
-	cfg.Workers = 1
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var once sync.Once
-	cfg.Progress = func(e Event) {
-		if e.Kind == "done" {
-			once.Do(cancel)
-		}
-	}
-	if _, _, err := Run(ctx, cfg); err == nil {
-		t.Fatal("canceled run reported success")
-	}
-	cfg.Progress = nil
-	cfg.Resume = true
-	if _, _, err := Merge(cfg); err == nil {
-		t.Fatal("Merge of an incomplete run accepted")
-	} else if !strings.Contains(err.Error(), "missing from manifest") {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }

@@ -4,19 +4,29 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"time"
 
 	"slap/internal/dataset"
 )
 
-// Remote shard transport. The shard frame (header + checksummed payload)
+// Remote shard execution. The shard frame (header + checksummed payload)
 // is deliberately location-independent: the bytes a worker produces for a
-// Spec are exactly the bytes writeShardFile would persist locally, so a
-// coordinator can fan shards out over the network, verify each returned
-// frame with the same code path Resume uses, persist them into an ordinary
-// job directory, and Merge — byte-identical to a single-process sweep.
+// Spec are exactly the bytes a local attempt would, so a coordinator runs
+// its sweep through Run with an Executor that fetches each frame from a
+// worker, and the runner verifies, persists, journals and merges it like
+// any local shard — byte-identical to a single-process sweep.
+
+// ShardRequest is the JSON body of POST /v1/shards/execute: one shard of a
+// sweep, plus the sweep's fingerprint as the coordinator resolved it. The
+// worker resolves the sweep itself and refuses a different fingerprint,
+// so version skew fails loudly instead of merging subtly different results.
+type ShardRequest struct {
+	Sweep
+	Spec
+	Fingerprint string `json:"fingerprint"`
+	// TimeoutMS bounds the execution (0 = the worker's default).
+	TimeoutMS int64 `json:"timeout_ms"`
+}
 
 // Fingerprint returns the canonical sweep fingerprint of a dataset config.
 // Both ends of a remote shard execution compare it before trusting a
@@ -26,52 +36,22 @@ import (
 // so implicit and explicit defaults fingerprint identically.
 func Fingerprint(cfg dataset.Config) string { return fingerprintConfig(cfg) }
 
-// ShardFileName returns the canonical file name of shard i inside a job
-// directory — shared so remotely fetched shards land under the same names
-// Resume and Merge expect.
-func ShardFileName(i int) string { return shardFileName(i) }
-
 // ExecuteShardBytes runs one shard's mapping range locally and returns the
 // framed, self-verifying shard bytes plus the payload's SHA-256 hex. It is
 // the worker half of remote execution: the frame is what ships back to the
-// coordinator. Panics inside the mappings are converted to errors exactly
-// as local shard execution does.
+// coordinator.
 func ExecuteShardBytes(ctx context.Context, dcfg dataset.Config, sp Spec) ([]byte, string, error) {
 	dcfg, err := dcfg.Normalize()
 	if err != nil {
 		return nil, "", fmt.Errorf("genjob: %w", err)
 	}
-	outcomes, err := executeShard(ctx, dcfg, sp, FaultNone)
-	if err != nil {
-		return nil, "", err
-	}
-	payload, sha, err := encodeShard(&shardPayload{Spec: sp, Fingerprint: fingerprintConfig(dcfg), Outcomes: outcomes})
-	if err != nil {
-		return nil, "", err
-	}
-	return frameShard(sp.Shard, payload), sha, nil
-}
-
-// VerifyShardBytes fully verifies a framed shard received from elsewhere —
-// magic, shard id, length, payload checksum, decode, spec and fingerprint
-// agreement — and returns the payload SHA-256 hex to journal. name labels
-// errors (typically the worker that produced the frame).
-func VerifyShardBytes(b []byte, name string, sp Spec, fingerprint string) (string, error) {
-	_, sha, err := parseShardBytes(b, name, sp, fingerprint)
-	return sha, err
-}
-
-// WriteShardBytes atomically persists a framed shard into dir under its
-// canonical name, making it indistinguishable from a locally executed
-// shard for Resume and Merge.
-func WriteShardBytes(dir string, sp Spec, framed []byte) error {
-	return writeFramedShard(filepath.Join(dir, shardFileName(sp.Shard)), framed)
+	return shardFrame(ctx, dcfg, fingerprintConfig(dcfg), sp)
 }
 
 // Backoff sleeps the jittered, capped exponential delay for the given
 // 1-based attempt, or returns early when ctx is done. It is the same
-// schedule local shard retries use, exported so fleet-level retries (dead
-// workers, failed proxies) share one failure-budget idiom.
+// schedule shard retries use, exported so the fleet's request retries
+// share one failure-budget idiom.
 func Backoff(ctx context.Context, base, max time.Duration, attempt int, rng *rand.Rand) error {
 	if base <= 0 {
 		base = DefaultBackoffBase
@@ -81,54 +61,3 @@ func Backoff(ctx context.Context, base, max time.Duration, attempt int, rng *ran
 	}
 	return sleepBackoff(ctx, base, max, attempt, rng)
 }
-
-// Journal is the coordinator-side view of a job directory's manifest: it
-// journals remotely executed shards into the same append-only JSONL file a
-// local run writes, so a fleet job directory resumes and merges with the
-// stock machinery.
-type Journal struct {
-	m *manifest
-}
-
-// OpenJournal opens (or creates) the manifest of a remote job directory.
-// An existing manifest is resumed: previously journaled shards whose files
-// still verify are reported by Done, so an interrupted fleet job re-ships
-// only what is missing.
-func OpenJournal(dir, fingerprint string, shards int) (*Journal, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	m, err := openManifest(dir, fingerprint, shards, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Journal{m: m}, nil
-}
-
-// RecordDone journals a shard whose verified frame has been persisted.
-func (j *Journal) RecordDone(sp Spec, sha string, attempts int) error {
-	return j.m.record(manifestEntry{Shard: sp.Shard, Status: "done", File: shardFileName(sp.Shard), SHA: sha, Attempts: attempts})
-}
-
-// RecordFailed journals a shard that exhausted the fleet's attempts.
-func (j *Journal) RecordFailed(sp Spec, attempts int, cause error) error {
-	msg := ""
-	if cause != nil {
-		msg = cause.Error()
-	}
-	return j.m.record(manifestEntry{Shard: sp.Shard, Status: "failed", Attempts: attempts, Err: msg})
-}
-
-// Done reports whether a shard is journaled done with a file that still
-// fully verifies on disk; anything else (missing, failed, corrupt) should
-// be re-shipped.
-func (j *Journal) Done(dir, fingerprint string, sp Spec) bool {
-	e, ok := j.m.entry(sp.Shard)
-	if !ok || e.Status != "done" {
-		return false
-	}
-	return verifyShard(dir, sp, fingerprint, e) == nil
-}
-
-// Close closes the underlying manifest file.
-func (j *Journal) Close() error { return j.m.close() }

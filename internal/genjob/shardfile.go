@@ -52,7 +52,7 @@ func encodeShard(p *shardPayload) ([]byte, string, error) {
 // frameShard prepends the self-verifying header to an encoded payload,
 // producing the exact byte sequence a shard file holds. The same frame
 // travels over the network in fleet mode, so a remotely executed shard is
-// verifiable (and persistable) with the same code path as a local one.
+// verified and persisted by the same code path as a local one.
 func frameShard(shard int, payload []byte) []byte {
 	sum := sha256.Sum256(payload)
 	var buf bytes.Buffer
@@ -65,30 +65,25 @@ func frameShard(shard int, payload []byte) []byte {
 	return buf.Bytes()
 }
 
-// writeShardFile persists an encoded shard payload. The write is atomic
+// writeShardFile persists a verified shard frame. The write is atomic
 // (temp file + rename) so a crash mid-write leaves a stray .tmp file,
 // never a plausible-looking half shard. FaultTruncate and FaultCorrupt
 // are the fault-injection paths: a truncated write simulates a kill
 // mid-write or torn copy, a corrupted one flips a payload byte under an
 // intact header so only the SHA-256 self-check can catch it.
-func writeShardFile(path string, shard int, payload []byte, fault FaultKind) error {
-	framed := frameShard(shard, payload)
+func writeShardFile(path string, framed []byte, fault FaultKind) error {
+	payload := len(framed) - shardHeaderSize
 	switch fault {
 	case FaultTruncate:
-		if cut := len(payload) / 2; cut > 0 {
+		if cut := payload / 2; cut > 0 {
 			return os.WriteFile(path, framed[:shardHeaderSize+cut], 0o644)
 		}
 	case FaultCorrupt:
-		if len(payload) > 0 {
-			framed[shardHeaderSize+len(payload)/3] ^= 0x40
+		if payload > 0 {
+			framed[shardHeaderSize+payload/3] ^= 0x40
 			return os.WriteFile(path, framed, 0o644)
 		}
 	}
-	return writeFramedShard(path, framed)
-}
-
-// writeFramedShard atomically persists already-framed shard bytes.
-func writeFramedShard(path string, framed []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err

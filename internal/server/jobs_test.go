@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"slap/internal/aig"
 	"slap/internal/circuits"
 	"slap/internal/dataset"
+	"slap/internal/genjob"
 	"slap/internal/library"
 )
 
@@ -112,13 +114,13 @@ func TestDatasetJobOverHTTP(t *testing.T) {
 					return
 				default:
 				}
-				var st DatasetJobStatus
+				var st genjob.Status
 				if code := getJSON(t, ts.URL+sub.StatusURL, &st); code != http.StatusOK {
 					t.Errorf("poll: status %d", code)
 					return
 				}
 				var list struct {
-					Jobs []DatasetJobStatus `json:"jobs"`
+					Jobs []genjob.Status `json:"jobs"`
 				}
 				getJSON(t, ts.URL+"/v1/jobs", &list)
 				time.Sleep(time.Millisecond)
@@ -126,7 +128,7 @@ func TestDatasetJobOverHTTP(t *testing.T) {
 		}()
 	}
 
-	var final DatasetJobStatus
+	var final genjob.Status
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
 		getJSON(t, ts.URL+sub.StatusURL, &final)
@@ -224,29 +226,55 @@ func TestHealthzDegraded(t *testing.T) {
 }
 
 // TestJobSubmitValidation covers the request-validation edges of the job
-// endpoint.
+// endpoint, and the sweep bounds: a body whose counts exceed them is
+// refused before anything is allocated by them or a job directory is made.
 func TestJobSubmitValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobsDir: t.TempDir()})
-	cases := []struct {
-		name string
-		body map[string]any
-	}{
-		{"missing maps", map[string]any{"circuits": []string{"rc16"}}},
-		{"unknown circuit", map[string]any{"maps_per_circuit": 2, "circuits": []string{"zzz"}}},
-		{"unknown metric", map[string]any{"maps_per_circuit": 2, "metric": "zzz"}},
+	jobsDir := t.TempDir()
+	_, ts := newTestServer(t, Config{JobsDir: jobsDir})
+	cases := []struct{ name, body string }{
+		{"missing maps", `{"circuits":["rc16"]}`},
+		{"unknown circuit", `{"maps_per_circuit":2,"circuits":["zzz"]}`},
+		{"unknown metric", `{"maps_per_circuit":2,"metric":"zzz"}`},
 	}
-	for _, tc := range cases {
+	for _, tc := range append(cases, hostileSweeps...) {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, data := postJSON(t, ts.URL+"/v1/jobs/dataset", tc.body)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("status %d, want 400 (%s)", resp.StatusCode, data)
+			code, alloc := postAllocs(t, ts.URL+"/v1/jobs/dataset", tc.body)
+			if code != http.StatusBadRequest {
+				t.Errorf("status %d, want 400", code)
+			}
+			if alloc > 1<<20 {
+				t.Errorf("refusal allocated %d bytes, want at most 1 MiB", alloc)
 			}
 		})
 	}
+	if entries, err := os.ReadDir(jobsDir); err != nil || len(entries) != 0 {
+		t.Errorf("refused jobs left %d entries in the jobs directory (%v)", len(entries), err)
+	}
+}
+
+// hostileSweeps are sweep bodies whose counts exceed genjob's bounds. At
+// most a few hundred bytes each, they would otherwise have the process
+// allocate by the counts they name (the plan, a shard's outcome slab).
+var hostileSweeps = []struct{ name, body string }{
+	{"maps over the bound", `{"maps_per_circuit":2000000,"end":2000000}`},
+	{"a billion maps and shards", `{"maps_per_circuit":1000000000,"shards":1000000000}`},
+	{"too many circuits", `{"maps_per_circuit":2,"end":2,"circuits":[` + strings.Repeat(`"rc16",`, genjob.MaxCircuits) + `"rc16"]}`},
+	{"shards over the bound", `{"maps_per_circuit":2,"end":2,"shards":4097}`},
+}
+
+// postAllocs posts body to url and returns the answer's status code and
+// the bytes the process allocated meanwhile.
+func postAllocs(t *testing.T, url, body string) (int, uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, _ := postRaw(t, url, body)
+	runtime.ReadMemStats(&after)
+	return resp.StatusCode, after.TotalAlloc - before.TotalAlloc
 }
 
 // submitTinyJob submits a minimal dataset job and waits for it to finish.
-func submitTinyJob(t *testing.T, ts *httptest.Server) DatasetJobStatus {
+func submitTinyJob(t *testing.T, ts *httptest.Server) genjob.Status {
 	t.Helper()
 	resp, data := postJSON(t, ts.URL+"/v1/jobs/dataset", map[string]any{
 		"circuits":         []string{"rc16"},
@@ -264,7 +292,7 @@ func submitTinyJob(t *testing.T, ts *httptest.Server) DatasetJobStatus {
 	if err := json.Unmarshal(data, &sub); err != nil {
 		t.Fatal(err)
 	}
-	var st DatasetJobStatus
+	var st genjob.Status
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
 		getJSON(t, ts.URL+sub.StatusURL, &st)

@@ -582,9 +582,8 @@ func (s *Server) degradedReasons() []string {
 		reasons = append(reasons, fmt.Sprintf("registry: %d artifact load failure(s), last: %s", n, last))
 	}
 	s.jobs.Range(func(_, v any) bool {
-		j := v.(*datasetJob)
-		if j.budgetExceeded() {
-			reasons = append(reasons, fmt.Sprintf("dataset job %s exceeded its failure budget", j.id))
+		if st := v.(*datasetJob).Status(); st.State == "failed" && len(st.FailedShards) > st.FailureBudget {
+			reasons = append(reasons, fmt.Sprintf("dataset job %s exceeded its failure budget", st.ID))
 		}
 		return true
 	})

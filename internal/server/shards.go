@@ -7,122 +7,39 @@ import (
 	"net/http"
 	"strconv"
 
-	"slap/internal/aig"
-	"slap/internal/dataset"
 	"slap/internal/genjob"
 )
 
-// Remote shard execution: a fleet coordinator splits a dataset sweep with
-// genjob.Plan and POSTs each shard here. The worker executes the mapping
-// range locally and answers with the framed, checksummed shard bytes —
-// exactly what a local run would persist — so the coordinator can verify,
-// journal and merge them with the stock genjob machinery, byte-identical
-// to a single-process sweep.
-
-// ShardExecRequest is the JSON body of POST /v1/shards/execute. The sweep
-// fields mirror DatasetJobRequest; Shard/Circuit/Start/End address the one
-// shard to execute. Fingerprint is the coordinator's canonical sweep
-// fingerprint: the worker re-derives it from its own view of the sweep and
-// refuses on mismatch, so version skew fails loudly instead of merging
-// subtly different results.
-type ShardExecRequest struct {
-	Circuits       []string `json:"circuits"`
-	MapsPerCircuit int      `json:"maps_per_circuit"`
-	Classes        int      `json:"classes"`
-	Seed           int64    `json:"seed"`
-	ShuffleLimit   int      `json:"shuffle_limit"`
-	Metric         string   `json:"metric"`
-	MaxMapFailures int      `json:"max_map_failures"`
-	Fingerprint    string   `json:"fingerprint"`
-
-	Shard   int `json:"shard"`
-	Circuit int `json:"circuit"`
-	Start   int `json:"start"`
-	End     int `json:"end"`
-
-	// TimeoutMS bounds the execution (0 = server default).
-	TimeoutMS int64 `json:"timeout_ms"`
-}
+// Remote shard execution: a fleet coordinator runs a dataset sweep through
+// genjob.Run and ships each attempt at a shard here. The worker executes
+// the mapping range locally and answers with the framed, checksummed shard
+// bytes — exactly what a local attempt would produce — so the coordinator's
+// runner verifies, journals and merges them like any local shard,
+// byte-identical to a single-process sweep.
 
 // shardSHAHeader carries the payload SHA-256 of a returned shard frame, so
 // callers can cross-check the frame they received against what the worker
 // computed before even parsing it.
 const shardSHAHeader = "X-Slap-Shard-SHA256"
 
-// datasetSweepConfig resolves the shared sweep fields of dataset-shaped
-// requests (builtin circuits, metric, default library) into a
-// dataset.Config. Returned un-normalized; callers Normalize.
-func (s *Server) datasetSweepConfig(circuitNames []string, maps, classes int, seed int64, limit int, metricName string, maxMapFailures int) (dataset.Config, error) {
-	names := circuitNames
-	if len(names) == 0 {
-		names = []string{"rc16", "cla16"}
-	}
-	var graphs []*aig.AIG
-	for _, n := range names {
-		g, err := builtinCircuit(n)
-		if err != nil {
-			return dataset.Config{}, err
-		}
-		graphs = append(graphs, g)
-	}
-	var metric dataset.Metric
-	switch metricName {
-	case "", "delay":
-		metric = dataset.MetricDelay
-	case "area":
-		metric = dataset.MetricArea
-	case "adp":
-		metric = dataset.MetricADP
-	default:
-		return dataset.Config{}, fmt.Errorf("unknown metric %q (want delay, area or adp)", metricName)
-	}
-	lib, err := s.reg.Library("")
-	if err != nil {
-		return dataset.Config{}, err
-	}
-	return dataset.Config{
-		Circuits:       graphs,
-		Library:        lib,
-		MapsPerCircuit: maps,
-		Classes:        classes,
-		Seed:           seed,
-		ShuffleLimit:   limit,
-		Metric:         metric,
-		MaxFailures:    maxMapFailures,
-		// One mapping at a time: fleet-level shard fan-out supplies the
-		// parallelism, same as the local shard pool (see genjob).
-		Workers: 1,
-	}, nil
-}
-
 func (s *Server) handleShardExecute(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, 1<<16)
-	var req ShardExecRequest
+	var req genjob.ShardRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding JSON request: %w", err))
 		return
 	}
-	if req.MapsPerCircuit <= 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("maps_per_circuit must be positive"))
-		return
-	}
-	dcfg, err := s.datasetSweepConfig(req.Circuits, req.MapsPerCircuit, req.Classes, req.Seed, req.ShuffleLimit, req.Metric, req.MaxMapFailures)
+	dcfg, err := s.resolveSweep(req.Sweep)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	dcfg, err = dcfg.Normalize()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	dcfg.Workers = 1
 	if fp := genjob.Fingerprint(dcfg); req.Fingerprint != "" && req.Fingerprint != fp {
 		writeError(w, http.StatusConflict,
 			fmt.Errorf("sweep fingerprint mismatch: coordinator %s, worker %s (version skew?)", short(req.Fingerprint), short(fp)))
 		return
 	}
-	sp := genjob.Spec{Shard: req.Shard, Circuit: req.Circuit, Start: req.Start, End: req.End}
+	sp := req.Spec
 	if sp.Circuit < 0 || sp.Circuit >= len(dcfg.Circuits) || sp.Start < 0 || sp.End > req.MapsPerCircuit || sp.Start >= sp.End {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid shard spec %+v", sp))
 		return

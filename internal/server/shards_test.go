@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
 
 	"slap/internal/genjob"
+	"slap/internal/library"
 )
 
 // TestShardExecuteRoundTrip checks the worker half of remote dataset
@@ -16,14 +19,9 @@ func TestShardExecuteRoundTrip(t *testing.T) {
 	srv, ts := newTestServer(t, Config{WorkerName: "w-test"})
 	_ = srv
 
-	req := ShardExecRequest{
-		Circuits:       []string{"rc16"},
-		MapsPerCircuit: 2,
-		Seed:           7,
-		Shard:          0,
-		Circuit:        0,
-		Start:          0,
-		End:            2,
+	req := genjob.ShardRequest{
+		Sweep: genjob.Sweep{Circuits: []string{"rc16"}, MapsPerCircuit: 2, Seed: 7},
+		Spec:  genjob.Spec{Shard: 0, Circuit: 0, Start: 0, End: 2},
 	}
 	resp, data := postJSON(t, ts.URL+"/v1/shards/execute", req)
 	if resp.StatusCode != http.StatusOK {
@@ -40,22 +38,21 @@ func TestShardExecuteRoundTrip(t *testing.T) {
 		t.Fatalf("missing %s header", shardSHAHeader)
 	}
 
-	// The frame must verify exactly as a coordinator would verify it:
-	// against the fingerprint of the same sweep config.
-	dcfg, err := srv.datasetSweepConfig(req.Circuits, req.MapsPerCircuit, req.Classes, req.Seed, req.ShuffleLimit, req.Metric, req.MaxMapFailures)
+	// The frame must be exactly what a local attempt at the same shard
+	// produces, and the SHA header its payload's.
+	dcfg, err := req.Resolve(library.ASAP7ish())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dcfg, err = dcfg.Normalize(); err != nil {
+	want, wantSHA, err := genjob.ExecuteShardBytes(context.Background(), dcfg, req.Spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sp := genjob.Spec{Shard: req.Shard, Circuit: req.Circuit, Start: req.Start, End: req.End}
-	gotSHA, err := genjob.VerifyShardBytes(data, "w-test", sp, genjob.Fingerprint(dcfg))
-	if err != nil {
-		t.Fatalf("returned frame failed verification: %v", err)
+	if !bytes.Equal(data, want) {
+		t.Errorf("worker frame (%d bytes) differs from the local frame (%d bytes)", len(data), len(want))
 	}
-	if gotSHA != sha {
-		t.Errorf("frame SHA %s disagrees with %s header %s", gotSHA, shardSHAHeader, sha)
+	if sha != wantSHA {
+		t.Errorf("%s header %s, want the payload SHA %s", shardSHAHeader, sha, wantSHA)
 	}
 
 	// Determinism: re-executing the same shard yields the identical frame.
@@ -69,12 +66,24 @@ func TestShardExecuteRoundTrip(t *testing.T) {
 }
 
 // TestShardExecuteRejects pins the endpoint's validation: fingerprint skew
-// answers 409, malformed specs and sweeps answer 400.
+// answers 409, malformed specs and sweeps answer 400, and so do sweeps
+// past genjob's bounds, before anything is allocated by their counts.
 func TestShardExecuteRejects(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	base := ShardExecRequest{
-		MapsPerCircuit: 2,
-		Shard:          0, Circuit: 0, Start: 0, End: 2,
+	base := genjob.ShardRequest{
+		Sweep: genjob.Sweep{MapsPerCircuit: 2},
+		Spec:  genjob.Spec{Shard: 0, Circuit: 0, Start: 0, End: 2},
+	}
+	for _, tc := range hostileSweeps {
+		t.Run(tc.name, func(t *testing.T) {
+			code, alloc := postAllocs(t, ts.URL+"/v1/shards/execute", tc.body)
+			if code != http.StatusBadRequest {
+				t.Errorf("status %d, want 400", code)
+			}
+			if alloc > 1<<20 {
+				t.Errorf("refusal allocated %d bytes, want at most 1 MiB", alloc)
+			}
+		})
 	}
 
 	t.Run("fingerprint skew", func(t *testing.T) {
