@@ -281,7 +281,7 @@ func slapMapPooled(s *core.SLAP, g *aig.AIG, pool *cuts.Pool) error {
 		}
 		mg, ch = v.G, v
 	}
-	_, err := mapper.MapStream(mg, mapper.Options{Library: s.Library, Policy: s.Policy(ctx), MergeCap: s.MergeCap,
+	_, err := mapper.MapStream(mg, mapper.Options{Library: s.Library, Policy: s.Policy(ctx),
 		Workers: s.Workers, Pool: pool, Rounds: s.Rounds, DelayFactor: s.DelayFactor, Choices: ch})
 	return err
 }
@@ -541,7 +541,7 @@ func BenchmarkECORemap(b *testing.B) {
 	edited := circuits.PerturbSpan(base, 11, 0.9, 1, 0.5)
 	ctx := context.Background()
 	opt := mapper.Options{Library: s.Library, Policy: s.Policy(ctx), Workers: s.Workers}
-	snap := cover.NewSnapshot(base, opt.Policy, 0)
+	snap := cover.NewSnapshot(base, opt.Policy)
 	capOpt := opt
 	capOpt.CaptureCuts = snap.Capture
 	if _, err := mapper.MapStream(base, capOpt); err != nil {
@@ -561,7 +561,7 @@ func BenchmarkECORemap(b *testing.B) {
 		var dirty float64
 		for i := 0; i < b.N; i++ {
 			dopt := opt
-			dopt.CaptureCuts = cover.NewSnapshot(edited, opt.Policy, 0).Capture
+			dopt.CaptureCuts = cover.NewSnapshot(edited, opt.Policy).Capture
 			_, st, err := mapper.MapDelta(edited, dopt, snap)
 			if err != nil {
 				b.Fatal(err)

@@ -260,7 +260,7 @@ func runECO(cfg runConfig, g *aig.AIG, lib *library.Library) (*mapper.Result, er
 	if err != nil {
 		return nil, err
 	}
-	snap := cover.NewSnapshot(base, policy, 0)
+	snap := cover.NewSnapshot(base, policy)
 	if snap == nil {
 		return nil, fmt.Errorf("policy %q is not ECO-eligible (want default, unlimited or slap)", cfg.policy)
 	}

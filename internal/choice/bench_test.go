@@ -21,12 +21,12 @@ func BenchmarkChoiceBuild(b *testing.B) {
 	b.Run("graft", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			combine(base, o)
+			combine(base)
 		}
 	})
 	b.Run("simulate", func(b *testing.B) {
 		b.ReportAllocs()
-		v := combine(base, o)
+		v := combine(base)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := v.propose(context.Background(), o); err != nil {
@@ -38,7 +38,7 @@ func BenchmarkChoiceBuild(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			v := combine(base, o) // prove materialises into the view: fresh one per iteration
+			v := combine(base) // prove materialises into the view: fresh one per iteration
 			prop, err := v.propose(context.Background(), o)
 			if err != nil {
 				b.Fatal(err)

@@ -34,7 +34,7 @@ func TestMapContextCancellation(t *testing.T) {
 		t.Errorf("MapLUTStreamContext(cancelled) err = %v, want context.Canceled", err)
 	}
 	opt := slapOptions(ctx, s)
-	opt.CaptureCuts = cover.NewSnapshot(g, opt.Policy, opt.MergeCap).Capture
+	opt.CaptureCuts = cover.NewSnapshot(g, opt.Policy).Capture
 	if _, err := mapper.MapStream(g, opt); !errors.Is(err, context.Canceled) {
 		t.Errorf("capturing MapStream(cancelled) err = %v, want context.Canceled", err)
 	}

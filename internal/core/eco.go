@@ -8,17 +8,15 @@ import (
 
 // ConfigSig identifies everything about this SLAP instance that shapes the
 // mapping result: model and library identity, the keep thresholds, the
-// enumeration merge cap and the multi-round/choice knobs.
+// enumeration merge cap and the multi-round/choice knobs. The merge cap is
+// a constant, but it stays in the string: the result cache charges each
+// entry its signature's length.
 // Workers, Batch and Views are deliberately excluded — they change
 // scheduling, never results (the batched kernels accumulate in per-sample
 // order). Identity is by pointer, so signatures — and the cache keys built
 // from them — are valid within one process only, which is exactly the
 // mapcache's lifetime.
 func (s *SLAP) ConfigSig() string {
-	mc := s.MergeCap
-	if mc == 0 {
-		mc = cuts.DefaultMergeCap
-	}
 	rounds := s.Rounds
 	if rounds < 1 {
 		rounds = 1
@@ -35,5 +33,5 @@ func (s *SLAP) ConfigSig() string {
 		ch = s.ChoiceOpts.Sig()
 	}
 	return fmt.Sprintf("slap/model=%p/lib=%s@%p/good=%d/avg=%d/mc=%d/rounds=%d/df=%g/choices=%s",
-		s.Model, s.Library.Name, s.Library, s.GoodMax, s.AvgMax, mc, rounds, df, ch)
+		s.Model, s.Library.Name, s.Library, s.GoodMax, s.AvgMax, cuts.MergeCap, rounds, df, ch)
 }

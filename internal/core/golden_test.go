@@ -253,7 +253,7 @@ func goldenDigests(t testing.TB) map[string]goldenDigest {
 	for _, gc := range goldenCircuits()[:2] {
 		edited := circuits.PerturbSpan(gc.g, 3, 0.7, 1, 0.05)
 		opt := mapper.Options{Library: lib, Policy: cuts.DefaultPolicy{}}
-		msnap := cover.NewSnapshot(gc.g, opt.Policy, opt.MergeCap)
+		msnap := cover.NewSnapshot(gc.g, opt.Policy)
 		copt := opt
 		copt.CaptureCuts = msnap.Capture
 		if _, err := mapper.MapStream(gc.g, copt); err != nil {
@@ -299,7 +299,7 @@ func slapGoldenDigests(t testing.TB, model *SLAP, out map[string]goldenDigest) {
 		edited := circuits.PerturbSpan(gc.g, 3, 0.7, 1, 0.05)
 		s := *model
 		opt := mapper.Options{Library: s.Library, Policy: s.Policy(ctx)}
-		snap := cover.NewSnapshot(gc.g, opt.Policy, opt.MergeCap)
+		snap := cover.NewSnapshot(gc.g, opt.Policy)
 		copt := opt
 		copt.CaptureCuts = snap.Capture
 		if _, err := mapper.MapStream(gc.g, copt); err != nil {

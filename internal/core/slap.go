@@ -54,8 +54,6 @@ type SLAP struct {
 	Library *library.Library
 	// GoodMax and AvgMax are the class thresholds of the keep decision.
 	GoodMax, AvgMax int
-	// MergeCap bounds the exhaustive pre-filter enumeration (0 = default).
-	MergeCap int
 	// Workers bounds parallelism for both cut enumeration (the level
 	// wavefront of cuts.Enumerator) and inference (0 = GOMAXPROCS,
 	// 1 = fully sequential).
@@ -159,6 +157,9 @@ func New(model *nn.Model, lib *library.Library) *SLAP {
 	}
 }
 
+// valFraction is the share of the dataset Train holds out for validation.
+const valFraction float64 = 0.2
+
 // TrainOptions configures end-to-end model training.
 type TrainOptions struct {
 	// Library is the target cell library (required).
@@ -175,8 +176,6 @@ type TrainOptions struct {
 	Filters int
 	// Seed drives data generation, splitting and initialisation.
 	Seed int64
-	// ValFraction is the held-out fraction (0 = 0.2).
-	ValFraction float64
 	// Metric selects the QoR metric that labels training cuts (default:
 	// delay, as in the paper; area and ADP are supported per §IV-B).
 	Metric dataset.Metric
@@ -228,11 +227,6 @@ func Train(opt TrainOptions) (*SLAP, *TrainReport, error) {
 	if filters == 0 {
 		filters = 128
 	}
-	valFrac := opt.ValFraction
-	if valFrac == 0 {
-		valFrac = 0.2
-	}
-
 	ds := opt.Dataset
 	if ds == nil {
 		var err error
@@ -249,7 +243,7 @@ func Train(opt TrainOptions) (*SLAP, *TrainReport, error) {
 	} else if ds.Len() == 0 {
 		return nil, nil, fmt.Errorf("core: TrainOptions.Dataset is empty")
 	}
-	train, val := ds.Split(1-valFrac, opt.Seed+1)
+	train, val := ds.Split(1-valFraction, opt.Seed+1)
 
 	rng := rand.New(rand.NewSource(opt.Seed + 2))
 	model := nn.NewModel(embed.Rows, embed.Cols, filters, ds.Classes, rng)
@@ -581,7 +575,7 @@ func (s *SLAP) ClassifyContext(ctx context.Context, g *aig.AIG) (*Classification
 		return nil, err
 	}
 	s = s.withBatch()
-	enum := &cuts.Enumerator{G: g, Policy: cuts.UnlimitedPolicy{}, MergeCap: s.MergeCap, Workers: s.Workers}
+	enum := &cuts.Enumerator{G: g, Policy: cuts.UnlimitedPolicy{}, Workers: s.Workers}
 	res := enum.Run()
 	if err := ctx.Err(); err != nil {
 		return nil, err

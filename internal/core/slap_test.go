@@ -112,7 +112,7 @@ func TestTrainRequiresLibrary(t *testing.T) {
 func filterAll(t testing.TB, s *SLAP, g *aig.AIG) [][]cuts.Cut {
 	t.Helper()
 	s = s.withBatch()
-	res := (&cuts.Enumerator{G: g, Policy: cuts.UnlimitedPolicy{}, MergeCap: s.MergeCap, Workers: s.Workers}).Run()
+	res := (&cuts.Enumerator{G: g, Policy: cuts.UnlimitedPolicy{}, Workers: s.Workers}).Run()
 	emb := embed.NewEmbedder(g)
 	emb.PrecomputeAll()
 	if err := s.filterNodes(context.Background(), emb, andNodes(g), res.Sets, res.Sets, nil, s.inferScratches()); err != nil {

@@ -32,7 +32,7 @@ func (s *SLAP) MapStreamContext(ctx context.Context, g *aig.AIG) (*mapper.Result
 	if err != nil {
 		return nil, err
 	}
-	return mapper.MapStream(mg, mapper.Options{Library: s.Library, Policy: s.Policy(ctx), MergeCap: s.MergeCap,
+	return mapper.MapStream(mg, mapper.Options{Library: s.Library, Policy: s.Policy(ctx),
 		Workers: s.Workers, Rounds: s.Rounds, DelayFactor: s.DelayFactor, Choices: ch})
 }
 
@@ -47,15 +47,14 @@ func (s *SLAP) MapLUTStreamContext(ctx context.Context, g *aig.AIG) (*lutmap.Res
 	if err != nil {
 		return nil, err
 	}
-	return lutmap.MapStream(mg, lutmap.Options{Policy: s.Policy(ctx), MergeCap: s.MergeCap,
+	return lutmap.MapStream(mg, lutmap.Options{Policy: s.Policy(ctx),
 		Workers: s.Workers, Rounds: s.Rounds, DelayFactor: s.DelayFactor, Choices: ch})
 }
 
 // Policy returns SLAP's keep decision as a cut policy for one mapping
 // call: mapper.MapStream, lutmap.MapStream and their delta remaps run it
-// on every level, over UnlimitedPolicy enumeration (bounded by the
-// enumerator's merge cap), with inference polling ctx. Set the mapping's
-// MergeCap to s.MergeCap, which ConfigSig signs.
+// on every level, over UnlimitedPolicy enumeration (bounded by
+// cuts.MergeCap), with inference polling ctx.
 func (s *SLAP) Policy(ctx context.Context) cuts.LevelFilter {
 	return slapPolicy{s: s, ctx: ctx}
 }

@@ -56,7 +56,7 @@ func filterTwoPhase(t testing.TB, s *SLAP, g *aig.AIG) (*aig.AIG, [][]cuts.Cut, 
 		t.Fatal(err)
 	}
 	s = s.withBatch()
-	res := (&cuts.Enumerator{G: mg, Policy: cuts.UnlimitedPolicy{}, MergeCap: s.MergeCap, Workers: s.Workers, Choices: ch}).Run()
+	res := (&cuts.Enumerator{G: mg, Policy: cuts.UnlimitedPolicy{}, Workers: s.Workers, Choices: ch}).Run()
 	emb := embed.NewEmbedder(mg)
 	emb.PrecomputeAll()
 	var extras [][]cuts.Cut
@@ -124,7 +124,7 @@ func mapPooled(t testing.TB, s *SLAP, g *aig.AIG, pool *cuts.Pool) *mapper.Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mapper.MapStream(mg, mapper.Options{Library: s.Library, Policy: s.Policy(ctx), MergeCap: s.MergeCap,
+	res, err := mapper.MapStream(mg, mapper.Options{Library: s.Library, Policy: s.Policy(ctx),
 		Workers: s.Workers, Pool: pool, Rounds: s.Rounds, DelayFactor: s.DelayFactor, Choices: ch})
 	if err != nil {
 		t.Fatal(err)

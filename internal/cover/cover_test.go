@@ -202,7 +202,7 @@ func TestDeltaFilterFeatures(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := mapper.Options{Library: lib, Policy: tc.policy}
-			snap := cover.NewSnapshot(base, tc.policy, 0)
+			snap := cover.NewSnapshot(base, tc.policy)
 			capOpt := opt
 			capOpt.CaptureCuts = snap.Capture
 			if _, err := mapper.MapStream(base, capOpt); err != nil {

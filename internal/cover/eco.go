@@ -37,7 +37,7 @@ import (
 var ErrDeltaIneligible = errors.New("cover: not eligible for delta remapping")
 
 // ErrSnapshotMismatch reports that the snapshot was captured under a
-// different policy or merge cap than the one requested.
+// different policy than the one requested.
 var ErrSnapshotMismatch = errors.New("cover: snapshot signature mismatch")
 
 // ECOPolicySig returns a signature identifying the lists an ECO-eligible
@@ -63,19 +63,6 @@ func ECOPolicySig(p cuts.Policy) string {
 		return fmt.Sprintf("abc-default/%d", limit)
 	}
 	return ""
-}
-
-// enumSig extends the policy signature with the merge cap, the other knob
-// that changes the enumerated lists.
-func enumSig(policy cuts.Policy, mergeCap int) string {
-	ps := ECOPolicySig(policy)
-	if ps == "" {
-		return ""
-	}
-	if mergeCap == 0 {
-		mergeCap = cuts.DefaultMergeCap
-	}
-	return fmt.Sprintf("%s/mc=%d", ps, mergeCap)
 }
 
 // Snapshot footprint estimates for cache accounting: per node, its cone
@@ -112,11 +99,11 @@ type Snapshot struct {
 	revLevel []int32
 }
 
-// NewSnapshot prepares a snapshot of g for a run under policy and
-// mergeCap. Install its Capture method as the run's capture hook. It
-// returns nil when the policy is not ECO-eligible.
-func NewSnapshot(g *aig.AIG, policy cuts.Policy, mergeCap int) *Snapshot {
-	sig := enumSig(policy, mergeCap)
+// NewSnapshot prepares a snapshot of g for a run under policy. Install its
+// Capture method as the run's capture hook. It returns nil when the policy
+// is not ECO-eligible.
+func NewSnapshot(g *aig.AIG, policy cuts.Policy) *Snapshot {
+	sig := ECOPolicySig(policy)
 	if sig == "" {
 		return nil
 	}
@@ -190,13 +177,12 @@ type DeltaStats struct {
 // node of g, the baseline's list with its leaves translated through the
 // alignment, and nil for the rest; pass it to Engine.Enumerate. The
 // alignment is monotone, so list order, leaf order and every downstream
-// tie-break are preserved. policy and mergeCap must sign as the
-// snapshot's did.
-func (s *Snapshot) Reuse(g *aig.AIG, policy cuts.Policy, mergeCap int) ([][]cuts.Cut, *DeltaStats, error) {
+// tie-break are preserved. policy must sign as the snapshot's did.
+func (s *Snapshot) Reuse(g *aig.AIG, policy cuts.Policy) ([][]cuts.Cut, *DeltaStats, error) {
 	if s == nil {
 		return nil, nil, ErrDeltaIneligible
 	}
-	sig := enumSig(policy, mergeCap)
+	sig := ECOPolicySig(policy)
 	if sig == "" {
 		return nil, nil, ErrDeltaIneligible
 	}

@@ -37,10 +37,10 @@ type ChoiceSource interface {
 // in the list are rejected through the scratch dedupe table (still seeded
 // from mergeNode for this node). A member's trivial cut {m} becomes a legal
 // single-leaf cut of n — the buffer/inverter choice.
-func (s *scratch) enrichChoices(e *Enumerator, res *Result, n uint32, out []Cut, capN int) []Cut {
+func (s *scratch) enrichChoices(e *Enumerator, res *Result, n uint32, out []Cut) []Cut {
 	for _, mem := range e.Choices.MembersOf(n) {
 		for i := range res.Sets[mem.Node] {
-			if len(out) >= capN {
+			if len(out) >= MergeCap {
 				return out
 			}
 			c := &res.Sets[mem.Node][i]

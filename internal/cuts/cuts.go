@@ -236,10 +236,6 @@ type Enumerator struct {
 	// Policy orders/prunes each node's cut list; nil means keep everything
 	// (exhaustive enumeration subject only to MergeCap).
 	Policy Policy
-	// MergeCap bounds the per-node list length before the policy runs, to
-	// keep exhaustive enumeration tractable on large designs. Zero means
-	// DefaultMergeCap.
-	MergeCap int
 	// Workers bounds level-wavefront parallelism: 0 means one worker per
 	// CPU core, 1 forces the sequential path, N > 1 uses N workers. The
 	// parallel and sequential paths produce identical Results; parallel
@@ -271,8 +267,9 @@ type Enumerator struct {
 	s *scratch
 }
 
-// DefaultMergeCap bounds per-node cut lists during enumeration.
-const DefaultMergeCap = 2000
+// MergeCap bounds the per-node list length before the policy runs, to
+// keep exhaustive enumeration tractable on large designs.
+const MergeCap = 2000
 
 // minParallelAnds gates the wavefront path: below this graph size the
 // per-level barriers cost more than the merges they spread.
@@ -335,7 +332,7 @@ func copyLists(dst [][]Cut, nodes []uint32, sets [][]Cut) {
 }
 
 // processNode computes one AND node's final cut list.
-func (e *Enumerator) processNode(s *scratch, res *Result, n uint32, capN int) {
+func (e *Enumerator) processNode(s *scratch, res *Result, n uint32) {
 	if e.Reuse != nil {
 		if cs := e.Reuse(n); cs != nil {
 			res.Sets[n] = cs
@@ -343,9 +340,9 @@ func (e *Enumerator) processNode(s *scratch, res *Result, n uint32, capN int) {
 		}
 	}
 	f0, f1 := e.G.Fanins(n)
-	cs := s.mergeNode(n, res.Sets[f0.Node()], res.Sets[f1.Node()], capN)
+	cs := s.mergeNode(n, res.Sets[f0.Node()], res.Sets[f1.Node()])
 	if e.Choices != nil {
-		cs = s.enrichChoices(e, res, n, cs, capN)
+		cs = s.enrichChoices(e, res, n, cs)
 	}
 	if e.Policy != nil {
 		cs = e.Policy.Process(e.G, n, cs)
@@ -502,12 +499,12 @@ func newScratch(g *aig.AIG) *scratch {
 // 64-bit leaf hash (full leaf comparison only on collision), accepted leaf
 // slices are carved from the arena, and cone evaluation reuses the
 // epoch-stamped visited/value arrays.
-func (s *scratch) mergeNode(n uint32, cs0, cs1 []Cut, capN int) []Cut {
+func (s *scratch) mergeNode(n uint32, cs0, cs1 []Cut) []Cut {
 	// Pre-size from the fanin list lengths: the union count is close to the
 	// sum for typical priority-cut lists.
 	est := len(cs0) + len(cs1)
-	if est > capN {
-		est = capN
+	if est > MergeCap {
+		est = MergeCap
 	}
 	out := s.a.getCutBlock(est + 1)
 	s.resetTable(est)
@@ -548,7 +545,7 @@ func (s *scratch) mergeNode(n uint32, cs0, cs1 []Cut, capN int) []Cut {
 				TT:     f,
 				Volume: vol,
 			})
-			if len(out) >= capN {
+			if len(out) >= MergeCap {
 				return out
 			}
 		}

@@ -402,7 +402,7 @@ func BenchmarkMergeNode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := s.mergeNode(n, cs0, cs1, DefaultMergeCap)
+		out := s.mergeNode(n, cs0, cs1)
 		if len(out) == 0 {
 			b.Fatal("merge produced no cuts")
 		}

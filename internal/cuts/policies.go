@@ -55,7 +55,7 @@ func (p DefaultPolicy) ParallelSafe() bool { return true }
 
 // UnlimitedPolicy keeps every enumerated cut, modelling the paper's
 // "Unlimited ABC" which disables sorting, dominance filtering and the
-// per-node budget. Enumeration is still bounded by the Enumerator MergeCap
+// per-node budget. Enumeration is still bounded by MergeCap
 // to stay tractable on the largest designs.
 type UnlimitedPolicy struct{}
 

@@ -59,10 +59,6 @@ func (e *Enumerator) RunStream(sink LevelSink) (*Result, error) {
 // the run.
 func (e *Enumerator) runStream(a *Arena, sink LevelSink) (*Result, error) {
 	g := e.G
-	capN := e.MergeCap
-	if capN == 0 {
-		capN = DefaultMergeCap
-	}
 
 	// Force the AIG's lazily-memoised caches (levels, fanouts, inverted
 	// fanout flags) before fanning out: policies read them through
@@ -86,9 +82,9 @@ func (e *Enumerator) runStream(a *Arena, sink LevelSink) (*Result, error) {
 
 	var err error
 	if PolicyParallelSafe(e.Policy) {
-		err = e.streamLevels(&st, capN)
+		err = e.streamLevels(&st)
 	} else {
-		err = e.streamIndexOrder(&st, capN)
+		err = e.streamIndexOrder(&st)
 	}
 	if err != nil {
 		return nil, err
@@ -205,7 +201,7 @@ func growUint32(p *[]uint32, n int) []uint32 {
 // streamLevels is the level-order driver: each level is merged (inline or
 // across the worker pool), handed to the sink, and then every level whose
 // consumers are all complete is retired.
-func (e *Enumerator) streamLevels(st *streamState, capN int) error {
+func (e *Enumerator) streamLevels(st *streamState) error {
 	workers := e.effectiveWorkers()
 	for i := 0; i < workers; i++ {
 		st.a.scratchFor(i, st.maxLevel)
@@ -221,10 +217,10 @@ func (e *Enumerator) streamLevels(st *streamState, capN int) error {
 				// Narrow levels run inline: a goroutine handoff per node
 				// costs more than the merge it would parallelise.
 				for _, n := range nodes {
-					e.processNode(st.scratches[0], st.res, n, capN)
+					e.processNode(st.scratches[0], st.res, n)
 				}
 			} else {
-				e.runLevelChunks(st.res, st.scratches, nodes, workers, capN)
+				e.runLevelChunks(st.res, st.scratches, nodes, workers)
 			}
 			if err := st.completeLevel(L, nodes); err != nil {
 				return err
@@ -240,7 +236,7 @@ func (e *Enumerator) streamLevels(st *streamState, capN int) error {
 // into streamLevels they would force streamState (and the WaitGroup) to the
 // heap on every run, including the sequential path that never launches a
 // goroutine.
-func (e *Enumerator) runLevelChunks(res *Result, scratches []*scratch, nodes []uint32, workers, capN int) {
+func (e *Enumerator) runLevelChunks(res *Result, scratches []*scratch, nodes []uint32, workers int) {
 	chunk := (len(nodes) + workers - 1) / workers
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
@@ -256,7 +252,7 @@ func (e *Enumerator) runLevelChunks(res *Result, scratches []*scratch, nodes []u
 		go func(s *scratch, ns []uint32) {
 			defer wg.Done()
 			for _, n := range ns {
-				e.processNode(s, res, n, capN)
+				e.processNode(s, res, n)
 			}
 		}(scratches[k], nodes[lo:hi])
 	}
@@ -267,7 +263,7 @@ func (e *Enumerator) runLevelChunks(res *Result, scratches []*scratch, nodes []u
 // visited in topological index order (so e.g. a ShufflePolicy consumes its
 // RNG in a fixed, reproducible sequence), and the sink fires for each level
 // as soon as the completed prefix covers it.
-func (e *Enumerator) streamIndexOrder(st *streamState, capN int) error {
+func (e *Enumerator) streamIndexOrder(st *streamState) error {
 	g := e.G
 	s := st.a.scratchFor(0, st.maxLevel)
 	st.scratches = st.a.scratches[:1]
@@ -297,7 +293,7 @@ func (e *Enumerator) streamIndexOrder(st *streamState, capN int) error {
 		if !g.IsAnd(n) {
 			continue
 		}
-		e.processNode(s, st.res, n, capN)
+		e.processNode(s, st.res, n)
 		remaining[g.Level(n)]--
 		if err := advance(); err != nil {
 			return err

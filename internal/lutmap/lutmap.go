@@ -23,10 +23,8 @@ import (
 // Options configures a LUT mapping run.
 type Options struct {
 	// Policy is the cut sorting/filtering policy; nil enumerates
-	// exhaustively (subject to MergeCap).
+	// exhaustively (subject to cuts.MergeCap).
 	Policy cuts.Policy
-	// MergeCap bounds per-node cut lists during enumeration (0 = default).
-	MergeCap int
 	// NoAreaRecovery disables the area-flow pass.
 	NoAreaRecovery bool
 	// Workers bounds cut-enumeration parallelism: 0 = one worker per CPU
@@ -170,7 +168,7 @@ func (st *Stream) Finish() (*Result, error) {
 // shape.
 func MapStream(g *aig.AIG, opt Options) (*Result, error) {
 	st := NewStream(g, opt)
-	e := &cuts.Enumerator{G: g, Policy: opt.Policy, MergeCap: opt.MergeCap, Workers: opt.Workers, Choices: opt.Choices}
+	e := &cuts.Enumerator{G: g, Policy: opt.Policy, Workers: opt.Workers, Choices: opt.Choices}
 	if err := st.Enumerate(e, opt.Pool, nil, nil); err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func requireSameLUTMapping(t *testing.T, name string, want, got *Result) {
 // post-policy list, then the lists feed a Stream in ascending node order.
 func mapLUTTwoPhase(t testing.TB, g *aig.AIG, opt Options) *Result {
 	t.Helper()
-	res := (&cuts.Enumerator{G: g, Policy: opt.Policy, MergeCap: opt.MergeCap, Workers: opt.Workers, Choices: opt.Choices}).Run()
+	res := (&cuts.Enumerator{G: g, Policy: opt.Policy, Workers: opt.Workers, Choices: opt.Choices}).Run()
 	st := NewStream(g, opt)
 	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
 		if g.IsAnd(n) {

@@ -88,7 +88,7 @@ func TestMapDeltaByteIdentical(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					opt := Options{Library: lib, Policy: pol.p, Workers: workers}
-					snap := cover.NewSnapshot(base, opt.Policy, opt.MergeCap)
+					snap := cover.NewSnapshot(base, opt.Policy)
 					if snap == nil {
 						t.Fatal("options unexpectedly ECO-ineligible")
 					}
@@ -150,7 +150,7 @@ func TestMapDeltaIdenticalGraph(t *testing.T) {
 	lib := library.ASAP7ish()
 	g := circuits.CarryLookaheadAdder(16)
 	opt := Options{Library: lib, Policy: cuts.DefaultPolicy{}}
-	snap := cover.NewSnapshot(g, opt.Policy, opt.MergeCap)
+	snap := cover.NewSnapshot(g, opt.Policy)
 	capOpt := opt
 	capOpt.CaptureCuts = snap.Capture
 	full, err := MapStream(g, capOpt)
@@ -177,16 +177,16 @@ func TestMapDeltaIneligiblePolicies(t *testing.T) {
 		cuts.SingleAttributePolicy{},
 	} {
 		opt := Options{Library: lib, Policy: p}
-		if snap := cover.NewSnapshot(g, opt.Policy, opt.MergeCap); snap != nil {
+		if snap := cover.NewSnapshot(g, opt.Policy); snap != nil {
 			t.Fatalf("%T unexpectedly eligible for snapshots", p)
 		}
-		good := cover.NewSnapshot(g, cuts.DefaultPolicy{}, 0)
+		good := cover.NewSnapshot(g, cuts.DefaultPolicy{})
 		if _, _, err := MapDelta(g, opt, good); err == nil {
 			t.Fatalf("%T delta-remap did not error", p)
 		}
 	}
 	// Mismatched enumeration signatures must be refused too.
-	snapA := cover.NewSnapshot(g, cuts.DefaultPolicy{Limit: 10}, 0)
+	snapA := cover.NewSnapshot(g, cuts.DefaultPolicy{Limit: 10})
 	if _, _, err := MapDelta(g, Options{Library: lib, Policy: cuts.DefaultPolicy{Limit: 20}}, snapA); err == nil {
 		t.Fatal("mismatched cut limits did not error")
 	}

@@ -29,10 +29,8 @@ type Options struct {
 	// Library is the target standard-cell library (required).
 	Library *library.Library
 	// Policy is the cut sorting/filtering policy used during enumeration;
-	// nil enumerates exhaustively (subject to MergeCap).
+	// nil enumerates exhaustively (subject to cuts.MergeCap).
 	Policy cuts.Policy
-	// MergeCap bounds per-node cut lists during enumeration (0 = default).
-	MergeCap int
 	// NoAreaRecovery disables the area-flow and exact-area passes,
 	// producing the pure delay-optimal cover.
 	NoAreaRecovery bool
@@ -277,18 +275,17 @@ func MapStream(g *aig.AIG, opt Options) (*Result, error) {
 }
 
 // MapDelta maps g by reusing the snapshot of a structurally similar
-// baseline mapped under the same policy and merge cap (see cover.Snapshot):
-// clean nodes take their cut lists from the snapshot, dirty nodes re-run
-// the policy — or, under a level filter, its keep decision — and
-// everything else is the ordinary MapStream flow, including its Workers,
-// Pool and CaptureCuts, so a delta can capture the snapshot the next edit
-// remaps against. The Result is byte-identical to MapStream(g, opt):
+// baseline mapped under the same policy (see cover.Snapshot): clean nodes
+// take their cut lists from the snapshot, dirty nodes re-run the policy —
+// or, under a level filter, its keep decision — and everything else is the
+// ordinary MapStream flow, including its Workers, Pool and CaptureCuts, so
+// a delta can capture the snapshot the next edit remaps against. The Result is byte-identical to MapStream(g, opt):
 // netlist, QoR, counters and PeakCuts.
 func MapDelta(g *aig.AIG, opt Options, snap *cover.Snapshot) (*Result, *cover.DeltaStats, error) {
 	if opt.Choices != nil {
 		return nil, nil, cover.ErrDeltaIneligible
 	}
-	reused, st, err := snap.Reuse(g, opt.Policy, opt.MergeCap)
+	reused, st, err := snap.Reuse(g, opt.Policy)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -306,7 +303,7 @@ func mapStream(g *aig.AIG, opt Options, reused [][]cuts.Cut) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &cuts.Enumerator{G: g, Policy: opt.Policy, MergeCap: opt.MergeCap, Workers: opt.Workers, Choices: opt.Choices}
+	e := &cuts.Enumerator{G: g, Policy: opt.Policy, Workers: opt.Workers, Choices: opt.Choices}
 	if err := st.Enumerate(e, opt.Pool, opt.CaptureCuts, reused); err != nil {
 		return nil, err
 	}

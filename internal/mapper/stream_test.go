@@ -61,7 +61,7 @@ func requireSameMapping(t *testing.T, name string, want, got *Result) {
 // in ascending node order (a topological order).
 func mapTwoPhase(t testing.TB, g *aig.AIG, opt Options) *Result {
 	t.Helper()
-	res := (&cuts.Enumerator{G: g, Policy: opt.Policy, MergeCap: opt.MergeCap, Workers: opt.Workers, Choices: opt.Choices}).Run()
+	res := (&cuts.Enumerator{G: g, Policy: opt.Policy, Workers: opt.Workers, Choices: opt.Choices}).Run()
 	st, err := NewStream(g, opt)
 	if err != nil {
 		t.Fatal(err)

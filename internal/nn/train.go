@@ -8,25 +8,30 @@ import (
 	"sync"
 )
 
+// Adam's step size and moment parameters, the standard defaults. They are
+// typed so that each is rounded to float64 once, where it is declared: an
+// untyped 0.9 would fold 1-beta1 to exactly 0.1 at compile time, while the
+// float64 arithmetic the trained models were produced with gives
+// 0.09999999999999997780.
+const (
+	learningRate float64 = 1e-3
+	beta1        float64 = 0.9
+	beta2        float64 = 0.999
+	eps          float64 = 1e-8
+)
+
 // TrainConfig configures Adam training.
 type TrainConfig struct {
 	// Epochs is the number of passes over the training set (paper: 50).
 	Epochs int
 	// BatchSize is the minibatch size.
 	BatchSize int
-	// LearningRate is Adam's step size.
-	LearningRate float64
-	// Beta1, Beta2 and Eps are the Adam moment parameters; zero values take
-	// the standard defaults (0.9, 0.999, 1e-8).
-	Beta1, Beta2, Eps float64
 	// Seed drives minibatch shuffling.
 	Seed int64
 	// Workers is the number of parallel gradient workers (0 = GOMAXPROCS).
 	Workers int
-	// Verbose emits one progress line per epoch through Logf.
+	// Verbose prints one progress line per epoch to standard output.
 	Verbose bool
-	// Logf receives progress lines when Verbose (default: fmt.Printf).
-	Logf func(format string, args ...any)
 }
 
 func (c *TrainConfig) fill() {
@@ -36,23 +41,8 @@ func (c *TrainConfig) fill() {
 	if c.BatchSize == 0 {
 		c.BatchSize = 64
 	}
-	if c.LearningRate == 0 {
-		c.LearningRate = 1e-3
-	}
-	if c.Beta1 == 0 {
-		c.Beta1 = 0.9
-	}
-	if c.Beta2 == 0 {
-		c.Beta2 = 0.999
-	}
-	if c.Eps == 0 {
-		c.Eps = 1e-8
-	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Logf == nil {
-		c.Logf = func(format string, args ...any) { fmt.Printf(format, args...) }
 	}
 }
 
@@ -108,7 +98,7 @@ func (m *Model) Train(xs [][]float64, ys []int, cfg TrainConfig) ([]EpochStats, 
 			loss, good, g := m.batchGradient(xs, ys, batch, cfg.Workers)
 			epochLoss += loss
 			correct += good
-			m.adamStep(opt, g, cfg)
+			m.adamStep(opt, g)
 		}
 		s := EpochStats{
 			Epoch:    epoch,
@@ -117,7 +107,7 @@ func (m *Model) Train(xs [][]float64, ys []int, cfg TrainConfig) ([]EpochStats, 
 		}
 		stats = append(stats, s)
 		if cfg.Verbose {
-			cfg.Logf("epoch %3d: loss=%.4f acc=%.4f\n", s.Epoch, s.Loss, s.Accuracy)
+			fmt.Printf("epoch %3d: loss=%.4f acc=%.4f\n", s.Epoch, s.Loss, s.Accuracy)
 		}
 	}
 	return stats, nil
@@ -180,17 +170,17 @@ func (m *Model) batchGradient(xs [][]float64, ys []int, batch []int, workers int
 }
 
 // adamStep applies one Adam update.
-func (m *Model) adamStep(opt *adamState, g *grads, cfg TrainConfig) {
+func (m *Model) adamStep(opt *adamState, g *grads) {
 	opt.t++
-	bc1 := 1 - math.Pow(cfg.Beta1, float64(opt.t))
-	bc2 := 1 - math.Pow(cfg.Beta2, float64(opt.t))
+	bc1 := 1 - math.Pow(beta1, float64(opt.t))
+	bc2 := 1 - math.Pow(beta2, float64(opt.t))
 	update := func(w, gw, mw, vw []float64) {
 		for i := range w {
-			mw[i] = cfg.Beta1*mw[i] + (1-cfg.Beta1)*gw[i]
-			vw[i] = cfg.Beta2*vw[i] + (1-cfg.Beta2)*gw[i]*gw[i]
+			mw[i] = beta1*mw[i] + (1-beta1)*gw[i]
+			vw[i] = beta2*vw[i] + (1-beta2)*gw[i]*gw[i]
 			mhat := mw[i] / bc1
 			vhat := vw[i] / bc2
-			w[i] -= cfg.LearningRate * mhat / (math.Sqrt(vhat) + cfg.Eps)
+			w[i] -= learningRate * mhat / (math.Sqrt(vhat) + eps)
 		}
 	}
 	update(m.ConvW, g.convW, opt.m.convW, opt.v.convW)

@@ -46,7 +46,7 @@ func (s *Server) mapASIC(ctx context.Context, req *MapRequest, g *aig.AIG, lib *
 			res, err := mapper.MapStream(mg, o)
 			return res, nil, err
 		}
-		snap := cover.NewSnapshot(g, o.Policy, o.MergeCap)
+		snap := cover.NewSnapshot(g, o.Policy)
 		o.CaptureCuts = snap.Capture
 		res, err := mapper.MapStream(mg, o)
 		return res, snap, err
@@ -66,7 +66,7 @@ func (s *Server) mapASIC(ctx context.Context, req *MapRequest, g *aig.AIG, lib *
 			o := opt
 			var next mapcache.Snapshot
 			if chain {
-				snap := cover.NewSnapshot(g, o.Policy, o.MergeCap)
+				snap := cover.NewSnapshot(g, o.Policy)
 				o.CaptureCuts, next = snap.Capture, snap
 			}
 			res, st, err := mapper.MapDelta(g, o, sn.(*cover.Snapshot))

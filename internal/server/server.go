@@ -46,8 +46,6 @@ type Config struct {
 	// DefaultTimeout applies to requests that set no timeout_ms
 	// (0 = DefaultRequestTimeout).
 	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested timeouts (0 = DefaultMaxTimeout).
-	MaxTimeout time.Duration
 	// JobsDir is where dataset-generation jobs persist their shard files
 	// and manifests (0 = a "slap-jobs" directory under os.TempDir).
 	JobsDir string
@@ -93,7 +91,7 @@ type Config struct {
 const (
 	DefaultMaxBodyBytes   = 8 << 20
 	DefaultRequestTimeout = 60 * time.Second
-	DefaultMaxTimeout     = 5 * time.Minute
+	MaxTimeout            = 5 * time.Minute // caps client-requested timeouts
 	DefaultJobRetention   = time.Hour
 )
 
@@ -156,9 +154,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = DefaultRequestTimeout
-	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = DefaultMaxTimeout
 	}
 	if cfg.JobsDir == "" {
 		cfg.JobsDir = filepath.Join(os.TempDir(), "slap-jobs")
@@ -549,8 +544,8 @@ func (s *Server) timeoutFor(ms int64) time.Duration {
 	if d <= 0 {
 		d = s.cfg.DefaultTimeout
 	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
+	if d > MaxTimeout {
+		d = MaxTimeout
 	}
 	return d
 }
