@@ -520,69 +520,28 @@ func (c *Coordinator) routeProxy(w http.ResponseWriter, r *http.Request) {
 		// (saturated or breaker-open), so its replica's cache is cold for
 		// this design — race the next replica and take whichever answers
 		// first. Only on the first attempt; retries are already failover.
+		picks := []pickResult{pick}
 		if attempt == 1 && pick.affineCut != "" {
 			hedgeIdx := idx
 			if hedge := c.pickWorker(order, &hedgeIdx, pick.wk); hedge.wk != nil {
-				winner, hErr := c.raceHedge(ctx, r, body, pick, hedge)
-				if winner != nil {
-					c.metrics.routed.With(winner.pick.wk.name).Inc()
-					c.relay(w, winner.resp)
-					winner.cancel()
-					c.releaseSlot(winner.pick.wk)
-					return
-				}
-				lastErr = hErr
-				c.metrics.retries.Inc()
-				if ctx.Err() != nil {
-					break
-				}
-				genjob.Backoff(ctx, c.cfg.BackoffBase, c.cfg.BackoffMax, attempt, rng)
-				continue
+				picks = append(picks, hedge)
 			}
 		}
-
-		resp, err := c.forward(ctx, r, pick.wk, body)
-		if err != nil {
-			c.releaseSlot(pick.wk)
-			lastErr = fmt.Errorf("worker %s: %w", pick.wk.name, err)
-			if ctx.Err() != nil {
-				// Client cancel or deadline, not a worker fault: no health
-				// strike, no breaker strike, and the trial slot goes back.
-				pick.wk.brk.Cancel(pick.probe)
-				break
-			}
-			pick.wk.brk.Failure()
-			c.reportProxyFailure(pick.wk, err)
-			c.metrics.retries.Inc()
-			genjob.Backoff(ctx, c.cfg.BackoffBase, c.cfg.BackoffMax, attempt, rng)
-			continue
+		winner, err := c.race(ctx, r, body, picks)
+		if winner != nil {
+			// Success (including worker-side 4xx, which is the client's
+			// problem, not the fleet's): relay verbatim.
+			c.metrics.routed.With(winner.pick.wk.name).Inc()
+			c.relay(w, winner.resp)
+			c.settleArm(winner)
+			return
 		}
-		if resp.StatusCode >= 500 {
-			// Worker-side failure or shed: this worker answered, so it is
-			// alive (health clears), but it is failing requests (breaker
-			// strikes) and the request deserves another replica.
-			b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			c.releaseSlot(pick.wk)
-			c.reportProxySuccess(pick.wk)
-			pick.wk.brk.Failure()
-			c.metrics.retries.Inc()
-			lastErr = fmt.Errorf("worker %s answered %d: %s", pick.wk.name, resp.StatusCode, strings.TrimSpace(string(b)))
-			if ctx.Err() != nil {
-				break
-			}
-			genjob.Backoff(ctx, c.cfg.BackoffBase, c.cfg.BackoffMax, attempt, rng)
-			continue
+		lastErr = err
+		if ctx.Err() != nil {
+			break // the caller is done: nothing to retry for
 		}
-
-		// Success (including worker-side 4xx, which is the client's
-		// problem, not the fleet's): relay verbatim.
-		c.reportProxySuccess(pick.wk)
-		pick.wk.brk.Success()
-		c.metrics.routed.With(pick.wk.name).Inc()
-		c.relay(w, resp)
-		c.releaseSlot(pick.wk)
-		return
+		c.metrics.retries.Inc()
+		genjob.Backoff(ctx, c.cfg.BackoffBase, c.cfg.BackoffMax, attempt, rng)
 	}
 	status := http.StatusBadGateway
 	if ctx.Err() != nil {

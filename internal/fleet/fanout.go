@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"slap/internal/dataset"
@@ -69,9 +67,8 @@ func (c *Coordinator) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	id := fmt.Sprintf("fleet-%04d", c.jobsSeq.Add(1))
-	outDir := filepath.Join(c.cfg.JobsDir, id)
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
+	id, outDir, err := genjob.NewJobDir(c.cfg.JobsDir, "fleet", &c.jobsSeq)
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("creating job directory: %w", err))
 		return
 	}
@@ -198,8 +195,9 @@ func (c *Coordinator) runFleetJob(ctx context.Context, job *genjob.Job, req Data
 // ring replicas in preference order, resuming on every attempt where the
 // shard's last attempt left off. Unlike the request path, saturation does
 // not shed — a sweep would rather retry than fail a shard. A transport
-// error strikes the worker's health and its breaker; a worker that
-// answers keeps both clean, whatever it answered.
+// error strikes the worker's health and its breaker unless the job itself
+// canceled the attempt; a worker that answers keeps both clean, whatever
+// it answered.
 func (c *Coordinator) shardExecutor(req DatasetJobRequest, fp string) genjob.Executor {
 	var mu sync.Mutex
 	cursors := make(map[int]int) // shard → ring position of its next attempt
@@ -219,14 +217,11 @@ func (c *Coordinator) shardExecutor(req DatasetJobRequest, fp string) genjob.Exe
 			return nil, "", errors.New("no live worker with a free slot")
 		}
 		frame, err := c.execShardOn(ctx, wk, body)
-		c.releaseSlot(wk)
+		var transportErr error
 		if isTransport(err) {
-			c.reportProxyFailure(wk, err)
-			wk.brk.Failure()
-		} else {
-			c.reportProxySuccess(wk)
-			wk.brk.Success()
+			transportErr = err
 		}
+		c.settle(ctx, pick, transportErr, false)
 		if err != nil {
 			return nil, "", fmt.Errorf("worker %s: %w", wk.name, err)
 		}

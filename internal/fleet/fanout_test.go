@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -250,5 +252,149 @@ func TestFanoutRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job answered %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestShardCancelStrikesNothing: a job that cancels its own pending shards
+// gives up on them; the worker running one has not failed. Shard 0
+// answers 500, which with one attempt and no failure budget fails the job
+// and cancels shard 1, still running on the same worker: that worker must
+// end with no health strike and a closed breaker.
+func TestShardCancelStrikesNothing(t *testing.T) {
+	arrived := make(chan struct{})
+	var once sync.Once
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"status":"ok"}`)
+	})
+	mux.HandleFunc("POST /v1/shards/execute", func(w http.ResponseWriter, r *http.Request) {
+		var req genjob.ShardRequest
+		err := json.NewDecoder(r.Body).Decode(&req)
+		io.Copy(io.Discard, r.Body) // arm disconnect detection
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if req.Shard == 1 {
+			once.Do(func() { close(arrived) })
+			<-r.Context().Done()
+			return
+		}
+		select { // fail shard 0 only once shard 1 is running
+		case <-arrived:
+		case <-time.After(10 * time.Second):
+		}
+		http.Error(w, "injected shard failure", http.StatusInternalServerError)
+	})
+	stub := httptest.NewServer(mux)
+	t.Cleanup(stub.Close)
+
+	c, ts := newCoordinator(t, Config{
+		Workers:          []StaticWorker{{Name: "w", URL: stub.URL}},
+		ProbeInterval:    time.Hour,
+		ShardConcurrency: 2,
+		JobsDir:          t.TempDir(),
+	})
+	resp, err := http.Post(ts.URL+"/v1/jobs/dataset", "application/json",
+		strings.NewReader(`{"maps_per_circuit":2,"shards":2,"seed":1,"max_attempts":1,"failure_budget":0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var submitted struct{ ID string }
+	json.NewDecoder(resp.Body).Decode(&submitted)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("job submit answered %d, want 202", resp.StatusCode)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	st := jobStatus(t, ts.URL, submitted.ID)
+	for !st.Terminal() {
+		if time.Now().After(deadline) {
+			t.Fatalf("job never finished: %+v", st)
+		}
+		time.Sleep(10 * time.Millisecond)
+		st = jobStatus(t, ts.URL, submitted.ID)
+	}
+	if st.State != "failed" {
+		t.Fatalf("job = %+v, want failed", st)
+	}
+
+	wk := c.workerByName(t, "w")
+	c.mu.Lock()
+	fails, lastErr := wk.consecFails, wk.lastErr
+	c.mu.Unlock()
+	if fails != 0 || lastErr != "" {
+		t.Errorf("worker after the job canceled its shard: consec_fails %d, last_err %q; want no strike", fails, lastErr)
+	}
+	if st := wk.brk.State(); st != BreakerClosed {
+		t.Errorf("breaker = %v after the job canceled its shard, want closed", st)
+	}
+}
+
+// TestFleetJobIDsSurviveRestart: without a journal, a restarted
+// coordinator numbers its jobs past the directories already in its jobs
+// directory, so a new sweep never resumes into an old one's files.
+func TestFleetJobIDsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	_, w := newWorker(t, "w1")
+	cfg := Config{Workers: []StaticWorker{{Name: "w1", URL: w.URL}}, JobsDir: dir}
+	runJob := func(base string) genjob.Status {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/jobs/dataset", "application/json",
+			strings.NewReader(`{"circuits":["rc16"],"maps_per_circuit":2,"shards":2,"seed":3}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var submitted struct{ ID string }
+		json.NewDecoder(resp.Body).Decode(&submitted)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("job submit answered %d, want 202", resp.StatusCode)
+		}
+		deadline := time.Now().Add(60 * time.Second)
+		st := jobStatus(t, base, submitted.ID)
+		for !st.Terminal() {
+			if time.Now().After(deadline) {
+				t.Fatalf("job never finished: %+v", st)
+			}
+			time.Sleep(10 * time.Millisecond)
+			st = jobStatus(t, base, submitted.ID)
+		}
+		if st.State != "done" {
+			t.Fatalf("job = %+v, want done", st)
+		}
+		return st
+	}
+	// snapshot maps every file under root to its contents.
+	snapshot := func(root string) map[string]string {
+		t.Helper()
+		files := map[string]string{}
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			files[path] = string(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+
+	_, ts1 := newCoordinator(t, cfg)
+	if st := runJob(ts1.URL); st.ID != "fleet-0001" {
+		t.Fatalf("first job id %q, want fleet-0001", st.ID)
+	}
+	first := filepath.Join(dir, "fleet-0001")
+	before := snapshot(first)
+
+	_, ts2 := newCoordinator(t, cfg)
+	if st := runJob(ts2.URL); st.ID != "fleet-0002" {
+		t.Fatalf("first job after a restart has id %q, want fleet-0002", st.ID)
+	}
+	if after := snapshot(first); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the restarted coordinator's job changed %s", first)
 	}
 }

@@ -2,102 +2,120 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 )
 
-// Hedged reads close ROADMAP's replica-aware read-scaling item: a read
-// displaced from its affine worker (saturated or breaker-open, not dead)
-// is raced across two ring replicas, first acceptable answer wins, the
-// loser is cancelled and reaped off the request path. Responses stay
-// byte-identical either way — both arms replay the same buffered body
-// against workers that compute (or cache) the same deterministic answer.
+// Every attempt on the request path is a race: one arm, or two when the
+// read is hedged. A read displaced from its affine worker (saturated or
+// breaker-open, not dead) is raced across two ring replicas, first
+// acceptable answer wins, the loser is cancelled and reaped off the
+// request path. Responses stay byte-identical either way — both arms
+// replay the same buffered body against workers that compute (or cache)
+// the same deterministic answer.
 
-// armResult is one hedge arm's outcome.
+// armResult is one arm's outcome.
 type armResult struct {
 	pick   pickResult
 	arm    string // "primary" | "hedge"
 	resp   *http.Response
 	err    error
+	ctx    context.Context
 	cancel context.CancelFunc
 }
 
-// raceHedge dispatches the buffered request to two workers concurrently.
-// On a win it returns the winning arm with its response open and its
-// cancel func pending — the caller relays, then calls cancel() and
-// releases the slot. The losing arm is settled here (or by a background
-// reaper if still in flight). When both arms fail it returns (nil, err)
-// and everything is already settled.
-func (c *Coordinator) raceHedge(ctx context.Context, r *http.Request, body []byte, primary, hedge pickResult) (*armResult, error) {
-	c.metrics.hedges.Inc()
-	armA := &armResult{pick: primary, arm: "primary"}
-	armB := &armResult{pick: hedge, arm: "hedge"}
-	results := make(chan *armResult, 2)
-	for _, a := range []*armResult{armA, armB} {
-		armCtx, cancel := context.WithCancel(ctx)
-		a.cancel = cancel
-		go func(a *armResult, actx context.Context) {
-			a.resp, a.err = c.forward(actx, r, a.pick.wk, body)
+// race dispatches the buffered request to every pick concurrently. On a
+// win it returns the winning arm with its response open — the caller
+// relays it, then settles it with settleArm. Every other arm is settled
+// here, a loser still in flight by a background reaper once its cancelled
+// round trip unwinds. When every arm fails it returns (nil, err) with the
+// last failure, and everything is already settled.
+func (c *Coordinator) race(ctx context.Context, r *http.Request, body []byte, picks []pickResult) (*armResult, error) {
+	hedged := len(picks) > 1
+	if hedged {
+		c.metrics.hedges.Inc()
+	}
+	arms := make([]*armResult, len(picks))
+	results := make(chan *armResult, len(picks))
+	for i, p := range picks {
+		a := &armResult{pick: p, arm: "primary"}
+		if i > 0 {
+			a.arm = "hedge"
+		}
+		a.ctx, a.cancel = context.WithCancel(ctx)
+		arms[i] = a
+		go func() {
+			a.resp, a.err = c.forward(a.ctx, r, a.pick.wk, body)
 			results <- a
-		}(a, armCtx)
+		}()
 	}
 	var lastErr error
-	for i := 0; i < 2; i++ {
-		res := <-results
-		if res.err == nil && res.resp.StatusCode < 500 {
-			c.reportProxySuccess(res.pick.wk)
-			res.pick.wk.brk.Success()
-			c.metrics.hedgeWins.With(res.arm).Inc()
-			if i == 0 {
-				// Cancel the still-running loser and reap it off the
-				// request path: its slot and breaker slot come back as soon
-				// as its round trip unwinds, without delaying this response.
-				loser := armA
-				if res == armA {
-					loser = armB
-				}
-				loser.cancel()
-				go func() {
-					c.settleArm(<-results, true)
-				}()
+	for pending := len(arms); pending > 0; pending-- {
+		a := <-results
+		if a.err == nil && a.resp.StatusCode < 500 {
+			if hedged {
+				c.metrics.hedgeWins.With(a.arm).Inc()
 			}
-			return res, nil
+			for _, l := range arms {
+				if l != a {
+					l.cancel()
+				}
+			}
+			for ; pending > 1; pending-- {
+				go func() { c.settleArm(<-results) }()
+			}
+			return a, nil
 		}
-		c.settleArm(res, false)
-		if res.err != nil {
-			lastErr = fmt.Errorf("worker %s: %w", res.pick.wk.name, res.err)
-		} else {
-			lastErr = fmt.Errorf("worker %s answered %d", res.pick.wk.name, res.resp.StatusCode)
-		}
+		lastErr = c.settleArm(a)
 	}
 	return nil, lastErr
 }
 
-// settleArm releases a non-winning arm's resources and feeds its outcome
-// to health and breaker. canceled marks a hedge loser we cancelled
-// ourselves: losing a race is not a worker failure, so nothing strikes.
-func (c *Coordinator) settleArm(res *armResult, canceled bool) {
-	if res.resp != nil {
-		io.Copy(io.Discard, io.LimitReader(res.resp.Body, 1<<12))
-		res.resp.Body.Close()
-	}
-	res.cancel()
-	c.releaseSlot(res.pick.wk)
+// settleArm closes an arm's response and settles its attempt. It returns
+// the arm's failure, or nil when the worker answered below 500.
+func (c *Coordinator) settleArm(a *armResult) error {
+	var err error
 	switch {
-	case res.err == nil && res.resp.StatusCode < 500:
-		// The loser finished fine just after the winner: still counts as
-		// proof of life.
-		c.reportProxySuccess(res.pick.wk)
-		res.pick.wk.brk.Success()
-	case res.err != nil && (canceled || errors.Is(res.err, context.Canceled)):
-		res.pick.wk.brk.Cancel(res.pick.probe)
-	case res.err != nil:
-		c.reportProxyFailure(res.pick.wk, res.err)
-		res.pick.wk.brk.Failure()
-	default: // answered 5xx: alive but failing
-		c.reportProxySuccess(res.pick.wk)
-		res.pick.wk.brk.Failure()
+	case a.err != nil:
+		err = fmt.Errorf("worker %s: %w", a.pick.wk.name, a.err)
+	case a.resp.StatusCode >= 500:
+		b, _ := io.ReadAll(io.LimitReader(a.resp.Body, 4096))
+		err = fmt.Errorf("worker %s answered %d: %s", a.pick.wk.name, a.resp.StatusCode, strings.TrimSpace(string(b)))
+	default:
+		io.Copy(io.Discard, io.LimitReader(a.resp.Body, 4096))
 	}
+	if a.resp != nil {
+		a.resp.Body.Close()
+	}
+	c.settle(a.ctx, a.pick, a.err, err != nil)
+	a.cancel()
+	return err
+}
+
+// settle applies one attempt's outcome to its worker and returns the
+// worker's in-flight slot; the request path and the dataset fan-out both
+// settle every attempt here. transportErr reports that the worker never
+// answered. Once ctx is done — the caller canceled or ran out of time, or
+// the attempt lost a hedge race — that says nothing about the worker, so
+// nothing strikes and a half-open trial slot goes back. Otherwise it
+// strikes health and breaker. A worker that answered is alive, so its
+// health clears; failed marks an answer that failed the request, which
+// strikes the breaker.
+func (c *Coordinator) settle(ctx context.Context, pick pickResult, transportErr error, failed bool) {
+	switch {
+	case transportErr != nil && ctx.Err() != nil:
+		pick.wk.brk.Cancel(pick.probe)
+	case transportErr != nil:
+		c.reportProxyFailure(pick.wk, transportErr)
+		pick.wk.brk.Failure()
+	case failed:
+		c.reportProxySuccess(pick.wk)
+		pick.wk.brk.Failure()
+	default:
+		c.reportProxySuccess(pick.wk)
+		pick.wk.brk.Success()
+	}
+	c.releaseSlot(pick.wk)
 }

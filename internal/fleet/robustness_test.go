@@ -609,3 +609,51 @@ func jobStatus(t *testing.T, base, id string) genjob.Status {
 	}
 	return st
 }
+
+// TestHedgeDeadlineStrikesNothing: a hedged read that runs out of its
+// client's time budget ends on the caller's deadline, not on a worker
+// fault. The affine worker's breaker is open, so the read is hedged
+// across the other two replicas, and both hang past ?timeout_ms: the
+// answer is 504, and neither hedge worker takes a health or breaker
+// strike.
+func TestHedgeDeadlineStrikesNothing(t *testing.T) {
+	hang := func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // arm disconnect detection
+		<-r.Context().Done()
+	}
+	var workers []StaticWorker
+	for _, name := range []string{"w1", "w2", "w3"} {
+		workers = append(workers, StaticWorker{Name: name, URL: stubWorker(t, name, hang).URL})
+	}
+	c, ts := newCoordinator(t, Config{
+		Workers:          workers,
+		ProbeInterval:    time.Hour,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
+	})
+	aag := rc16AAG(t)
+	order := affineOrder(t, c, aag)
+	order[0].brk.Failure() // open the affine worker's breaker: the read hedges
+
+	resp, data := postCircuit(t, ts.URL+"/v1/map?timeout_ms=200", aag)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("hedged read past its deadline answered %d (%s), want 504", resp.StatusCode, data)
+	}
+	if got := c.metrics.hedges.Value(); got != 1 {
+		t.Fatalf("hedges = %v, want 1", got)
+	}
+	for _, wk := range order[1:] {
+		c.mu.Lock()
+		fails, lastErr := wk.consecFails, wk.lastErr
+		c.mu.Unlock()
+		if fails != 0 || lastErr != "" {
+			t.Errorf("hedge worker %s after the caller's deadline: consec_fails %d, last_err %q; want no strike", wk.name, fails, lastErr)
+		}
+		if st := wk.brk.State(); st != BreakerClosed {
+			t.Errorf("hedge worker %s breaker = %v after the caller's deadline, want closed", wk.name, st)
+		}
+		if n := wk.inflight.Load(); n != 0 {
+			t.Errorf("hedge worker %s holds %d in-flight slots", wk.name, n)
+		}
+	}
+}

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"maps"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -72,6 +75,27 @@ type Job struct {
 	skipped      int
 	datasetFile  string
 	errMsg       string
+}
+
+// NewJobDir creates a new job's directory under root, named prefix-NNNN
+// with the next number seq yields. The directory is created exclusively,
+// and a name that already exists is skipped, so a job never runs into a
+// directory an earlier process left behind.
+func NewJobDir(root, prefix string, seq *atomic.Int64) (id, dir string, err error) {
+	if err := os.MkdirAll(root, 0o755); err != nil {
+		return "", "", err
+	}
+	for {
+		id = fmt.Sprintf("%s-%04d", prefix, seq.Add(1))
+		dir = filepath.Join(root, id)
+		err := os.Mkdir(dir, 0o755)
+		if err == nil {
+			return id, dir, nil
+		}
+		if !errors.Is(err, fs.ErrExist) {
+			return "", "", err
+		}
+	}
 }
 
 // NewJob returns a queued job and the context its sweep runs under, which

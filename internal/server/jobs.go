@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -92,9 +91,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	id := fmt.Sprintf("job-%04d", s.jobsSeq.Add(1))
-	outDir := filepath.Join(s.cfg.JobsDir, id)
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
+	id, outDir, err := genjob.NewJobDir(s.cfg.JobsDir, "job", &s.jobsSeq)
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("creating job directory: %w", err))
 		return
 	}

@@ -364,3 +364,18 @@ func TestJobRetentionGC(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestJobIDsSurviveRestart: a second server on the same jobs directory
+// numbers its jobs past the directories the first one left, so its first
+// job runs in a fresh directory instead of failing on the old run.
+func TestJobIDsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1 := newTestServer(t, Config{WorkerBudget: 2, JobsDir: dir, JobRetention: -1})
+	if st := submitTinyJob(t, ts1); st.ID != "job-0001" {
+		t.Fatalf("first job id %q, want job-0001", st.ID)
+	}
+	_, ts2 := newTestServer(t, Config{WorkerBudget: 2, JobsDir: dir, JobRetention: -1})
+	if st := submitTinyJob(t, ts2); st.ID != "job-0002" {
+		t.Fatalf("first job after a restart has id %q, want job-0002", st.ID)
+	}
+}
