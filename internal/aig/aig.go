@@ -418,16 +418,6 @@ func (g *AIG) SimulateNodes(piValues []uint64) []uint64 {
 	return vals
 }
 
-// LitValue extracts the value of a literal from a node-value slice produced
-// by SimulateNodes.
-func LitValue(vals []uint64, l Lit) uint64 {
-	v := vals[l.Node()]
-	if l.IsCompl() {
-		v = ^v
-	}
-	return v
-}
-
 // ConeSize returns the number of AND nodes in the transitive fanin cone of
 // node n, stopping at PIs.
 func (g *AIG) ConeSize(n uint32) int {

@@ -10,7 +10,7 @@ package aig
 //     ordered hashes certify that translated cut lists are byte-equal to
 //     freshly enumerated ones. This is the ECO-alignment hash.
 //
-//   - CanonicalConeHashes sorts the two (hash, complement) fanin pairs
+//   - The canonical flavour sorts the two (hash, complement) fanin pairs
 //     before mixing, making the hash invariant under node-id permutation
 //     (And() normalises operands by literal value, so a permutation of ids
 //     can flip the stored pair). StructuralHash combines the canonical PO
@@ -72,10 +72,6 @@ func (g *AIG) coneHashes(canonical bool) []uint64 {
 // Used to align an edited graph against a cached baseline for ECO
 // delta-remapping.
 func (g *AIG) ConeHashes() []uint64 { return g.coneHashes(false) }
-
-// CanonicalConeHashes returns cone hashes that are invariant under node-id
-// permutation (fanin pairs are sorted by hash before mixing).
-func (g *AIG) CanonicalConeHashes() []uint64 { return g.coneHashes(true) }
 
 // StructuralHash returns a 64-bit content address of the graph's
 // PO-reachable structure. It is invariant under node-id permutation and PO

@@ -18,12 +18,28 @@ import (
 // PI order and count are preserved (unused PIs stay).
 func Sweep(g *aig.AIG) *aig.AIG {
 	out := aig.New(g.Name)
+	piLits := make([]aig.Lit, g.NumPIs())
+	for i := range piLits {
+		piLits[i] = out.AddPI(g.PIName(i))
+	}
+	mapLit := Graft(out, piLits, g)
+	for _, po := range g.POs() {
+		out.AddPO(po.Name, mapLit(po.Lit))
+	}
+	return out
+}
+
+// Graft copies the logic of g reachable from its primary outputs into
+// out, in g's id order, with g's PIs mapped positionally to piLits, and
+// returns the map from g's literals to out's; it adds no PO. Structural
+// hashing inside out.And dedupes logic out already holds.
+func Graft(out *aig.AIG, piLits []aig.Lit, g *aig.AIG) func(aig.Lit) aig.Lit {
 	old2new := make([]aig.Lit, g.NumNodes())
 	for i := range old2new {
 		old2new[i] = ^aig.Lit(0)
 	}
 	for i, pi := range g.PIs() {
-		old2new[pi] = out.AddPI(g.PIName(i))
+		old2new[pi] = piLits[i]
 	}
 
 	// Mark reachable nodes.
@@ -60,10 +76,7 @@ func Sweep(g *aig.AIG) *aig.AIG {
 		f0, f1 := g.Fanins(n)
 		old2new[n] = out.And(mapLit(f0), mapLit(f1))
 	}
-	for _, po := range g.POs() {
-		out.AddPO(po.Name, mapLit(po.Lit))
-	}
-	return out
+	return mapLit
 }
 
 // Balance rebuilds the graph with depth-minimised AND trees: maximal
