@@ -92,9 +92,6 @@ func NewRing(members []string, vnodes int) *Ring {
 	return r
 }
 
-// Members returns the ring's membership, sorted.
-func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
-
 // Size returns the number of members.
 func (r *Ring) Size() int { return len(r.members) }
 

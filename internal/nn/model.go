@@ -230,14 +230,6 @@ func (m *Model) newGrads() *grads {
 	}
 }
 
-func (g *grads) zero() {
-	for _, s := range [][]float64{g.convW, g.convB, g.denseW, g.denseB} {
-		for i := range s {
-			s[i] = 0
-		}
-	}
-}
-
 func (g *grads) add(o *grads) {
 	for i := range g.convW {
 		g.convW[i] += o.convW[i]
