@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"slap/internal/aig"
-	"slap/internal/choice"
 	"slap/internal/circuits"
 	"slap/internal/core"
 	"slap/internal/cover"
@@ -269,20 +268,13 @@ func BenchmarkMultiRoundMap(b *testing.B) {
 	}
 }
 
-// slapMapPooled maps g as s.MapStreamContext does, building a fresh choice
-// view when s.Choices is set, with cut storage checked out of pool.
+// slapMapPooled maps g as s.MapStreamContext does, with cut storage
+// checked out of pool.
 func slapMapPooled(s *core.SLAP, g *aig.AIG, pool *cuts.Pool) error {
 	ctx := context.Background()
-	mg, ch := g, cuts.ChoiceSource(nil)
-	if s.Choices {
-		v, err := choice.BuildContext(ctx, g, s.ChoiceOpts)
-		if err != nil {
-			return err
-		}
-		mg, ch = v.G, v
-	}
-	_, err := mapper.MapStream(mg, mapper.Options{Library: s.Library, Policy: s.Policy(ctx),
-		Workers: s.Workers, Pool: pool, Rounds: s.Rounds, DelayFactor: s.DelayFactor, Choices: ch})
+	m := &core.Mapping{Request: core.Request{Policy: "slap", Rounds: s.Rounds, Choices: s.Choices},
+		Library: s.Library, SLAP: s, Pool: pool, Workers: s.Workers}
+	_, err := m.MapASIC(ctx, g, m.CutPolicy(ctx), nil)
 	return err
 }
 

@@ -33,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"time"
 
@@ -106,15 +105,11 @@ type runConfig struct {
 	stdin io.Reader
 }
 
-// choiceOptions folds the -choice-* flags into the view-construction
-// options (zero values keep the choice package defaults).
-func (cfg runConfig) choiceOptions() choice.Options {
-	return choice.Options{Workers: cfg.choiceWorkers, ProofConflicts: cfg.choiceBudget}
-}
-
 func run(cfg runConfig) error {
-	if cfg.limit < 0 {
-		return fmt.Errorf("-limit must be non-negative, got %d", cfg.limit)
+	req := core.Request{Policy: cfg.policy, Seed: cfg.seed, Limit: cfg.limit,
+		Rounds: cfg.rounds, DelayFactor: cfg.delayFactor, Choices: cfg.choices}
+	if err := req.Resolve(); err != nil {
+		return err
 	}
 	profile, err := experiments.ByName(cfg.profile)
 	if err != nil {
@@ -137,65 +132,33 @@ func run(cfg runConfig) error {
 	}
 	fmt.Printf("circuit: %s\n", g.Stats())
 
-	var res *mapper.Result
-	if cfg.baseline != "" {
-		if cfg.rounds > 1 || cfg.choices {
-			return fmt.Errorf("-baseline delta-remaps against a single-round snapshot; it is incompatible with -rounds > 1 and -choices")
+	// With -choices the mapping runs over a combined choice view, which
+	// shares the subject's PIs/POs, so verification still runs against the
+	// original circuit.
+	m := &core.Mapping{Request: req, Library: lib, Workers: cfg.workers,
+		ChoiceOpts: choice.Options{Workers: cfg.choiceWorkers, ProofConflicts: cfg.choiceBudget}}
+	if req.Policy == "slap" {
+		if cfg.model == "" {
+			return fmt.Errorf("-policy slap requires -model (train one with slap-train)")
 		}
-		res, err = runECO(cfg, g, lib)
+		model, err := nn.LoadFile(cfg.model)
 		if err != nil {
 			return err
 		}
-		return printResult(cfg, g, res)
+		m.SLAP = core.New(model, lib)
 	}
-	policy, err := cutPolicy(cfg, lib)
-	if err != nil {
-		return err
+	ctx := context.Background()
+	p := m.CutPolicy(ctx)
+	var res *mapper.Result
+	if cfg.baseline != "" {
+		res, err = runECO(ctx, cfg.baseline, m, p, g)
+	} else {
+		res, err = m.MapASIC(ctx, g, p, nil)
 	}
-	// -choices maps a combined choice view instead of the subject graph; the
-	// view shares the subject's PIs/POs, so verification below still runs
-	// against the original circuit.
-	mg := g
-	var chSrc cuts.ChoiceSource
-	if cfg.choices {
-		v := choice.Build(g, cfg.choiceOptions())
-		mg, chSrc = v.G, v
-	}
-	res, err = mapper.MapStream(mg, mapper.Options{
-		Library: lib, Policy: policy, Workers: cfg.workers,
-		Rounds: cfg.rounds, DelayFactor: cfg.delayFactor, Choices: chSrc,
-	})
 	if err != nil {
 		return err
 	}
 	return printResult(cfg, g, res)
-}
-
-// cutPolicy builds the -policy cut policy; for slap, the keep decision of
-// the -model classifier with the -workers setting. Each mapping worker
-// classifies a node's cuts through the batched engine, whose kernels keep
-// the per-sample operation order.
-func cutPolicy(cfg runConfig, lib *library.Library) (cuts.Policy, error) {
-	switch cfg.policy {
-	case "default":
-		return cuts.DefaultPolicy{Limit: cfg.limit}, nil
-	case "unlimited":
-		return cuts.UnlimitedPolicy{}, nil
-	case "shuffle":
-		return &cuts.ShufflePolicy{Rng: rand.New(rand.NewSource(cfg.seed)), Limit: cfg.limit}, nil
-	case "slap":
-		if cfg.model == "" {
-			return nil, fmt.Errorf("-policy slap requires -model (train one with slap-train)")
-		}
-		model, err := nn.LoadFile(cfg.model)
-		if err != nil {
-			return nil, err
-		}
-		s := core.New(model, lib)
-		s.Workers = cfg.workers
-		return s.Policy(context.Background()), nil
-	}
-	return nil, fmt.Errorf("unknown policy %q", cfg.policy)
 }
 
 // printResult renders the QoR block shared by the cold-map and ECO flows.
@@ -216,7 +179,7 @@ func printResult(cfg runConfig, g *aig.AIG, res *mapper.Result) error {
 		}
 	}
 	if cfg.verify {
-		if err := res.Netlist.EquivalentTo(g, 8, rand.New(rand.NewSource(99))); err != nil {
+		if err := core.Verify(g, res.Netlist.EquivalentTo); err != nil {
 			return fmt.Errorf("EQUIVALENCE FAILED: %w", err)
 		}
 		fmt.Println("verify:  netlist equivalent to subject graph (512 random patterns)")
@@ -240,47 +203,41 @@ func printResult(cfg runConfig, g *aig.AIG, res *mapper.Result) error {
 }
 
 // runECO is the -baseline flow: map the baseline circuit with snapshot
-// capture, then delta-remap the subject graph against it. Only the dirty
-// cone re-runs enumeration policy (and, for slap, CNN classification); the
-// returned result is byte-identical to a cold map of the subject. A delta
-// the snapshot refuses falls back to that cold map.
-func runECO(cfg runConfig, g *aig.AIG, lib *library.Library) (*mapper.Result, error) {
-	bf, err := os.Open(cfg.baseline)
+// capture, then delta-remap the subject graph against it under the same
+// cut policy p. Only the dirty cone re-runs enumeration policy (and, for
+// slap, CNN classification); the returned result is byte-identical to a
+// cold map of the subject. A delta the snapshot refuses falls back to that
+// cold map.
+func runECO(ctx context.Context, path string, m *core.Mapping, p cuts.Policy, g *aig.AIG) (*mapper.Result, error) {
+	if !m.DeltaEligible(p) {
+		return nil, fmt.Errorf("-baseline delta-remaps a single-round map without -choices under policy default, unlimited or slap")
+	}
+	bf, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	base, derr := aig.Decode(aig.FormatForPath(cfg.baseline), bf)
+	base, derr := aig.Decode(aig.FormatForPath(path), bf)
 	bf.Close()
 	if derr != nil {
 		return nil, fmt.Errorf("loading -baseline: %w", derr)
 	}
 	fmt.Printf("baseline: %s\n", base.Stats())
 
-	policy, err := cutPolicy(cfg, lib)
-	if err != nil {
-		return nil, err
-	}
-	snap := cover.NewSnapshot(base, policy)
-	if snap == nil {
-		return nil, fmt.Errorf("policy %q is not ECO-eligible (want default, unlimited or slap)", cfg.policy)
-	}
-	opt := mapper.Options{Library: lib, Policy: policy, Workers: cfg.workers}
-	capOpt := opt
-	capOpt.CaptureCuts = snap.Capture
+	snap := cover.NewSnapshot(base, p)
 	t0 := time.Now()
-	if _, err := mapper.MapStream(base, capOpt); err != nil {
+	if _, err := m.MapASIC(ctx, base, p, snap); err != nil {
 		return nil, fmt.Errorf("mapping baseline: %w", err)
 	}
 	baseD := time.Since(t0)
 	t1 := time.Now()
-	res, st, err := mapper.MapDelta(g, opt, snap)
+	res, st, err := m.MapDelta(g, p, snap, nil)
 	if errors.Is(err, cover.ErrDeltaIneligible) {
 		// The edit cannot reuse this baseline (under a level filter, a
 		// changed depth rescales every node's features): map it cold, as
 		// the server's cache front does.
 		fmt.Printf("eco:     baseline mapped in %s, delta refused (%v), mapping cold\n",
 			baseD.Round(time.Millisecond), err)
-		return mapper.MapStream(g, opt)
+		return m.MapASIC(ctx, g, p, nil)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("delta remap: %w", err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -197,6 +198,7 @@ func TestRunBaselineECO(t *testing.T) {
 	for _, cfg := range []runConfig{
 		{policy: "shuffle"},
 		{policy: "default", rounds: 2},
+		{policy: "default", choices: true},
 	} {
 		cfg.aag, cfg.baseline, cfg.profile, cfg.seed = editedPath, basePath, "fast", 1
 		if err := run(cfg); err == nil {
@@ -245,6 +247,12 @@ func TestRunErrors(t *testing.T) {
 		}},
 		{"negative limit", func() error {
 			return run(runConfig{circuit: "rc64b", profile: "fast", policy: "default", limit: -1, seed: 1})
+		}},
+		{"rounds over the limit", func() error {
+			return run(runConfig{circuit: "rc64b", profile: "fast", policy: "default", rounds: 17, seed: 1})
+		}},
+		{"NaN delay factor", func() error {
+			return run(runConfig{circuit: "rc64b", profile: "fast", policy: "default", rounds: 4, delayFactor: math.NaN(), seed: 1})
 		}},
 	}
 	for _, c := range cases {

@@ -149,7 +149,7 @@ func TestCacheCancelledBuild(t *testing.T) {
 }
 
 // TestOptionsSigPinned pins the options signature byte for byte: it keys
-// the view cache and is part of core.SLAP.ConfigSig, whose length the
+// the view cache and is part of core.Mapping.Sig, whose length the
 // result cache charges per entry. Workers never appears in it.
 func TestOptionsSigPinned(t *testing.T) {
 	if got, want := (Options{}).Sig(), "variants=2/seed=1/mm=8/sw=16/pc=4000"; got != want {

@@ -86,7 +86,7 @@ func (o *Options) fill() {
 // a scheduling knob and the view is byte-identical across worker counts —
 // which is what lets one cached view serve requests with different
 // parallelism settings. The construction constants stay in the string: it
-// is part of core.SLAP.ConfigSig, whose length the result cache charges.
+// is part of core.Mapping.Sig, whose length the result cache charges.
 func (o Options) Sig() string {
 	c := o
 	c.fill()

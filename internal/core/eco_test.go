@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"slap/internal/aig"
+	"slap/internal/choice"
 	"slap/internal/circuits"
 	"slap/internal/cover"
 	"slap/internal/library"
@@ -202,20 +203,33 @@ func TestSlapMapDeltaMismatch(t *testing.T) {
 	}
 }
 
-// TestConfigSigPinned pins the signature strings byte for byte: the result
-// cache charges each entry len(Sig), so a changed byte moves the cache's
-// byte accounting and with it the exposed slap_mapcache_bytes.
+// TestConfigSigPinned pins the result-cache signature strings byte for
+// byte, under slap and under the other policies: the result cache charges
+// each entry len(Sig), so a changed byte moves the cache's byte accounting
+// and with it the exposed slap_mapcache_bytes.
 func TestConfigSigPinned(t *testing.T) {
 	lib := library.ASAP7ish()
-	s := &SLAP{Library: lib, GoodMax: DefaultGoodMax, AvgMax: DefaultAvgMax}
-	want := fmt.Sprintf("slap/model=0x0/lib=asap7ish@%p/good=3/avg=6/mc=2000/rounds=1/df=1/choices=off", lib)
-	if got := s.ConfigSig(); got != want {
-		t.Fatalf("ConfigSig = %q, want %q", got, want)
-	}
-	s.Rounds, s.DelayFactor, s.Choices = 4, 1.25, true
-	s.ChoiceOpts.ProofConflicts = 99
-	want = fmt.Sprintf("slap/model=0x0/lib=asap7ish@%p/good=3/avg=6/mc=2000/rounds=4/df=1.25/choices=variants=2/seed=1/mm=8/sw=16/pc=99", lib)
-	if got := s.ConfigSig(); got != want {
-		t.Fatalf("ConfigSig = %q, want %q", got, want)
+	keep := &SLAP{Library: lib, GoodMax: DefaultGoodMax, AvgMax: DefaultAvgMax}
+	for _, tc := range []struct {
+		req  Request
+		opts choice.Options
+		want string
+	}{
+		{Request{Policy: "slap"}, choice.Options{}, "slap/model=0x0/lib=asap7ish@%p/good=3/avg=6/mc=2000/rounds=1/df=1/choices=off"},
+		{Request{Policy: "slap", Rounds: 4, DelayFactor: 1.25, Choices: true}, choice.Options{ProofConflicts: 99},
+			"slap/model=0x0/lib=asap7ish@%p/good=3/avg=6/mc=2000/rounds=4/df=1.25/choices=variants=2/seed=1/mm=8/sw=16/pc=99"},
+		{Request{}, choice.Options{}, "asic/policy=default/limit=0/seed=0/lib=asap7ish@%p/rounds=1/df=1/choices=off"},
+		{Request{Policy: "default", Limit: 8, Seed: 5}, choice.Options{}, "asic/policy=default/limit=8/seed=0/lib=asap7ish@%p/rounds=1/df=1/choices=off"},
+		{Request{Policy: "unlimited", Limit: 8, Seed: 5}, choice.Options{}, "asic/policy=unlimited/limit=0/seed=0/lib=asap7ish@%p/rounds=1/df=1/choices=off"},
+		{Request{Policy: "shuffle", Limit: 8, Seed: 5, Rounds: 4, DelayFactor: 1.5, Choices: true}, choice.Options{},
+			"asic/policy=shuffle/limit=8/seed=5/lib=asap7ish@%p/rounds=4/df=1.5/choices=variants=2/seed=1/mm=8/sw=16/pc=4000"},
+	} {
+		m := &Mapping{Request: tc.req, Library: lib, SLAP: keep, ChoiceOpts: tc.opts}
+		if err := m.Resolve(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := m.Sig(), fmt.Sprintf(tc.want, lib); got != want {
+			t.Errorf("%+v: Sig = %q, want %q", tc.req, got, want)
+		}
 	}
 }

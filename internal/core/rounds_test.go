@@ -153,7 +153,7 @@ func TestRoundCounterParity(t *testing.T) {
 		if streaming {
 			multi, err = s4.MapStreamContext(context.Background(), g)
 		} else {
-			multi = mapTwoPhase(t, &s4, g)
+			multi = mapTwoPhase(t, s4.mapping(), g)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -211,20 +211,17 @@ func TestMultiRoundDeterminismMatrix(t *testing.T) {
 		for _, streaming := range []bool{false, true} {
 			for _, pooled := range []bool{false, true} {
 				cfg := fmt.Sprintf("workers=%d streaming=%v pool=%v", workers, streaming, pooled)
-				sv := *s
-				sv.Workers = workers
-				sv.Rounds = 4
-				sv.DelayFactor = 1.05
-				sv.Choices = true
+				m := &Mapping{Request: Request{Policy: "slap", Rounds: 4, DelayFactor: 1.05, Choices: true},
+					Library: s.Library, SLAP: s, Workers: workers}
 				var res *mapper.Result
 				var err error
 				switch {
 				case !streaming:
-					res = mapTwoPhase(t, &sv, g)
+					res = mapTwoPhase(t, m, g)
 				case pooled:
-					res = mapPooled(t, &sv, g, cuts.NewPool(0))
+					res = mapPooled(t, m, g, cuts.NewPool(0))
 				default:
-					res, err = sv.MapStreamContext(context.Background(), g)
+					res, err = m.MapASIC(context.Background(), g, m.CutPolicy(context.Background()), nil)
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", cfg, err)

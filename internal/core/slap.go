@@ -66,34 +66,15 @@ type SLAP struct {
 	// — and hence filtering decisions and mapping QoR — are those of
 	// Model.PredictClass.
 	Batch Batcher
-	// Rounds selects multi-round mapping: round 1 is the delay-optimal
-	// (depth-optimal for LUTs) pass, later rounds re-select covers by area
-	// flow under the round-1 required times, and the final round adds
-	// exact-area refinement. Values <= 1 keep today's single-pass flow.
-	// Recovery rounds draw from a wider cut pool (the average-class cuts the
-	// keep decision would have dropped), scored by the same single inference
-	// pass — no extra model evaluations per round.
-	Rounds int
-	// DelayFactor relaxes the recovery rounds' required times: the delay
-	// target is round-1 delay times this factor. Values < 1 (including the
-	// zero value) clamp to 1.0, i.e. no delay degradation is allowed.
-	DelayFactor float64
-	// Choices maps over a choice view of the subject graph instead of the
-	// graph itself: functionally equivalent variants (internal/opt rewrites)
-	// are grafted in and the enumerator matches the union of each
-	// equivalence class's cuts (internal/choice). The view shares the base
-	// graph's PIs and POs, so results verify against the original graph.
+	// Rounds, Choices and Views configure MapStreamContext and
+	// MapLUTStreamContext, which map through a Mapping of policy slap:
+	// Rounds is its Request.Rounds, Choices its Request.Choices (a choice
+	// view under the choice package's default options), and Views, when
+	// non-nil, the cache its views are checked out of. Requests that set
+	// a delay factor or choice options map through a Mapping directly.
+	Rounds  int
 	Choices bool
-	// ChoiceOpts tunes choice-view construction when Choices is set (zero
-	// value = the choice package defaults). Its Workers field is a pure
-	// scheduling knob; every other field changes the built view and is part
-	// of ConfigSig.
-	ChoiceOpts choice.Options
-	// Views, when non-nil, caches built choice views content-addressed by
-	// (graph, ChoiceOpts) with singleflight dedup, so repeat Choices
-	// mappings of the same design skip view construction entirely. Nil
-	// builds a fresh view per call.
-	Views *choice.Cache
+	Views   *choice.Cache
 }
 
 // inferScratch is one worker's reusable filter-step storage: a growable
@@ -292,11 +273,10 @@ func (s *SLAP) withBatch() *SLAP {
 	return &c
 }
 
-// inferScratches returns one pooled scratch per inference worker: Workers,
-// or GOMAXPROCS when unset. Hand them back with putScratches once no
-// worker uses them.
-func (s *SLAP) inferScratches() []*inferScratch {
-	workers := s.Workers
+// inferScratches returns one pooled scratch per inference worker:
+// workers, or GOMAXPROCS when unset. Hand them back with putScratches once
+// no worker uses them.
+func inferScratches(workers int) []*inferScratch {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -520,30 +500,6 @@ func trivialOf(n uint32, cs []cuts.Cut) cuts.Cut {
 	return cuts.Cut{Leaves: []uint32{n}}
 }
 
-// choiceGraph returns the graph to map and the choice source to enumerate
-// with: the subject graph itself when Choices is off, or a choice view
-// over it (which shares g's PI/PO interface, so downstream verification
-// against g is unchanged) — checked out of the Views cache when one is
-// configured, built fresh otherwise. Construction honours ctx: a dropped
-// client or expired deadline aborts the build mid-phase instead of
-// burning the full SAT budget.
-func (s *SLAP) choiceGraph(ctx context.Context, g *aig.AIG) (*aig.AIG, cuts.ChoiceSource, error) {
-	if !s.Choices {
-		return g, nil, nil
-	}
-	var v *choice.View
-	var err error
-	if s.Views != nil {
-		v, err = s.Views.Checkout(ctx, g, s.ChoiceOpts)
-	} else {
-		v, err = choice.BuildContext(ctx, g, s.ChoiceOpts)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.G, v, nil
-}
-
 // NodeCutClasses lists the predicted QoR class of every non-trivial cut of
 // one AND node, in the enumeration order of the cut set.
 type NodeCutClasses struct {
@@ -585,7 +541,7 @@ func (s *SLAP) ClassifyContext(ctx context.Context, g *aig.AIG) (*Classification
 
 	nodes := andNodes(g)
 	perNode := make([][]int, len(nodes))
-	scratches := s.inferScratches()
+	scratches := inferScratches(s.Workers)
 	defer putScratches(scratches)
 	err := s.inferNodes(ctx, nodes, scratches, func(ctx context.Context, i int, sc *inferScratch) error {
 		n := nodes[i]

@@ -115,7 +115,7 @@ func filterAll(t testing.TB, s *SLAP, g *aig.AIG) [][]cuts.Cut {
 	res := (&cuts.Enumerator{G: g, Policy: cuts.UnlimitedPolicy{}, Workers: s.Workers}).Run()
 	emb := embed.NewEmbedder(g)
 	emb.PrecomputeAll()
-	if err := s.filterNodes(context.Background(), emb, andNodes(g), res.Sets, res.Sets, nil, s.inferScratches()); err != nil {
+	if err := s.filterNodes(context.Background(), emb, andNodes(g), res.Sets, res.Sets, nil, inferScratches(s.Workers)); err != nil {
 		t.Fatal(err)
 	}
 	return res.Sets

@@ -28,12 +28,7 @@ import (
 // workers on every level, so a deadline or dropped client aborts the run
 // promptly.
 func (s *SLAP) MapStreamContext(ctx context.Context, g *aig.AIG) (*mapper.Result, error) {
-	mg, ch, err := s.choiceGraph(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	return mapper.MapStream(mg, mapper.Options{Library: s.Library, Policy: s.Policy(ctx),
-		Workers: s.Workers, Rounds: s.Rounds, DelayFactor: s.DelayFactor, Choices: ch})
+	return s.mapping().MapASIC(ctx, g, s.Policy(ctx), nil)
 }
 
 // MapLUTStreamContext runs the SLAP flow against the K-LUT FPGA mapper
@@ -43,12 +38,19 @@ func (s *SLAP) MapStreamContext(ctx context.Context, g *aig.AIG) (*mapper.Result
 // same ML-filtered cut lists feed the same cover engine under the LUT cost
 // model.
 func (s *SLAP) MapLUTStreamContext(ctx context.Context, g *aig.AIG) (*lutmap.Result, error) {
-	mg, ch, err := s.choiceGraph(ctx, g)
-	if err != nil {
-		return nil, err
+	return s.mapping().MapLUT(ctx, g, s.Policy(ctx))
+}
+
+// mapping is the request the Map* methods forward: policy slap with s's
+// Rounds, Choices, Views and Workers.
+func (s *SLAP) mapping() *Mapping {
+	m := &Mapping{Request: Request{Policy: "slap", Rounds: s.Rounds, Choices: s.Choices},
+		Library: s.Library, SLAP: s, Workers: s.Workers}
+	if s.Views != nil {
+		// A nil *choice.Cache in the interface would be a non-nil source.
+		m.Views = s.Views
 	}
-	return lutmap.MapStream(mg, lutmap.Options{Policy: s.Policy(ctx),
-		Workers: s.Workers, Rounds: s.Rounds, DelayFactor: s.DelayFactor, Choices: ch})
+	return m
 }
 
 // Policy returns SLAP's keep decision as a cut policy for one mapping
@@ -56,14 +58,16 @@ func (s *SLAP) MapLUTStreamContext(ctx context.Context, g *aig.AIG) (*lutmap.Res
 // on every level, over UnlimitedPolicy enumeration (bounded by
 // cuts.MergeCap), with inference polling ctx.
 func (s *SLAP) Policy(ctx context.Context) cuts.LevelFilter {
-	return slapPolicy{s: s, ctx: ctx}
+	return slapPolicy{s: s, ctx: ctx, workers: s.Workers}
 }
 
-// slapPolicy is the cuts.LevelFilter of one mapping call.
+// slapPolicy is the cuts.LevelFilter of one mapping call; its inference
+// runs on workers goroutines (0 = GOMAXPROCS).
 type slapPolicy struct {
 	cuts.UnlimitedPolicy
-	s   *SLAP
-	ctx context.Context
+	s       *SLAP
+	ctx     context.Context
+	workers int
 }
 
 // Name implements cuts.Policy.
@@ -83,7 +87,7 @@ func (p slapPolicy) Begin(g *aig.AIG) (func(nodes []uint32, sets, kept, extras [
 	s := p.s.withBatch()
 	emb := embed.NewEmbedder(g)
 	emb.PrecomputeAll()
-	scratches := s.inferScratches()
+	scratches := inferScratches(p.workers)
 	filter := func(nodes []uint32, sets, kept, extras [][]cuts.Cut) error {
 		return s.filterNodes(p.ctx, emb, nodes, sets, kept, extras, scratches)
 	}

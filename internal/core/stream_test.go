@@ -45,26 +45,26 @@ func requireSameStreamResult(t *testing.T, name string, want, got *mapper.Result
 // filterTwoPhase materialises the ML-filtered cut lists of g (or of its
 // choice view) in two phases, the paper's separate enumerate and classify
 // stages: Run collects the whole exhaustive cut universe, then one pass
-// filters every AND node. It returns the mapped graph, the filtered
-// lists, the recovery pools (nil unless Rounds > 1), the AND nodes in
-// ascending order and the enumeration peak.
-func filterTwoPhase(t testing.TB, s *SLAP, g *aig.AIG) (*aig.AIG, [][]cuts.Cut, [][]cuts.Cut, []uint32, int) {
+// filters every AND node under m's keep decision. It returns the mapped
+// graph, the filtered lists, the recovery pools (nil unless Rounds > 1),
+// the AND nodes in ascending order and the enumeration peak.
+func filterTwoPhase(t testing.TB, m *Mapping, g *aig.AIG) (*aig.AIG, [][]cuts.Cut, [][]cuts.Cut, []uint32, int) {
 	t.Helper()
 	ctx := context.Background()
-	mg, ch, err := s.choiceGraph(ctx, g)
+	mg, ch, err := m.View(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s = s.withBatch()
-	res := (&cuts.Enumerator{G: mg, Policy: cuts.UnlimitedPolicy{}, Workers: s.Workers, Choices: ch}).Run()
+	s := m.SLAP.withBatch()
+	res := (&cuts.Enumerator{G: mg, Policy: cuts.UnlimitedPolicy{}, Workers: m.Workers, Choices: ch}).Run()
 	emb := embed.NewEmbedder(mg)
 	emb.PrecomputeAll()
 	var extras [][]cuts.Cut
-	if s.Rounds > 1 {
+	if m.Rounds > 1 {
 		extras = make([][]cuts.Cut, mg.NumNodes())
 	}
 	nodes := andNodes(mg)
-	if err := s.filterNodes(ctx, emb, nodes, res.Sets, res.Sets, extras, s.inferScratches()); err != nil {
+	if err := s.filterNodes(ctx, emb, nodes, res.Sets, res.Sets, extras, inferScratches(m.Workers)); err != nil {
 		t.Fatal(err)
 	}
 	return mg, res.Sets, extras, nodes, res.PeakCuts
@@ -73,10 +73,10 @@ func filterTwoPhase(t testing.TB, s *SLAP, g *aig.AIG) (*aig.AIG, [][]cuts.Cut, 
 // mapTwoPhase maps the materialised lists of filterTwoPhase by feeding a
 // mapper.Stream in ascending node order — a topological order, so the
 // result must equal the fused pipeline's.
-func mapTwoPhase(t testing.TB, s *SLAP, g *aig.AIG) *mapper.Result {
+func mapTwoPhase(t testing.TB, m *Mapping, g *aig.AIG) *mapper.Result {
 	t.Helper()
-	mg, sets, extras, nodes, peak := filterTwoPhase(t, s, g)
-	st, err := mapper.NewStream(mg, mapper.Options{Library: s.Library, Rounds: s.Rounds, DelayFactor: s.DelayFactor})
+	mg, sets, extras, nodes, peak := filterTwoPhase(t, m, g)
+	st, err := mapper.NewStream(mg, mapper.Options{Library: m.Library, Rounds: m.Rounds, DelayFactor: m.DelayFactor})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +96,10 @@ func mapTwoPhase(t testing.TB, s *SLAP, g *aig.AIG) *mapper.Result {
 }
 
 // mapLUTTwoPhase is mapTwoPhase for the LUT mapper.
-func mapLUTTwoPhase(t testing.TB, s *SLAP, g *aig.AIG) *lutmap.Result {
+func mapLUTTwoPhase(t testing.TB, m *Mapping, g *aig.AIG) *lutmap.Result {
 	t.Helper()
-	mg, sets, extras, nodes, peak := filterTwoPhase(t, s, g)
-	st := lutmap.NewStream(mg, lutmap.Options{Rounds: s.Rounds, DelayFactor: s.DelayFactor})
+	mg, sets, extras, nodes, peak := filterTwoPhase(t, m, g)
+	st := lutmap.NewStream(mg, lutmap.Options{Rounds: m.Rounds, DelayFactor: m.DelayFactor})
 	for _, n := range nodes {
 		st.ConsumeNode(n, sets[n])
 		if extras != nil && extras[n] != nil {
@@ -115,17 +115,14 @@ func mapLUTTwoPhase(t testing.TB, s *SLAP, g *aig.AIG) *lutmap.Result {
 	return res
 }
 
-// mapPooled is MapStreamContext with cut storage checked out of pool, as
-// the server maps.
-func mapPooled(t testing.TB, s *SLAP, g *aig.AIG, pool *cuts.Pool) *mapper.Result {
+// mapPooled maps g under m with cut storage checked out of pool, as the
+// server maps.
+func mapPooled(t testing.TB, m *Mapping, g *aig.AIG, pool *cuts.Pool) *mapper.Result {
 	t.Helper()
 	ctx := context.Background()
-	mg, ch, err := s.choiceGraph(ctx, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mapper.MapStream(mg, mapper.Options{Library: s.Library, Policy: s.Policy(ctx),
-		Workers: s.Workers, Pool: pool, Rounds: s.Rounds, DelayFactor: s.DelayFactor, Choices: ch})
+	pm := *m
+	pm.Pool = pool
+	res, err := pm.MapASIC(ctx, g, pm.CutPolicy(ctx), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +141,7 @@ func TestMapStreamMatchesMapContext(t *testing.T) {
 	}
 	for _, gc := range graphs {
 		s := untrained(3)
-		want := mapTwoPhase(t, s, gc.g)
+		want := mapTwoPhase(t, s.mapping(), gc.g)
 		pool := cuts.NewPool(2)
 		for _, workers := range []int{1, 2, 4} {
 			for _, pooled := range []bool{false, true} {
@@ -152,7 +149,7 @@ func TestMapStreamMatchesMapContext(t *testing.T) {
 				s2.Workers = workers
 				var got *mapper.Result
 				if pooled {
-					got = mapPooled(t, s2, gc.g, pool)
+					got = mapPooled(t, s2.mapping(), gc.g, pool)
 				} else {
 					var err error
 					if got, err = s2.MapStreamContext(context.Background(), gc.g); err != nil {
@@ -209,7 +206,7 @@ func TestMapStreamBatchedBackend(t *testing.T) {
 func TestMapLUTStreamMatchesTwoPhase(t *testing.T) {
 	g := circuits.BoothMultiplier(6)
 	s := untrained(9)
-	want := mapLUTTwoPhase(t, s, g)
+	want := mapLUTTwoPhase(t, s.mapping(), g)
 	for _, workers := range []int{1, 4} {
 		s2 := untrained(9)
 		s2.Workers = workers

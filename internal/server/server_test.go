@@ -377,7 +377,7 @@ func TestMapRequestLifecycleErrors(t *testing.T) {
 	}
 
 	t.Run("json rounds over the limit", func(t *testing.T) {
-		resp, data := postJSON(t, ts.URL+"/v1/map", map[string]any{"circuit": rc16Text(t), "rounds": MaxRounds + 1})
+		resp, data := postJSON(t, ts.URL+"/v1/map", map[string]any{"circuit": rc16Text(t), "rounds": core.MaxRounds + 1})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("status %d, want 400 (%s)", resp.StatusCode, data)
 		}
