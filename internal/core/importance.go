@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 
@@ -84,24 +83,18 @@ func PermutationImportance(model *nn.Model, xs [][]float64, ys []int, rounds int
 }
 
 // accuracies returns Model.Accuracy and Model.BinaryAccuracy on (xs, ys)
-// from one argmax per sample over one forward pass of eng (bit-identical to
-// Model.Predict), or ForwardBatch's error for a row of the wrong length.
+// from one ForwardClasses pass of eng (the classes of Model.PredictClass),
+// or its error for a row of the wrong length.
 func accuracies(eng *infer.Engine, xs [][]float64, ys []int, threshold int) (multi, bin float64, err error) {
 	if len(xs) == 0 {
 		return 0, 0, nil
 	}
-	probs, err := eng.ForwardBatch(xs)
-	if err != nil {
+	classes := make([]int, len(xs))
+	if err := eng.ForwardClasses(xs, classes); err != nil {
 		return 0, 0, err
 	}
 	correct, correctBin := 0, 0
-	for i, p := range probs {
-		best, class := math.Inf(-1), 0
-		for c, v := range p {
-			if v > best {
-				best, class = v, c
-			}
-		}
+	for i, class := range classes {
 		if class == ys[i] {
 			correct++
 		}

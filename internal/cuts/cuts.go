@@ -197,7 +197,10 @@ type LevelFilter interface {
 	Policy
 	// Begin starts a run over g. filter writes kept[n], the kept list of
 	// sets[n], for every node of one level, and extras[n], the node's
-	// recovery pool, when extras is non-nil; done ends the run.
+	// recovery pool, when extras is non-nil; done ends the run. The kept
+	// and extras lists it writes are valid until filter's next call (SLAP
+	// carves them from a slab it reuses level by level), so a consumer
+	// that keeps one past the level copies it.
 	Begin(g *aig.AIG) (filter func(nodes []uint32, sets, kept, extras [][]Cut) error, done func())
 	// Sig identifies the keep decision: filters with equal Sig keep equal
 	// lists.

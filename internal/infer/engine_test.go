@@ -73,16 +73,6 @@ func embeddingBatch(m *nn.Model, n int, seed int64) [][]float64 {
 	return xs
 }
 
-func argmax(p []float64) int {
-	best, bi := math.Inf(-1), 0
-	for c, v := range p {
-		if v > best {
-			best, bi = v, c
-		}
-	}
-	return bi
-}
-
 // TestEngineMatchesReference is the golden-equivalence suite: across seeded
 // random models (the paper's 128-filter architecture plus odd shapes that
 // run the Go lane loops) and batch sizes {1, 7, 64, 1000}, the
@@ -115,7 +105,7 @@ func TestEngineMatchesReference(t *testing.T) {
 					t.Fatalf("batch %d reference: %v", bsz, err)
 				}
 				for i := range xs {
-					if ga, wa := argmax(got[i]), argmax(want[i]); ga != wa {
+					if ga, wa := ArgmaxClass(got[i]), ArgmaxClass(want[i]); ga != wa {
 						t.Fatalf("batch %d sample %d: argmax %d, reference %d", bsz, i, ga, wa)
 					}
 					for c := range got[i] {

@@ -9,12 +9,21 @@
 // the operation sequence of nn.Model's forward pass. The conv layer keeps
 // one accumulator per embedding column and the dense layer one per class,
 // each starting from its bias and adding in ascending input order, so
-// batched probabilities match the per-sample path to the last bit on every
-// platform with consistent FP contraction; the golden-equivalence suite
-// pins this against the Reference backend. The nine cut-feature rows that
-// embed.CutInto broadcasts across all columns are normalised and
-// multiplied once per sample and filter, not once per column, whenever the
-// model's normalisation and the block's inputs make that exact.
+// batched logits and probabilities match the per-sample path to the last
+// bit on every platform with consistent FP contraction; the
+// golden-equivalence suite pins this against the Reference backend. The
+// nine cut-feature rows that embed.CutInto broadcasts across all columns
+// are normalised and multiplied once per sample and filter, not once per
+// column, whenever the model's normalisation and the block's inputs make
+// that exact.
+//
+// The keep decision needs only each cut's class, so ClassifyBatch and
+// ForwardClasses write classes into a caller-owned slice and skip the
+// softmax: a lane's class is its top logit's unless a rival logit comes
+// within a rounding margin of it, and then the lane takes the softmax and
+// nn.Model.PredictClass's first-wins argmax (ArgmaxClass). Classes are
+// thus PredictClass's on every input, and PredictBatch and ForwardBatch,
+// which return probabilities, serve callers that wrap a Backend.
 package infer
 
 import (
@@ -41,6 +50,29 @@ type Backend interface {
 	// ForwardBatch returns one probability vector per input. The returned
 	// slices are freshly allocated and owned by the caller.
 	ForwardBatch(xs [][]float64) ([][]float64, error)
+}
+
+// classForwarder is a Backend that writes classes without probabilities,
+// as Engine does. A Backend without it classifies through ForwardBatch.
+type classForwarder interface {
+	ForwardClasses(xs [][]float64, classes []int) error
+}
+
+// forwardClasses writes b's class for every input to classes[i]: by
+// ForwardClasses when b has it, and otherwise by ArgmaxClass over
+// ForwardBatch's probabilities.
+func forwardClasses(b Backend, xs [][]float64, classes []int) error {
+	if f, ok := b.(classForwarder); ok {
+		return f.ForwardClasses(xs, classes)
+	}
+	probs, err := b.ForwardBatch(xs)
+	if err != nil {
+		return err
+	}
+	for i, p := range probs {
+		classes[i] = ArgmaxClass(p)
+	}
+	return nil
 }
 
 // Reference is the golden Backend: every sample goes through the original
