@@ -1,7 +1,7 @@
 // Command slap-coordinator fronts a fleet of slap-serve workers: it routes
 // POST /v1/map and /v1/classify by consistent hashing on the design's
 // structural hash — so resubmissions and ECO edits land on the worker
-// whose cut arenas and result cache are already warm — probes worker
+// whose result cache and choice views are already warm — probes worker
 // health, retries dead workers on the next ring replica, sheds load with
 // 503 when every live worker is at its in-flight cap, and fans dataset
 // sweeps out as checksummed shards merged centrally, byte-identical to a

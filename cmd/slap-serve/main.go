@@ -82,7 +82,7 @@ func main() {
 		drainWait = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
 		jobsDir   = flag.String("jobs-dir", "", "directory for dataset-job shard checkpoints (default: under the system temp dir)")
 		jobKeep   = flag.Duration("job-retention", server.DefaultJobRetention, "how long finished dataset jobs (and their shard directories) are kept; negative keeps them forever")
-		arenas    = flag.Int("arena-cache", 0, "cut arenas cached across requests for same-graph reuse (0 = default, negative = a fresh arena per request)")
+		arenas    = flag.Int("arena-cache", 0, "cut arenas parked between requests, lent to any design (0 = default, negative = a fresh arena per request)")
 		resCache  = flag.Int64("result-cache", 256, "mapping result cache budget in MiB: exact resubmissions are answered from the cache in O(1) (0 disables)")
 		eco       = flag.Bool("eco", true, "delta-remap edited designs against the nearest cached relative, re-running only the dirty cone (needs -result-cache)")
 

@@ -116,8 +116,8 @@ type Mapping struct {
 	// Views checks out choice views, e.g. from a cache; nil builds a fresh
 	// view per call.
 	Views ViewSource
-	// Pool, when set, recycles cut arenas across cold maps of the same
-	// graph shape.
+	// Pool, when set, recycles cut arenas across cold maps, whatever
+	// graphs they map.
 	Pool *cuts.Pool
 	// Workers bounds enumeration and inference parallelism (0 = GOMAXPROCS,
 	// 1 = sequential). It never changes a result.

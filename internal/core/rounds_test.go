@@ -201,9 +201,18 @@ func TestRoundCounterParity(t *testing.T) {
 // TestMultiRoundDeterminismMatrix pins byte-identity of the 4-round+choices
 // flow across worker counts, the fused pipeline against the materialising
 // two-phase composition, and arena-pool reuse — the guarantee fleet routing and the result cache depend on.
+// The pooled maps share one pool that a different design warmed first, so
+// the choice view's enumeration, whose members extend level retirement,
+// runs on an arena that served another graph.
 func TestMultiRoundDeterminismMatrix(t *testing.T) {
 	s := roundsSLAP(t)
 	g := circuits.CarryLookaheadAdder(8)
+	mapping := func(workers int) *Mapping {
+		return &Mapping{Request: Request{Policy: "slap", Rounds: 4, DelayFactor: 1.05, Choices: true},
+			Library: s.Library, SLAP: s, Workers: workers}
+	}
+	pool := cuts.NewPool(0)
+	mapPooled(t, mapping(2), circuits.BoothMultiplier(6), pool)
 
 	var ref []byte
 	var refCfg string
@@ -211,15 +220,14 @@ func TestMultiRoundDeterminismMatrix(t *testing.T) {
 		for _, streaming := range []bool{false, true} {
 			for _, pooled := range []bool{false, true} {
 				cfg := fmt.Sprintf("workers=%d streaming=%v pool=%v", workers, streaming, pooled)
-				m := &Mapping{Request: Request{Policy: "slap", Rounds: 4, DelayFactor: 1.05, Choices: true},
-					Library: s.Library, SLAP: s, Workers: workers}
+				m := mapping(workers)
 				var res *mapper.Result
 				var err error
 				switch {
 				case !streaming:
 					res = mapTwoPhase(t, m, g)
 				case pooled:
-					res = mapPooled(t, m, g, cuts.NewPool(0))
+					res = mapPooled(t, m, g, pool)
 				default:
 					res, err = m.MapASIC(context.Background(), g, m.CutPolicy(context.Background()), nil)
 				}
@@ -239,5 +247,8 @@ func TestMultiRoundDeterminismMatrix(t *testing.T) {
 				}
 			}
 		}
+	}
+	if st := pool.Stats(); st.Misses != 1 {
+		t.Fatalf("the pool built %d arenas, want 1 lent to both designs", st.Misses)
 	}
 }

@@ -115,12 +115,15 @@ func (sc *inferScratch) takeKept(n int) []cuts.Cut {
 // since the last reset becomes invalid.
 func (sc *inferScratch) resetKept() { sc.kept = sc.kept[:0] }
 
+// batch returns the slab and row views for n embeddings. Each grows to at
+// least twice its size when short, so a worker whose nodes carry ever more
+// cuts reallocates a logarithmic number of times.
 func (sc *inferScratch) batch(n int) ([]float64, [][]float64) {
-	if cap(sc.slab) < n*embed.Size {
-		sc.slab = make([]float64, n*embed.Size)
+	if need := n * embed.Size; cap(sc.slab) < need {
+		sc.slab = make([]float64, max(2*cap(sc.slab), need))
 	}
 	if cap(sc.xs) < n {
-		sc.xs = make([][]float64, n)
+		sc.xs = make([][]float64, max(2*cap(sc.xs), n))
 	}
 	return sc.slab[:n*embed.Size], sc.xs[:n]
 }
@@ -426,7 +429,7 @@ func (s *SLAP) classifyCuts(ctx context.Context, emb *embed.Embedder, n uint32, 
 	}
 	sc.idx = idx
 	if cap(sc.classes) < len(idx) {
-		sc.classes = make([]int, len(idx))
+		sc.classes = make([]int, max(2*cap(sc.classes), len(idx)))
 	}
 	classes = sc.classes[:len(idx)]
 	if len(idx) == 0 {

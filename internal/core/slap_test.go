@@ -394,6 +394,27 @@ func TestFilterNodeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestBatchSlabGrowsGeometrically bounds the embedding slab's regrowth: a
+// worker whose nodes carry ever more cuts, one more each time up to 2,001,
+// reallocates its slab at most 12 times, not once per new maximum.
+func TestBatchSlabGrowsGeometrically(t *testing.T) {
+	sc := &inferScratch{}
+	grows := 0
+	for n := 1; n <= 2001; n++ {
+		before := cap(sc.slab)
+		slab, xs := sc.batch(n)
+		if len(slab) != n*embed.Size || len(xs) != n {
+			t.Fatalf("batch(%d) gave %d floats and %d rows", n, len(slab), len(xs))
+		}
+		if cap(sc.slab) != before {
+			grows++
+		}
+	}
+	if grows > 12 {
+		t.Fatalf("the slab was reallocated %d times over 2,001 growing batches, want at most 12", grows)
+	}
+}
+
 // TestKeptSlabLifetime checks both ends of a kept list's life. Once the
 // slab has grown to a call's demand (each growth at least doubles it, so
 // two calls suffice), filterNodes carves every list of a call from the

@@ -132,17 +132,18 @@ func mapPooled(t testing.TB, m *Mapping, g *aig.AIG, pool *cuts.Pool) *mapper.Re
 // TestMapStreamMatchesMapContext pins the fused SLAP pipeline to the
 // materialising two-phase composition of the paper's separate stages:
 // identical netlist bytes, metrics and counters, across worker counts and
-// arena pooling.
+// arena pooling. One pool serves every graph, so pooled maps run on arenas
+// that earlier graphs returned.
 func TestMapStreamMatchesMapContext(t *testing.T) {
 	graphs := []*circuitCase{
 		{"rc16", circuits.TrainRC16()},
 		{"booth6", circuits.BoothMultiplier(6)},
 		{"rand", circuits.RandomAIG(5, 20, 500)},
 	}
+	pool := cuts.NewPool(2)
 	for _, gc := range graphs {
 		s := untrained(3)
 		want := mapTwoPhase(t, s.mapping(), gc.g)
-		pool := cuts.NewPool(2)
 		for _, workers := range []int{1, 2, 4} {
 			for _, pooled := range []bool{false, true} {
 				s2 := untrained(3)
@@ -159,6 +160,9 @@ func TestMapStreamMatchesMapContext(t *testing.T) {
 				requireSameStreamResult(t, fmt.Sprintf("%s/workers=%d/pool=%v", gc.name, workers, pooled), want, got)
 			}
 		}
+	}
+	if st := pool.Stats(); st.Misses != 1 {
+		t.Fatalf("the pool built %d arenas, want 1 lent to every graph", st.Misses)
 	}
 }
 

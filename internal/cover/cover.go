@@ -229,7 +229,7 @@ func (e *Engine[I]) Enumerate(en *cuts.Enumerator, pool *cuts.Pool, capture func
 		return fmt.Errorf("%w: a snapshot keeps no recovery pools", ErrDeltaIneligible)
 	}
 	if pool != nil {
-		en.Arena = pool.Get(en.G)
+		en.Arena = pool.Get()
 		defer pool.Put(en.Arena)
 	}
 	var filter func(nodes []uint32, sets, kept, extras [][]cuts.Cut) error

@@ -7,52 +7,33 @@ import (
 	"slap/internal/circuits"
 )
 
-// TestPoolLRUEvictionOrder pins the pool's eviction discipline: the
-// least-recently-returned arena is dropped first, a re-touched arena is
-// promoted ahead of older ones, and every drop is counted.
-func TestPoolLRUEvictionOrder(t *testing.T) {
-	g1 := circuits.RandomAIG(11, 16, 200)
-	g2 := circuits.RandomAIG(22, 16, 200)
-	g3 := circuits.RandomAIG(33, 16, 200)
-
+// TestPoolDropsPastCapacity pins the pool's bound: a Put into a full pool
+// drops the arena and counts one eviction, Cached never exceeds the cap,
+// and Get lends the most recently returned arena first.
+func TestPoolDropsPastCapacity(t *testing.T) {
 	pool := NewPool(2)
-	a1 := pool.Get(g1)
-	pool.Put(a1)
-	a2 := pool.Get(g2)
-	pool.Put(a2)
-
-	// Touch g1 so g2 becomes the least recently used arena.
-	if got := pool.Get(g1); got != a1 {
-		t.Fatal("expected cached arena for g1")
+	a1, a2, a3 := pool.Get(), pool.Get(), pool.Get()
+	for i, a := range []*Arena{a1, a2, a3} {
+		pool.Put(a)
+		st := pool.Stats()
+		if st.Cached > 2 {
+			t.Fatalf("cached=%d after %d puts, want at most 2", st.Cached, i+1)
+		}
+		if want := int64(max(0, i-1)); st.Evictions != want {
+			t.Fatalf("evictions=%d after %d puts, want %d", st.Evictions, i+1, want)
+		}
 	}
-	pool.Put(a1)
-
-	if st := pool.Stats(); st.Evictions != 0 {
-		t.Fatalf("evictions=%d before overflow, want 0", st.Evictions)
+	if got := pool.Get(); got != a2 {
+		t.Fatal("Get did not lend the most recently parked arena")
 	}
-
-	a3 := pool.Get(g3)
-	pool.Put(a3) // capacity 2: must evict a2, the LRU, not the re-touched a1
-
-	st := pool.Stats()
-	if st.Evictions != 1 {
-		t.Fatalf("evictions=%d after overflow, want 1", st.Evictions)
+	if got := pool.Get(); got != a1 {
+		t.Fatal("Get did not lend the remaining parked arena")
 	}
-	if st.Cached != 2 {
-		t.Fatalf("cached=%d after overflow, want 2", st.Cached)
+	if got := pool.Get(); got == a1 || got == a2 || got == a3 {
+		t.Fatal("an empty pool lent an arena it no longer holds")
 	}
-	if got := pool.Get(g1); got != a1 {
-		t.Fatal("recently-touched arena was evicted instead of the LRU one")
-	}
-	pool.Put(a1)
-	if got := pool.Get(g2); got == a2 {
-		t.Fatal("LRU arena survived eviction")
-	}
-
-	// A second overflow evicts again and keeps counting.
-	pool.Put(pool.Get(g2))
-	if st := pool.Stats(); st.Evictions != 2 {
-		t.Fatalf("evictions=%d after second overflow, want 2", st.Evictions)
+	if st := pool.Stats(); st.Hits != 2 || st.Misses != 4 || st.Cached != 0 || st.Evictions != 1 {
+		t.Fatalf("stats %+v, want 2 hits, 4 misses, 0 cached, 1 eviction", st)
 	}
 }
 

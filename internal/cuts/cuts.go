@@ -245,10 +245,10 @@ type Enumerator struct {
 	// runs additionally require a parallel-safe policy (see ParallelSafe)
 	// and degrade to sequential otherwise.
 	Workers int
-	// Arena, when non-nil, provides pooled cut storage for RunStream so a
-	// repeated mapping of the same graph shape allocates nothing in steady
-	// state (see Pool); nil makes a fresh arena for each run. Run ignores
-	// it: it runs on a fresh arena and copies its lists out.
+	// Arena, when non-nil, lends RunStream its cut storage, so a run
+	// carves its cuts from the blocks earlier runs returned, whatever
+	// graphs they mapped (see Pool); nil makes a fresh arena for each run.
+	// Run ignores it: it runs on a fresh arena and copies its lists out.
 	Arena *Arena
 	// Reuse, when non-nil, is consulted before each AND node is merged: a
 	// non-nil list is installed verbatim and the node's merge/policy
@@ -488,11 +488,14 @@ type scratch struct {
 
 const arenaChunk = 4096
 
-func newScratch(g *aig.AIG) *scratch {
-	return &scratch{
-		g:       g,
-		visited: make([]uint32, g.NumNodes()),
-		val:     make([]tt.TT, g.NumNodes()),
+// bind points s at g, growing the cone-evaluation arrays when g has more
+// nodes than any graph s served before. Stale visited stamps sit below the
+// next epoch, so they read as unvisited.
+func (s *scratch) bind(g *aig.AIG) {
+	s.g = g
+	if n := g.NumNodes(); len(s.visited) < n {
+		s.visited = make([]uint32, n)
+		s.val = make([]tt.TT, n)
 	}
 }
 
@@ -648,7 +651,8 @@ func (s *scratch) internLeaves(src []uint32) []uint32 {
 // valid cut of root (every PI-to-root path passes through a leaf).
 func (e *Enumerator) MakeCut(root uint32, leaves []uint32) Cut {
 	if e.s == nil {
-		e.s = newScratch(e.G)
+		e.s = new(scratch)
+		e.s.bind(e.G)
 	}
 	f, vol := e.s.coneTT(root, leaves)
 	return Cut{

@@ -397,7 +397,8 @@ func benchMergeInputs(b *testing.B) (*Enumerator, uint32, aig.Lit, aig.Lit, []Cu
 // after each merge.
 func BenchmarkMergeNode(b *testing.B) {
 	e, n, _, _, cs0, cs1 := benchMergeInputs(b)
-	a := NewArena(e.G)
+	a := new(Arena)
+	a.attach(e.G)
 	s := a.scratchFor(0, e.G.MaxLevel())
 	b.ReportAllocs()
 	b.ResetTimer()

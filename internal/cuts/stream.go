@@ -5,10 +5,7 @@
 // the released blocks are recycled in place through the run's Arena.
 package cuts
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // LevelSink consumes the finalised cut sets of one wavefront level. It is
 // called on the driver goroutine with levels in ascending order; nodes is
@@ -68,9 +65,7 @@ func (e *Enumerator) runStream(a *Arena, sink LevelSink) (*Result, error) {
 	g.HasInvertedFanout(0)
 
 	if a == nil {
-		a = NewArena(g)
-	} else if a.g != g && a.key != KeyOf(g) {
-		return nil, fmt.Errorf("cuts: arena is keyed to a different graph")
+		a = new(Arena)
 	}
 	a.attach(g)
 	res := &a.res
@@ -105,13 +100,13 @@ func (e *Enumerator) buildLevelPlan(st *streamState) {
 	numAnds := g.NumAnds()
 
 	a := st.a
-	st.levelNodes = growUint32(&a.levelNodes, numAnds)
-	st.levelOff = growInt32(&a.levelOff, nLv+1)
-	st.levelCuts = growInt32(&a.levelCuts, nLv)
-	st.retireLv = growInt32(&a.retireLv, nLv)
-	st.retireOff = growInt32(&a.retireOff, nLv+1)
-	retireAfter := growInt32(&a.retireAfter, nLv)
-	cursor := growInt32(&a.cursor, nLv+1)
+	st.levelNodes = grow(&a.levelNodes, numAnds)
+	st.levelOff = grow(&a.levelOff, nLv+1)
+	st.levelCuts = grow(&a.levelCuts, nLv)
+	st.retireLv = grow(&a.retireLv, nLv)
+	st.retireOff = grow(&a.retireOff, nLv+1)
+	retireAfter := grow(&a.retireAfter, nLv)
+	cursor := grow(&a.cursor, nLv+1)
 
 	// Counting sort of the AND nodes by level, ascending index within each.
 	for i := range st.levelOff {
@@ -180,22 +175,6 @@ func (e *Enumerator) buildLevelPlan(st *streamState) {
 		st.retireLv[cursor[m]] = l
 		cursor[m]++
 	}
-}
-
-func growInt32(p *[]int32, n int) []int32 {
-	if cap(*p) < n {
-		*p = make([]int32, n)
-	}
-	*p = (*p)[:n]
-	return *p
-}
-
-func growUint32(p *[]uint32, n int) []uint32 {
-	if cap(*p) < n {
-		*p = make([]uint32, n)
-	}
-	*p = (*p)[:n]
-	return *p
 }
 
 // streamLevels is the level-order driver: each level is merged (inline or
@@ -268,7 +247,7 @@ func (e *Enumerator) streamIndexOrder(st *streamState) error {
 	s := st.a.scratchFor(0, st.maxLevel)
 	st.scratches = st.a.scratches[:1]
 	nLv := int(st.maxLevel) + 1
-	remaining := growInt32(&st.a.cursor, nLv)
+	remaining := grow(&st.a.cursor, nLv)
 	for l := 0; l < nLv; l++ {
 		remaining[l] = st.levelOff[l+1] - st.levelOff[l]
 	}

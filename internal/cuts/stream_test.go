@@ -185,7 +185,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 				for _, pooled := range []bool{false, true} {
 					e := &Enumerator{G: g, Policy: pc.p, Workers: workers}
 					if pooled {
-						e.Arena = pool.Get(g)
+						e.Arena = pool.Get()
 					}
 					got := snapshotStream(t, e)
 					if pooled {
@@ -217,7 +217,7 @@ func TestRunStreamShuffleMatchesSequential(t *testing.T) {
 		for _, pooled := range []bool{false, true} {
 			e := &Enumerator{G: g, Policy: shuffle(), Workers: workers}
 			if pooled {
-				e.Arena = pool.Get(g)
+				e.Arena = pool.Get()
 			}
 			got := snapshotStream(t, e)
 			if pooled {
@@ -233,7 +233,7 @@ func TestRunStreamShuffleMatchesSequential(t *testing.T) {
 // on a deep graph the live window stays well below the total.
 func TestRunStreamRetiresLevels(t *testing.T) {
 	g := circuits.BoothMultiplier(8)
-	e := &Enumerator{G: g, Policy: UnlimitedPolicy{}, Workers: 1, Arena: NewArena(g)}
+	e := &Enumerator{G: g, Policy: UnlimitedPolicy{}, Workers: 1, Arena: new(Arena)}
 	res, err := e.RunStream(nil)
 	if err != nil {
 		t.Fatalf("RunStream: %v", err)
@@ -265,65 +265,118 @@ func TestRunStreamSinkError(t *testing.T) {
 }
 
 // TestArenaPoolZeroSteadyStateAllocs is the acceptance test for cross-run
-// pooling: once an arena has served a graph shape, further streaming runs
-// of the same graph perform zero cut allocations, with the exhaustive
-// policy and with the default policy's sort and dominance pass.
+// pooling: once an arena has served the graphs of a workload, further
+// streaming runs perform zero cut allocations, with the exhaustive policy
+// and with the default policy's sort and dominance pass, both for repeats
+// of one graph and for one arena alternating between two graphs of
+// different node, PI and level counts.
 func TestArenaPoolZeroSteadyStateAllocs(t *testing.T) {
-	g := circuits.BoothMultiplier(8)
+	booth := circuits.BoothMultiplier(8)
+	other := circuits.RandomAIG(5, 24, 600)
 	sink := LevelSink(func(level int32, nodes []uint32, sets [][]Cut) error { return nil })
 	for _, pol := range []Policy{UnlimitedPolicy{}, DefaultPolicy{}} {
-		t.Run(pol.Name(), func(t *testing.T) {
-			pool := NewPool(2)
-			e := &Enumerator{G: g, Policy: pol, Workers: 1}
-			run := func() {
-				a := pool.Get(g)
-				e.Arena = a
-				if _, err := e.RunStream(sink); err != nil {
-					panic(err)
+		for _, graphs := range [][]*aig.AIG{{booth}, {booth, other}} {
+			name := pol.Name()
+			if len(graphs) > 1 {
+				name = "alternating-" + name
+			}
+			t.Run(name, func(t *testing.T) {
+				pool := NewPool(1)
+				es := make([]*Enumerator, len(graphs))
+				for i, g := range graphs {
+					es[i] = &Enumerator{G: g, Policy: pol, Workers: 1}
 				}
-				pool.Put(a)
-			}
-			run() // builds the arena
-			run() // lets the free lists reach their steady footprint
-			if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
-				t.Fatalf("steady-state streaming run allocated %.1f objects, want 0", allocs)
-			}
-			st := pool.Stats()
-			if st.Misses != 1 || st.Hits < 7 {
-				t.Fatalf("pool stats hits=%d misses=%d, want 1 miss and the rest hits", st.Hits, st.Misses)
-			}
-		})
+				run := func() {
+					for _, e := range es {
+						e.Arena = pool.Get()
+						if _, err := e.RunStream(sink); err != nil {
+							panic(err)
+						}
+						pool.Put(e.Arena)
+					}
+				}
+				run() // builds the arena
+				run() // lets the free lists reach their steady footprint
+				if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+					t.Fatalf("steady-state streaming pass allocated %.1f objects, want 0", allocs)
+				}
+				if st := pool.Stats(); st.Misses != 1 || st.Hits != int64(8*len(graphs)-1) {
+					t.Fatalf("pool stats hits=%d misses=%d, want 1 miss and the rest hits", st.Hits, st.Misses)
+				}
+			})
+		}
 	}
 }
 
-// TestPoolKeyingAndEviction checks structural keying (distinct graphs get
-// distinct arenas) and the capacity-bounded eviction.
-func TestPoolKeyingAndEviction(t *testing.T) {
-	g1 := circuits.RandomAIG(1, 16, 300)
-	g2 := circuits.RandomAIG(2, 16, 300)
-	if KeyOf(g1) == KeyOf(g2) {
-		t.Fatal("structurally different graphs share a GraphKey")
+// TestPoolLendsAcrossGraphs checks that an arena lent from one graph to
+// the next changes nothing: one pool of capacity 1 serves a sequence of
+// graphs whose node, PI and level counts grow and shrink, and every run
+// must hash to what a fresh arena streams, on the wavefront at one and
+// three workers and on the index-order driver. The pool builds one arena
+// for the whole sequence.
+func TestPoolLendsAcrossGraphs(t *testing.T) {
+	graphs := []*aig.AIG{
+		circuits.RandomAIG(3, 10, 200),
+		circuits.BoothMultiplier(8),
+		circuits.TrainRC16(),
+		interleavedAIG(6, 20, 300),
+		circuits.RandomAIG(4, 40, 900),
+		circuits.CarryLookaheadAdder(8),
+		circuits.BoothMultiplier(6),
 	}
-	// The same structure rebuilt from scratch must hit the cached arena.
-	g1b := circuits.RandomAIG(1, 16, 300)
-	if KeyOf(g1) != KeyOf(g1b) {
-		t.Fatal("identical structures disagree on GraphKey")
+	cases := []struct {
+		policy  func() Policy
+		workers []int
+	}{
+		{func() Policy { return DefaultPolicy{} }, []int{1, 3}},
+		{func() Policy { return UnlimitedPolicy{} }, []int{1, 3}},
+		{func() Policy { return &ShufflePolicy{Rng: rand.New(rand.NewSource(7)), Limit: 16} }, []int{1}},
 	}
-	pool := NewPool(1)
-	a1 := pool.Get(g1)
-	pool.Put(a1)
-	if got := pool.Get(g1b); got != a1 {
-		t.Fatal("rebuilt graph of the same shape did not reuse the cached arena")
+	for _, c := range cases {
+		for _, workers := range c.workers {
+			pool := NewPool(1)
+			for _, g := range graphs {
+				label := fmt.Sprintf("%s/%s/workers=%d", g.Name, c.policy().Name(), workers)
+				want := snapshotStream(t, &Enumerator{G: g, Policy: c.policy(), Workers: workers})
+				e := &Enumerator{G: g, Policy: c.policy(), Workers: workers, Arena: pool.Get()}
+				got := snapshotStream(t, e)
+				pool.Put(e.Arena)
+				if runDigest(got) != runDigest(want) || got.PeakCuts != want.PeakCuts {
+					t.Fatalf("%s: lent arena streamed lists that differ from a fresh arena's", label)
+				}
+			}
+			if st := pool.Stats(); st.Misses != 1 || st.Hits != int64(len(graphs)-1) {
+				t.Fatalf("%s/workers=%d: pool stats hits=%d misses=%d, want %d and 1",
+					c.policy().Name(), workers, st.Hits, st.Misses, len(graphs)-1)
+			}
+		}
 	}
-	pool.Put(a1)
-	a2 := pool.Get(g2)
-	pool.Put(a2) // capacity 1: a1 must be evicted
-	if st := pool.Stats(); st.Cached != 1 {
-		t.Fatalf("cached=%d after eviction, want 1", st.Cached)
+}
+
+// interleavedAIG builds a random graph that adds a PI after every few AND
+// nodes. The generated circuits number their PIs first, so its PI ids
+// differ from theirs, and an arena lent between them must rebuild its PI
+// trivial cuts rather than keep the last graph's.
+func interleavedAIG(seed int64, pis, ands int) *aig.AIG {
+	rng := rand.New(rand.NewSource(seed))
+	g := aig.New(fmt.Sprintf("interleaved%d", seed))
+	lits := []aig.Lit{g.AddPI("x0"), g.AddPI("x1")}
+	for tries := 0; tries < 16*ands && g.NumAnds() < ands; tries++ {
+		if tries%4 == 0 && g.NumPIs() < pis {
+			lits = append(lits, g.AddPI(fmt.Sprintf("x%d", g.NumPIs())))
+		}
+		a := lits[rng.Intn(len(lits))].NotIf(rng.Intn(2) == 1)
+		b := lits[rng.Intn(len(lits))].NotIf(rng.Intn(2) == 1)
+		if o := g.And(a, b); o.Node() != a.Node() && o.Node() != b.Node() {
+			lits = append(lits, o)
+		}
 	}
-	if got := pool.Get(g1); got == a1 {
-		t.Fatal("evicted arena came back")
+	for n := uint32(1); n < uint32(g.NumNodes()); n++ {
+		if g.IsAnd(n) && g.Fanout(n) == 0 {
+			g.AddPO(fmt.Sprintf("y%d", n), aig.MakeLit(n, false))
+		}
 	}
+	return g
 }
 
 // referenceFilterDominated is a deliberately naive reimplementation of the

@@ -278,10 +278,9 @@ func GenerateOutcomes(ctx context.Context, cfg Config, circuit, start, end int) 
 	g := cfg.Circuits[circuit]
 	seed := circuitSeed(cfg.Seed, circuit)
 
-	// Every mapping in the sweep re-maps the same graph, so a shared arena
-	// pool lets all but the first few checkouts reuse cut storage outright;
-	// one spare arena keeps a full complement available while a finished
-	// mapping's arena is in flight back to the pool.
+	// A shared arena pool lets all but the first few checkouts reuse cut
+	// storage outright; one spare arena keeps a full complement available
+	// while a finished mapping's arena is in flight back to the pool.
 	pool := cuts.NewPool(cfg.Workers + 1)
 	outcomes := make([]MapOutcome, end-start)
 	var wg sync.WaitGroup

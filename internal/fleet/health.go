@@ -64,11 +64,9 @@ type worker struct {
 	lastErr     string
 	lastProbe   time.Time
 	registered  time.Time
-	// Warmth, from the worker's /healthz: how many designs have a parked
-	// cut arena, how many mapped results (and ECO snapshots) are cached,
-	// and how many built choice views are resident. Routing-quality
-	// observability, exported per worker.
-	warmGraphs     int
+	// Warmth, from the worker's /healthz: how many mapped results (and
+	// ECO snapshots) are cached, and how many built choice views are
+	// resident. Routing-quality observability, exported per worker.
 	cacheEntries   int
 	cacheSnapshots int
 	warmViews      int
@@ -86,7 +84,6 @@ type WorkerStatus struct {
 	LastErr        string  `json:"last_err,omitempty"`
 	LastProbeAgoS  float64 `json:"last_probe_ago_s,omitempty"`
 	Inflight       int64   `json:"inflight"`
-	WarmGraphs     int     `json:"warm_graphs"`
 	CacheEntries   int     `json:"cache_entries"`
 	CacheSnapshots int     `json:"cache_snapshots,omitempty"`
 	WarmViews      int     `json:"warm_views"`
@@ -96,7 +93,6 @@ type WorkerStatus struct {
 // consumes: overall status plus cache warmth.
 type workerHealthz struct {
 	Status            string `json:"status"`
-	ArenaGraphs       int    `json:"arena_graphs"`
 	MapcacheEntries   int    `json:"mapcache_entries"`
 	MapcacheSnapshots int    `json:"mapcache_snapshots"`
 	ChoiceViews       int    `json:"choice_views"`
@@ -191,7 +187,6 @@ func (c *Coordinator) recordProbe(w *worker, h *workerHealthz, err error) {
 	} else {
 		w.state = StateUp
 	}
-	w.warmGraphs = h.ArenaGraphs
 	w.cacheEntries = h.MapcacheEntries
 	w.cacheSnapshots = h.MapcacheSnapshots
 	w.warmViews = h.ChoiceViews
@@ -250,7 +245,6 @@ func (c *Coordinator) workerStatuses() []WorkerStatus {
 			ConsecFails:    w.consecFails,
 			LastErr:        w.lastErr,
 			Inflight:       w.inflight.Load(),
-			WarmGraphs:     w.warmGraphs,
 			CacheEntries:   w.cacheEntries,
 			CacheSnapshots: w.cacheSnapshots,
 			WarmViews:      w.warmViews,

@@ -53,7 +53,6 @@ func newMetrics(c *Coordinator) *fleetMetrics {
 		})
 	}
 	perWorker("slap_fleet_worker_inflight", "Proxied requests currently in flight per worker.", func(s WorkerStatus) float64 { return float64(s.Inflight) })
-	perWorker("slap_fleet_worker_warm_graphs", "Designs with a parked cut arena on each worker (last probe).", func(s WorkerStatus) float64 { return float64(s.WarmGraphs) })
 	perWorker("slap_fleet_worker_cache_entries", "Mapping results resident in each worker's result cache (last probe).", func(s WorkerStatus) float64 { return float64(s.CacheEntries) })
 	perWorker("slap_fleet_worker_warm_views", "Choice views resident in each worker's view cache (last probe).", func(s WorkerStatus) float64 { return float64(s.WarmViews) })
 	perWorker("slap_fleet_breaker_state", "Per-worker circuit breaker (0 closed, 1 half-open, 2 open).", func(s WorkerStatus) float64 { return float64(breakerStateValue(s.Breaker)) })

@@ -96,7 +96,7 @@ func TestMetricsExposition(t *testing.T) {
 	for i, name := range []string{"w1", "w2", "w3"} {
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprintf(w, `{"status":"ok","arena_graphs":%d,"mapcache_entries":%d,"choice_views":%d}`, i+1, 2*(i+1), 3*(i+1))
+			fmt.Fprintf(w, `{"status":"ok","mapcache_entries":%d,"choice_views":%d}`, 2*(i+1), 3*(i+1))
 		})
 		mux.HandleFunc("POST /v1/map", func(w http.ResponseWriter, r *http.Request) {
 			mu.Lock()
@@ -279,7 +279,7 @@ func TestMetricsEscapeWorkerNames(t *testing.T) {
 	}
 	want := slices.Clone(names)
 	slices.Sort(want)
-	for _, family := range []string{"slap_fleet_worker_inflight", "slap_fleet_worker_warm_graphs", "slap_fleet_worker_cache_entries", "slap_fleet_worker_warm_views", "slap_fleet_breaker_state"} {
+	for _, family := range []string{"slap_fleet_worker_inflight", "slap_fleet_worker_cache_entries", "slap_fleet_worker_warm_views", "slap_fleet_breaker_state"} {
 		got := perWorker[family]
 		slices.Sort(got)
 		if !slices.Equal(got, want) {

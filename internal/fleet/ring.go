@@ -2,7 +2,7 @@
 // coordinator fronts a pool of slap-serve worker nodes, routing /v1/map
 // and /v1/classify traffic by consistent hashing on the design's
 // structural hash — so resubmissions and ECO edits of the same design
-// land on the worker whose cut arena and result cache are already warm —
+// land on the worker whose result cache and choice views are already warm —
 // probing worker health, retrying dead workers on the next ring replica,
 // shedding load when the whole fleet is saturated, and fanning dataset
 // sweeps out as checksummed genjob shards that merge centrally,

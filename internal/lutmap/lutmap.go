@@ -30,8 +30,8 @@ type Options struct {
 	// Workers bounds cut-enumeration parallelism: 0 = one worker per CPU
 	// core, 1 = sequential (see cuts.Enumerator.Workers).
 	Workers int
-	// Pool, when set, lets MapStream check cut-arena storage in and out
-	// across runs of the same graph shape.
+	// Pool, when set, lends MapStream a parked cut arena, whatever graph it
+	// last served, and takes it back after the run.
 	Pool *cuts.Pool
 	// Rounds is the total number of selection rounds. Values <= 1 keep the
 	// classic schedule (depth pass + one area-flow pass unless
@@ -164,8 +164,8 @@ func (st *Stream) Finish() (*Result, error) {
 // area under depth constraints, with enumeration and selection fused per
 // wavefront level. Results are identical for every worker count (stateful
 // policies degrade to the sequential index-order enumeration driver). When
-// opt.Pool is set, cut storage is recycled across runs of the same graph
-// shape.
+// opt.Pool is set, cut storage is recycled across runs, whatever graphs
+// they map.
 func MapStream(g *aig.AIG, opt Options) (*Result, error) {
 	st := NewStream(g, opt)
 	e := &cuts.Enumerator{G: g, Policy: opt.Policy, Workers: opt.Workers, Choices: opt.Choices}

@@ -43,8 +43,8 @@ type Options struct {
 	// core, 1 = sequential. Parallel and sequential enumeration produce
 	// identical cut sets (see cuts.Enumerator.Workers).
 	Workers int
-	// Pool, when set, lets MapStream check cut-arena storage in and out
-	// across runs of the same graph shape.
+	// Pool, when set, lends MapStream a parked cut arena, whatever graph it
+	// last served, and takes it back after the run.
 	Pool *cuts.Pool
 	// CaptureCuts, when set, observes every AND node's finalised cut list
 	// (post-policy, or kept by a level filter) exactly once, before the
@@ -269,7 +269,8 @@ func (st *Stream) Finish() (*Result, error) {
 // identical for every worker count and with or without a pool (stateful
 // policies degrade to the sequential index-order driver, see
 // cuts.Enumerator.RunStream). When opt.Pool is set, cut storage is checked
-// out of the arena pool and recycled across runs of the same graph.
+// out of the arena pool and recycled across runs, whatever graphs they
+// map.
 func MapStream(g *aig.AIG, opt Options) (*Result, error) {
 	return mapStream(g, opt, nil)
 }

@@ -82,7 +82,7 @@ func newMetrics(s *Server) *serviceMetrics {
 	r.CounterFunc("slap_arena_hits_total", "Mapping requests served by a cached cut arena.", func() float64 { return float64(arena().Hits) })
 	r.CounterFunc("slap_arena_misses_total", "Mapping requests that built a fresh cut arena.", func() float64 { return float64(arena().Misses) })
 	r.GaugeFunc("slap_arena_cached", "Cut arenas currently parked in the cross-request pool.", func() float64 { return float64(arena().Cached) })
-	r.CounterFunc("slap_arena_evictions_total", "Cut arenas dropped from the pool to admit hotter graphs.", func() float64 { return float64(arena().Evictions) })
+	r.CounterFunc("slap_arena_evictions_total", "Cut arenas dropped because the pool was full.", func() float64 { return float64(arena().Evictions) })
 
 	results := func() mapcache.Stats { return mapcache.Stats{} }
 	if s.cache != nil {

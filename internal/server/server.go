@@ -49,11 +49,11 @@ type Config struct {
 	// shard directory) outlives completion before being garbage-collected
 	// (0 = DefaultJobRetention, negative = keep forever).
 	JobRetention time.Duration
-	// ArenaCache is how many cut arenas the server caches across mapping
-	// requests, keyed by graph identity, so repeated mappings of the same
-	// design reuse cut storage instead of reallocating it
-	// (0 = cuts.DefaultPoolArenas, negative = no caching: each mapping
-	// carves its cuts from a fresh arena).
+	// ArenaCache is how many cut arenas the server parks between mapping
+	// requests; any later map, of any design, borrows one and reuses its
+	// cut storage instead of reallocating it (0 = cuts.DefaultPoolArenas,
+	// negative = no caching: each mapping carves its cuts from a fresh
+	// arena).
 	ArenaCache int
 	// ResultCacheBytes is the byte budget of the content-addressed mapping
 	// result cache: asic mappings are keyed by graph structure + names +
@@ -104,11 +104,10 @@ type Server struct {
 	jobs    sync.Map // job id -> *datasetJob
 	jobsSeq atomic.Int64
 
-	// pool caches cut arenas across mapping requests (nil when ArenaCache
-	// is negative, and then each mapping runs on a fresh arena): a service
-	// re-mapping the same design — parameter sweeps, policy comparisons —
-	// reuses all cut storage from the previous run instead of reallocating
-	// it.
+	// pool parks cut arenas between mapping requests (nil when ArenaCache
+	// is negative, and then each mapping runs on a fresh arena): each map
+	// carves its cuts from the storage earlier maps returned instead of
+	// reallocating it.
 	pool *cuts.Pool
 
 	// cache holds mapped results content-addressed by (graph, options), so
@@ -560,12 +559,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body["worker"] = s.cfg.WorkerName
 	}
 	// Cache warmth, for fleet coordinators judging routing quality: how
-	// many designs this node can re-map with a warm arena, and how many
-	// mapped results (and ECO baselines) it holds.
+	// many cut arenas are parked, and how many mapped results (and ECO
+	// baselines) and choice views this node holds.
 	if s.pool != nil {
-		ps := s.pool.Stats()
-		body["arena_cached"] = ps.Cached
-		body["arena_graphs"] = ps.Graphs
+		body["arena_cached"] = s.pool.Stats().Cached
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
