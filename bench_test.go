@@ -391,38 +391,6 @@ func BenchmarkAblationAreaRecovery(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSupergates quantifies single-level supergates (paper
-// §II context: reducing structural bias in matching).
-func BenchmarkAblationSupergates(b *testing.B) {
-	base := library.ASAP7ish()
-	sg, err := base.WithSupergates(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := circuits.ALUCompare(24)
-	for _, tc := range []struct {
-		name string
-		lib  *library.Library
-	}{
-		{"base-library", base},
-		{"with-supergates", sg},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := mapper.MapStream(g, mapper.Options{Library: tc.lib, Policy: cuts.DefaultPolicy{}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(res.Delay, "delay-ps")
-					b.ReportMetric(res.Area, "area-um2")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationBalance quantifies pre-mapping AND-tree balancing on an
 // AND-chain-dominated design (sum-of-products); balancing reduces subject
 // depth ~3x there. On carry/XOR-dominated arithmetic it can instead hurt

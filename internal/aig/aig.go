@@ -418,26 +418,6 @@ func (g *AIG) SimulateNodes(piValues []uint64) []uint64 {
 	return vals
 }
 
-// ConeSize returns the number of AND nodes in the transitive fanin cone of
-// node n, stopping at PIs.
-func (g *AIG) ConeSize(n uint32) int {
-	seen := make(map[uint32]bool)
-	var walk func(m uint32)
-	count := 0
-	walk = func(m uint32) {
-		if seen[m] || !g.IsAnd(m) {
-			return
-		}
-		seen[m] = true
-		count++
-		nd := &g.nodes[m]
-		walk(nd.f0.Node())
-		walk(nd.f1.Node())
-	}
-	walk(n)
-	return count
-}
-
 // Stats returns a one-line human-readable summary of the graph.
 func (g *AIG) Stats() string {
 	return fmt.Sprintf("%s: pi=%d po=%d and=%d level=%d",

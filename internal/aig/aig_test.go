@@ -148,23 +148,6 @@ func TestFanoutAndInvertedFanout(t *testing.T) {
 	}
 }
 
-func TestConeSize(t *testing.T) {
-	g := New("cone")
-	a := g.AddPI("a")
-	b := g.AddPI("b")
-	c := g.AddPI("c")
-	ab := g.And(a, b)
-	bc := g.And(b, c)
-	f := g.And(ab, bc)
-	g.AddPO("f", f)
-	if got := g.ConeSize(f.Node()); got != 3 {
-		t.Errorf("ConeSize = %d want 3", got)
-	}
-	if got := g.ConeSize(a.Node()); got != 0 {
-		t.Errorf("ConeSize of PI = %d want 0", got)
-	}
-}
-
 func TestAndNOrN(t *testing.T) {
 	g := New("nary")
 	var ins []Lit

@@ -135,7 +135,8 @@ func TestCacheEviction(t *testing.T) {
 }
 
 // TestCacheCancelledBuild checks that a cancelled context surfaces the
-// context error and caches nothing.
+// context error and caches nothing, and that the lookup that found nothing
+// counts one miss, as a result-cache lookup does.
 func TestCacheCancelledBuild(t *testing.T) {
 	c := NewCache(0)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -143,8 +144,8 @@ func TestCacheCancelledBuild(t *testing.T) {
 	if _, err := c.Checkout(ctx, circuits.CarryLookaheadAdder(8), Options{}); err == nil {
 		t.Fatal("cancelled checkout returned no error")
 	}
-	if st := c.Stats(); st.Views != 0 {
-		t.Fatalf("cancelled build left %d resident views", st.Views)
+	if st := c.Stats(); st.Views != 0 || st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("stats = %+v after a cancelled build, want 0 views, 1 miss, 0 hits", st)
 	}
 }
 

@@ -145,31 +145,6 @@ func mergeLeavesInto(buf *[K]uint32, a, b []uint32) (int, bool) {
 	return n, true
 }
 
-// expandTT re-expresses a cut function given over the variable ordering
-// `from` in the ordering `to` (from must be a subsequence of to).
-func expandTT(f tt.TT, from, to []uint32) tt.TT {
-	var perm [tt.MaxVars]uint8
-	used := uint8(0)
-	j := 0
-	for i, leaf := range from {
-		for to[j] != leaf {
-			j++
-		}
-		perm[i] = uint8(j)
-		used |= 1 << uint(j)
-	}
-	// Fill the remaining permutation slots with unused positions.
-	next := 0
-	for i := len(from); i < tt.MaxVars; i++ {
-		for used&(1<<uint(next)) != 0 {
-			next++
-		}
-		perm[i] = uint8(next)
-		used |= 1 << uint(next)
-	}
-	return f.Permute(perm)
-}
-
 // Policy orders and prunes the candidate cut list of one node. The returned
 // slice is what downstream merging and Boolean matching will see.
 type Policy interface {
@@ -707,29 +682,19 @@ func (s *scratch) coneEval(m uint32) tt.TT {
 	return v
 }
 
-// FilterDominated removes cuts whose leaf set is a superset of another
-// cut's leaf set (the dominated cuts), preserving order. Callers that know
-// the root should prefer FilterDominatedFor, which can skip the trivial-cut
-// row.
-func FilterDominated(cs []Cut) []Cut {
-	return filterDominated(^uint32(0), cs)
-}
-
-// FilterDominatedFor is FilterDominated with the root known: the trivial cut
-// {root} is skipped as a dominator (no enumerated cut of root contains root
-// as a leaf, so it can never dominate anything).
-func FilterDominatedFor(root uint32, cs []Cut) []Cut {
-	return filterDominated(root, cs)
-}
-
-// filterDominated decides every dominance relation against the pristine
-// input before compacting. The compaction loop must not start while
-// comparisons are still running: compacting in place shifts kept cuts into
-// slots the inner loop has yet to read, so a later iteration — including
-// one observed concurrently by a streaming consumer — could compare against
-// a transiently reordered list. Order is preserved, so a list canonical
+// FilterDominatedFor removes the cuts of root whose leaf set is a superset
+// of another cut's leaf set (the dominated cuts), preserving order. The
+// trivial cut {root} is skipped as a dominator: no enumerated cut of root
+// contains root as a leaf, so it can never dominate anything.
+//
+// Every dominance relation is decided against the pristine input before
+// compacting. The compaction loop must not start while comparisons are
+// still running: compacting in place shifts kept cuts into slots the inner
+// loop has yet to read, so a later iteration — including one observed
+// concurrently by a streaming consumer — could compare against a
+// transiently reordered list. Order is preserved, so a list canonical
 // under SortByLeaves stays canonical.
-func filterDominated(root uint32, cs []Cut) []Cut {
+func FilterDominatedFor(root uint32, cs []Cut) []Cut {
 	n := len(cs)
 	if n < 2 {
 		return cs

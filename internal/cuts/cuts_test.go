@@ -151,11 +151,12 @@ func TestFilterDominated(t *testing.T) {
 	mk := func(leaves ...uint32) Cut {
 		return Cut{Leaves: leaves, Sig: leafSig(leaves)}
 	}
+	const root = 9 // outside every leaf set
 	cs := []Cut{mk(1, 2, 3), mk(1, 2), mk(4, 5), mk(1, 2, 3, 4), mk(6)}
-	out := FilterDominated(cs)
+	out := FilterDominatedFor(root, cs)
 	wantKept := [][]uint32{{1, 2}, {4, 5}, {6}}
 	if len(out) != len(wantKept) {
-		t.Fatalf("FilterDominated kept %d cuts, want %d: %v", len(out), len(wantKept), out)
+		t.Fatalf("FilterDominatedFor kept %d cuts, want %d: %v", len(out), len(wantKept), out)
 	}
 	for i, w := range wantKept {
 		if len(out[i].Leaves) != len(w) {
@@ -169,7 +170,7 @@ func TestFilterDominated(t *testing.T) {
 	}
 	// Duplicate leaf sets: exactly one survives.
 	dup := []Cut{mk(1, 2), mk(1, 2)}
-	if got := FilterDominated(dup); len(got) != 1 {
+	if got := FilterDominatedFor(root, dup); len(got) != 1 {
 		t.Fatalf("duplicate sets: kept %d, want 1", len(got))
 	}
 }
@@ -185,21 +186,6 @@ func TestSubsetOf(t *testing.T) {
 	}
 	if !subsetOf(&a, &a) {
 		t.Errorf("a set is a subset of itself")
-	}
-}
-
-func TestExpandTT(t *testing.T) {
-	// f(x0,x1) = x0 AND x1 over leaves [10, 20], expanded to [5, 10, 20]:
-	// must become x1 AND x2.
-	f := tt.Var(0).And(tt.Var(1))
-	got := expandTT(f, []uint32{10, 20}, []uint32{5, 10, 20})
-	want := tt.Var(1).And(tt.Var(2))
-	if got != want {
-		t.Fatalf("expandTT = %08x, want %08x", uint32(got), uint32(want))
-	}
-	// Identity expansion.
-	if expandTT(f, []uint32{1, 2}, []uint32{1, 2}) != f {
-		t.Errorf("identity expansion changed the function")
 	}
 }
 

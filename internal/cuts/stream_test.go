@@ -448,7 +448,7 @@ func TestFilterDominatedMatchesReference(t *testing.T) {
 	for ci, cs := range cases {
 		for _, root := range []uint32{^uint32(0), 7} {
 			want := referenceFilterDominated(root, cs)
-			got := filterDominated(root, append([]Cut(nil), cs...))
+			got := FilterDominatedFor(root, append([]Cut(nil), cs...))
 			if len(want) != len(got) {
 				t.Fatalf("case %d root %d: kept %d cuts, want %d", ci, root, len(got), len(want))
 			}
@@ -463,7 +463,7 @@ func TestFilterDominatedMatchesReference(t *testing.T) {
 	// sorted through the filter.
 	cs := random(60, 9)
 	SortByLeaves(cs)
-	got := filterDominated(^uint32(0), cs)
+	got := FilterDominatedFor(^uint32(0), cs)
 	sorted := sort.SliceIsSorted(got, func(i, j int) bool {
 		a, b := &got[i], &got[j]
 		if len(a.Leaves) != len(b.Leaves) {
@@ -472,6 +472,6 @@ func TestFilterDominatedMatchesReference(t *testing.T) {
 		return false
 	})
 	if !sorted {
-		t.Fatal("filterDominated broke the canonical leaf-count ordering")
+		t.Fatal("FilterDominatedFor broke the canonical leaf-count ordering")
 	}
 }

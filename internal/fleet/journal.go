@@ -1,25 +1,22 @@
 package fleet
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"strings"
-	"sync"
+
+	"slap/internal/genjob"
 )
 
 // The coordinator journal makes the control plane crash-safe. Everything
 // the coordinator must not forget — fleet membership and the lifecycle
-// of dataset fan-out jobs — is appended to one JSONL file before it
-// takes effect, in the same append-only spirit as genjob's
-// manifest.jsonl: a header line pins the format, the last record wins,
-// and a torn trailing line (SIGKILL mid-append) is skipped on replay.
-// Each record additionally carries a CRC-32C of its own canonical bytes,
-// so a torn or bit-rotted line anywhere in the file is detected and
-// dropped rather than half-applied.
+// of dataset fan-out jobs — is appended to one file before it takes
+// effect. The file is a genjob.Log, as each job's manifest.jsonl is: a
+// header line pins the format, the last record wins, and a torn trailing
+// line (SIGKILL mid-append) is skipped on replay. Each record additionally
+// carries a CRC-32C of its own canonical bytes, so a torn or bit-rotted
+// line anywhere in the file is detected and dropped rather than
+// half-applied.
 //
 // A SIGKILLed coordinator restarted with the same -journal path replays
 // the file, re-adopts its workers (probes then refresh their health),
@@ -80,13 +77,16 @@ func (r journalRecord) checksum() (string, error) {
 	return fmt.Sprintf("%08x", crc32.Checksum(b, crcTable)), nil
 }
 
-// journal is the open coordinator journal. Appends serialize on mu and
-// fsync before returning: a record either survives a crash whole or is
-// dropped as torn on replay — never half-applied.
-type journal struct {
-	mu sync.Mutex
-	f  *os.File
+// sealed returns the record with its checksum set.
+func (r journalRecord) sealed() (journalRecord, error) {
+	sum, err := r.checksum()
+	r.Sum = sum
+	return r, err
 }
+
+// journal is the open coordinator journal, a genjob.Log of checksummed
+// records.
+type journal struct{ log *genjob.Log }
 
 // replayState is what a journal replay reconstructs.
 type replayState struct {
@@ -108,103 +108,75 @@ func openJournal(path string) (*journal, *replayState, error) {
 		workers: make(map[string]journalRecord),
 		jobs:    make(map[string]journalRecord),
 	}
-	existing, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, err
-	}
-	fresh := len(existing) == 0
-	if !fresh {
-		sc := bufio.NewScanner(bytes.NewReader(existing))
-		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-		first := true
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
-			}
-			var r journalRecord
-			if err := json.Unmarshal([]byte(line), &r); err != nil {
-				// A torn line is what a kill mid-append leaves; whatever it
-				// described is simply redone (worker re-registers, job
-				// resumes one step earlier).
-				st.dropped++
-				continue
-			}
-			want, err := r.checksum()
-			if err != nil || r.Sum != want {
-				st.dropped++
-				continue
-			}
-			if first {
-				first = false
-				if r.Op != opHeader || r.Tag != journalHeaderTag {
-					return nil, nil, fmt.Errorf("fleet: %s is not a coordinator journal", path)
-				}
-				continue
-			}
-			switch r.Op {
-			case opWorkerAdd:
-				st.workers[r.Name] = r
-			case opWorkerRemove:
-				delete(st.workers, r.Name)
-			case opJobSubmit:
-				if _, ok := st.jobs[r.Job]; !ok {
-					st.order = append(st.order, r.Job)
-				}
-				st.jobs[r.Job] = r
-			case opJobDone, opJobFailed:
-				// Terminal states keep the submit's request for status
-				// replay but stop the job from resuming.
-				if prev, ok := st.jobs[r.Job]; ok && r.Req == nil {
-					r.Req, r.OutDir = prev.Req, prev.OutDir
-				}
-				if _, ok := st.jobs[r.Job]; !ok {
-					st.order = append(st.order, r.Job)
-				}
-				st.jobs[r.Job] = r
-			default:
-				st.dropped++
-				continue
-			}
-			st.applied++
-		}
-	}
-
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	header, err := journalRecord{Op: opHeader, Tag: journalHeaderTag}.sealed()
 	if err != nil {
 		return nil, nil, err
 	}
-	j := &journal{f: f}
-	if fresh {
-		if err := j.append(journalRecord{Op: opHeader, Tag: journalHeaderTag}); err != nil {
-			f.Close()
-			return nil, nil, err
+	first := true
+	log, err := genjob.OpenLog(path, header, func(line []byte) error {
+		var r journalRecord
+		if err := json.Unmarshal(line, &r); err != nil {
+			// A torn line is what a kill mid-append leaves; whatever it
+			// described is simply redone (worker re-registers, job
+			// resumes one step earlier).
+			st.dropped++
+			return nil
 		}
+		if want, err := r.checksum(); err != nil || r.Sum != want {
+			st.dropped++
+			return nil
+		}
+		if first {
+			first = false
+			if r.Op != opHeader || r.Tag != journalHeaderTag {
+				return fmt.Errorf("fleet: %s is not a coordinator journal", path)
+			}
+			return nil
+		}
+		switch r.Op {
+		case opWorkerAdd:
+			st.workers[r.Name] = r
+		case opWorkerRemove:
+			delete(st.workers, r.Name)
+		case opJobSubmit:
+			if _, ok := st.jobs[r.Job]; !ok {
+				st.order = append(st.order, r.Job)
+			}
+			st.jobs[r.Job] = r
+		case opJobDone, opJobFailed:
+			// Terminal states keep the submit's request for status
+			// replay but stop the job from resuming.
+			if prev, ok := st.jobs[r.Job]; ok && r.Req == nil {
+				r.Req, r.OutDir = prev.Req, prev.OutDir
+			}
+			if _, ok := st.jobs[r.Job]; !ok {
+				st.order = append(st.order, r.Job)
+			}
+			st.jobs[r.Job] = r
+		default:
+			st.dropped++
+			return nil
+		}
+		st.applied++
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return j, st, nil
+	return &journal{log: log}, st, nil
 }
 
-// append checksums, writes and fsyncs one record. Nil journals (no
-// -journal configured) accept silently, so call sites stay branch-free.
+// append checksums and appends one record. Nil journals (no -journal
+// configured) accept silently, so call sites stay branch-free.
 func (j *journal) append(r journalRecord) error {
 	if j == nil {
 		return nil
 	}
-	sum, err := r.checksum()
+	r, err := r.sealed()
 	if err != nil {
 		return err
 	}
-	r.Sum = sum
-	b, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	return j.f.Sync()
+	return j.log.Append(r)
 }
 
 // close closes the journal file; nil-safe like append.
@@ -212,5 +184,5 @@ func (j *journal) close() error {
 	if j == nil {
 		return nil
 	}
-	return j.f.Close()
+	return j.log.Close()
 }

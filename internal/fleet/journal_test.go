@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -136,6 +137,31 @@ func TestJournalRejectsForeignFile(t *testing.T) {
 	}
 	if _, _, err := openJournal(path); err == nil {
 		t.Fatal("openJournal accepted a file without the journal header")
+	}
+}
+
+// TestJournalHeaderMatchesRecordedFile pins what a fresh journal writes:
+// its only line is the header of testdata/journal-v1.jsonl, byte for byte.
+func TestJournalHeaderMatchesRecordedFile(t *testing.T) {
+	recorded, err := os.ReadFile(filepath.Join("testdata", "journal-v1.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "coordinator.journal")
+	j, _, err := openJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.close(); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := recorded[:bytes.IndexByte(recorded, '\n')+1]
+	if !bytes.Equal(written, want) {
+		t.Fatalf("fresh journal holds %q, want %q", written, want)
 	}
 }
 

@@ -92,9 +92,6 @@ func NewRing(members []string, vnodes int) *Ring {
 	return r
 }
 
-// Size returns the number of members.
-func (r *Ring) Size() int { return len(r.members) }
-
 // Lookup returns up to n distinct members in preference order for key: the
 // owner of the first ring point clockwise of the key, then the owners of
 // the following points, each member listed once. n <= 0 (or n larger than

@@ -14,8 +14,8 @@
 //     giving up per-shard after MaxAttempts; a run whose failed shards
 //     exceed FailureBudget cancels the shards still pending;
 //   - every attempt's frame, produced here or elsewhere, is verified
-//     before it is written; written shards are journaled in an
-//     append-only JSON-lines manifest, so a crashed or SIGKILLed run
+//     before it is written; written shards are journaled in the job's
+//     manifest, an append-only Log, so a crashed or SIGKILLed run
 //     resumes from disk, re-running only missing or corrupt shards;
 //   - the merge re-verifies every shard file before assembly, and the
 //     result is byte-identical to a single-process dataset.Generate with

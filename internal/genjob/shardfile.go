@@ -1,7 +1,6 @@
 package genjob
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -11,7 +10,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"slap/internal/dataset"
@@ -164,7 +162,7 @@ func readShardFile(path string, want Spec, fingerprint string) (*shardPayload, s
 // ---------------------------------------------------------------------------
 // Manifest
 
-// manifestName is the append-only JSON-lines journal of a job directory.
+// manifestName is the append-only Log of a job directory.
 // Line 1 is the job header; every later line is a shard lifecycle entry.
 // The last entry for a shard wins, so appending is the only write mode a
 // crashed run ever needed to get resume right.
@@ -189,95 +187,56 @@ type manifestEntry struct {
 	Err      string `json:"err,omitempty"`
 }
 
-// manifest is the open journal plus its replayed state.
+// manifest is the open log plus its replayed state.
 type manifest struct {
+	log     *Log
 	mu      sync.Mutex
-	f       *os.File
 	entries map[int]manifestEntry // last entry per shard
 }
 
-// openManifest opens (or creates) the journal under dir, replays it, and
+// openManifest opens (or creates) the log under dir, replays it, and
 // checks it belongs to this job. resume gates reuse: without it an
 // existing manifest is an error, so two different sweeps cannot silently
 // interleave in one directory.
 func openManifest(dir, fingerprint string, shards int, resume bool) (*manifest, error) {
 	path := filepath.Join(dir, manifestName)
-	existing, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if !resume {
-			return nil, fmt.Errorf("genjob: %s already holds a run; enable resume or use a fresh directory", dir)
-		}
-	case os.IsNotExist(err):
-		existing = nil
-	default:
-		return nil, err
+	if _, err := os.Stat(path); err == nil && !resume {
+		return nil, fmt.Errorf("genjob: %s already holds a run; enable resume or use a fresh directory", dir)
 	}
-
-	m := &manifest{entries: make(map[int]manifestEntry)}
-	if len(existing) > 0 {
-		sc := bufio.NewScanner(bytes.NewReader(existing))
-		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-		first := true
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
+	entries := make(map[int]manifestEntry)
+	first := true
+	log, err := OpenLog(path, manifestHeader{Job: manifestJobTag, Fingerprint: fingerprint, Shards: shards}, func(line []byte) error {
+		if first {
+			first = false
+			var h manifestHeader
+			if err := json.Unmarshal(line, &h); err != nil || h.Job != manifestJobTag {
+				return fmt.Errorf("genjob: %s: not a genjob manifest", path)
 			}
-			if first {
-				first = false
-				var h manifestHeader
-				if err := json.Unmarshal([]byte(line), &h); err != nil || h.Job != manifestJobTag {
-					return nil, fmt.Errorf("genjob: %s: not a genjob manifest", path)
-				}
-				if h.Fingerprint != fingerprint {
-					return nil, fmt.Errorf("genjob: %s was written by a different sweep config; refusing to resume", path)
-				}
-				if h.Shards != shards {
-					return nil, fmt.Errorf("genjob: %s plans %d shards, this run plans %d", path, h.Shards, shards)
-				}
-				continue
+			if h.Fingerprint != fingerprint {
+				return fmt.Errorf("genjob: %s was written by a different sweep config; refusing to resume", path)
 			}
-			var e manifestEntry
-			if err := json.Unmarshal([]byte(line), &e); err != nil {
-				// A torn final line is exactly what a SIGKILL mid-append
-				// leaves behind; the shard it described simply re-runs.
-				continue
+			if h.Shards != shards {
+				return fmt.Errorf("genjob: %s plans %d shards, this run plans %d", path, h.Shards, shards)
 			}
-			m.entries[e.Shard] = e
+			return nil
 		}
-	}
-
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		// A torn final line is exactly what a SIGKILL mid-append leaves
+		// behind; the shard it described simply re-runs.
+		var e manifestEntry
+		if json.Unmarshal(line, &e) == nil {
+			entries[e.Shard] = e
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	m.f = f
-	if len(existing) == 0 {
-		if err := m.appendJSON(manifestHeader{Job: manifestJobTag, Fingerprint: fingerprint, Shards: shards}); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
-func (m *manifest) appendJSON(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, err := m.f.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	return m.f.Sync()
+	return &manifest{log: log, entries: entries}, nil
 }
 
 // record appends a shard entry and updates the replayed state.
 func (m *manifest) record(e manifestEntry) error {
-	if err := m.appendJSON(e); err != nil {
+	if err := m.log.Append(e); err != nil {
 		return err
 	}
 	m.mu.Lock()
@@ -294,7 +253,7 @@ func (m *manifest) entry(shard int) (manifestEntry, bool) {
 	return e, ok
 }
 
-func (m *manifest) close() error { return m.f.Close() }
+func (m *manifest) close() error { return m.log.Close() }
 
 // fingerprintConfig canonically hashes the sweep parameters that determine
 // the dataset bytes, so a resumed run cannot silently mix shards from two

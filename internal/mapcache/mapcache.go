@@ -1,12 +1,14 @@
-// Package mapcache provides a bounded, content-addressed cache of mapping
-// results for the serving flow: a structural fingerprint of (graph,
-// options) maps to the mapped netlist, its QoR and verification bit, with
-// LRU eviction under a byte-size budget. Serve is its one front: exact
-// repeats are answered in O(1); near-misses delta-remap against the
-// nearest cached relative (by cone-hash overlap) through its ECO snapshot;
-// and a singleflight group collapses N concurrent identical submissions
-// into one mapping whose result everyone shares. Hit lets a caller answer
-// an exact repeat before it commits resources to a miss.
+// Package mapcache provides the content-addressed stores of the serving
+// flow. Store is one byte-budgeted LRU with a singleflight in front of its
+// misses; the result cache here and the choice-view cache are both Stores.
+//
+// Cache is the result cache: a structural fingerprint of (graph, options)
+// maps to the mapped netlist, its QoR and verification bit. Serve is its
+// one front: exact repeats are answered in O(1); near-misses delta-remap
+// against the nearest cached relative (by cone-hash overlap) through its
+// ECO snapshot; and concurrent identical submissions collapse into one
+// mapping whose result everyone shares. Hit lets a caller answer an exact
+// repeat before it commits resources to a miss.
 //
 // Invalidation is purely content-driven: the key covers the full graph
 // encoding (including PI/PO names, which surface in rendered netlists) and
@@ -15,9 +17,8 @@
 package mapcache
 
 import (
-	"container/list"
 	"context"
-	"sync"
+	"sync/atomic"
 
 	"slap/internal/aig"
 	"slap/internal/mapper"
@@ -100,27 +101,14 @@ type Entry struct {
 	// Snap, when non-nil, is the ECO baseline snapshot for delta-remapping
 	// structurally similar designs.
 	Snap Snapshot
-
-	bytes int64
-	elem  *list.Element
 }
 
-// Stats is a point-in-time counter snapshot.
+// Stats is a point-in-time counter snapshot of a Cache.
 type Stats struct {
-	// Hits counts exact-key lookups served from the cache (including
-	// singleflight followers who shared a leader's fresh result).
-	Hits int64
-	// Misses counts lookups that found nothing under the exact key.
-	Misses int64
+	StoreStats
 	// ECOHits counts misses that were served by delta-remapping against a
 	// nearest cached relative instead of a cold full map.
 	ECOHits int64
-	// Evictions counts entries dropped to stay inside the byte budget.
-	Evictions int64
-	// Bytes is the current estimated resident size.
-	Bytes int64
-	// Entries is the current entry count.
-	Entries int
 	// Snapshots is the number of resident entries carrying an ECO baseline
 	// snapshot — the cache's delta-remap warmth, exported so fleet
 	// coordinators can judge how much affinity-routed traffic a worker can
@@ -139,19 +127,13 @@ const nearestScan = 8
 // not worth delta-remapping (almost everything would be dirty anyway).
 const minOverlap = 0.5
 
-// Cache is a byte-budgeted LRU of mapping results with an integrated
-// singleflight group. Safe for concurrent use.
+// Cache is a Store of mapping results plus its front, Serve, which
+// delta-remaps a miss against its nearest cached relative. A caller that
+// answers a Hit itself sends a miss on to Serve, which counts it. Safe for
+// concurrent use.
 type Cache struct {
-	mu     sync.Mutex
-	budget int64
-	bytes  int64
-	ll     *list.List // front = most recently used; values are *Entry
-	byKey  map[Key]*list.Element
-
-	hits, misses, ecoHits, evictions int64
-	snapshots                        int
-
-	flight *Flight[*Entry]
+	*Store[*Entry]
+	ecoHits atomic.Int64
 }
 
 // New builds a cache with the given byte budget (<= 0 means DefaultBudget).
@@ -159,35 +141,7 @@ func New(budget int64) *Cache {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	return &Cache{
-		budget: budget,
-		ll:     list.New(),
-		byKey:  make(map[Key]*list.Element),
-		flight: NewFlight[*Entry](),
-	}
-}
-
-// Get returns the entry stored under k, promoting it to most recently
-// used. The hit/miss counters track every call.
-func (c *Cache) Get(k Key) (*Entry, bool) { return c.lookup(k, true) }
-
-// Hit is Get counting only hits. A caller that answers a hit itself and
-// sends a miss on to Serve leaves the miss to Serve's own Get, so each
-// request counts one hit or one miss.
-func (c *Cache) Hit(k Key) (*Entry, bool) { return c.lookup(k, false) }
-
-func (c *Cache) lookup(k Key, countMiss bool) (*Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[k]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*Entry), true
-	}
-	if countMiss {
-		c.misses++
-	}
-	return nil, false
+	return &Cache{Store: NewStore(budget, entryBytes)}
 }
 
 // entryBytes estimates an entry's resident size: cells and their pin
@@ -206,69 +160,22 @@ func entryBytes(e *Entry) int64 {
 	return b
 }
 
-// Add stores an entry under its Key, replacing any previous occupant, and
-// evicts least-recently-used entries until the byte budget holds. An entry
-// larger than the whole budget is not cached.
-func (c *Cache) Add(e *Entry) {
-	e.bytes = entryBytes(e)
-	if e.bytes > c.budget {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[e.Key]; ok {
-		old := el.Value.(*Entry)
-		c.bytes -= old.bytes
-		if old.Snap != nil {
-			c.snapshots--
-		}
-		c.ll.Remove(el)
-		delete(c.byKey, e.Key)
-	}
-	e.elem = c.ll.PushFront(e)
-	c.byKey[e.Key] = e.elem
-	c.bytes += e.bytes
-	if e.Snap != nil {
-		c.snapshots++
-	}
-	for c.bytes > c.budget && c.ll.Len() > 1 {
-		c.evictOldestLocked()
-	}
-}
+// Add stores e under e.Key, as Store.Add does.
+func (c *Cache) Add(e *Entry) { c.Store.Add(e.Key, e) }
 
-func (c *Cache) evictOldestLocked() {
-	el := c.ll.Back()
-	if el == nil {
-		return
-	}
-	old := el.Value.(*Entry)
-	c.ll.Remove(el)
-	delete(c.byKey, old.Key)
-	c.bytes -= old.bytes
-	if old.Snap != nil {
-		c.snapshots--
-	}
-	c.evictions++
-}
-
-// nearest scans the most recently used snapshot-bearing entries with a
-// matching options signature and returns the one whose baseline shares the
+// nearest scans the nearestScan most recently used snapshot-bearing
+// entries with a matching options signature and returns the one whose baseline shares the
 // largest cone-hash overlap with hashes, provided it clears minOverlap.
 // The returned entry's snapshot is immutable and safe to use after the
 // entry is evicted.
 func (c *Cache) nearest(sig string, hashes []uint64) *Entry {
-	c.mu.Lock()
 	var candidates []*Entry
-	scanned := 0
-	for el := c.ll.Front(); el != nil && scanned < nearestScan; el = el.Next() {
-		e := el.Value.(*Entry)
-		if e.Snap == nil || e.Sig != sig {
-			continue
+	c.Recent(func(e *Entry) bool {
+		if e.Snap != nil && e.Sig == sig {
+			candidates = append(candidates, e)
 		}
-		candidates = append(candidates, e)
-		scanned++
-	}
-	c.mu.Unlock()
+		return len(candidates) < nearestScan
+	})
 
 	var best *Entry
 	bestScore := minOverlap
@@ -280,19 +187,17 @@ func (c *Cache) nearest(sig string, hashes []uint64) *Entry {
 	return best
 }
 
-// Stats returns current counters.
+// Stats returns current counters. Snapshots is counted by a walk over the
+// resident entries.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		ECOHits:   c.ecoHits,
-		Evictions: c.evictions,
-		Bytes:     c.bytes,
-		Entries:   c.ll.Len(),
-		Snapshots: c.snapshots,
-	}
+	st := Stats{StoreStats: c.Store.Stats(), ECOHits: c.ecoHits.Load()}
+	c.Recent(func(e *Entry) bool {
+		if e.Snap != nil {
+			st.Snapshots++
+		}
+		return true
+	})
+	return st
 }
 
 // Flow is one request's mapping as Serve runs it: the signature that
@@ -349,13 +254,7 @@ func (c *Cache) Serve(ctx context.Context, g *aig.AIG, key Key, f Flow) (Served,
 		}
 		return Served{Result: res, Verified: f.Verify != nil && f.Verify(res)}, nil
 	}
-	e, shared, err := c.flight.Do(ctx, key, func() (*Entry, error) {
-		// The lookup runs inside the flight, so a result added between a
-		// miss and the flight claim is still found.
-		if e, ok := c.Get(key); ok {
-			sv.Cached = true
-			return e, nil
-		}
+	e, cached, err := c.Do(ctx, key, func() (*Entry, error) {
 		e := &Entry{Key: key, Sig: f.Sig}
 		if f.Delta != nil {
 			if near := c.nearest(f.Sig, g.ConeHashes()); near != nil {
@@ -363,9 +262,7 @@ func (c *Cache) Serve(ctx context.Context, g *aig.AIG, key Key, f Flow) (Served,
 			}
 		}
 		if sv.ECO {
-			c.mu.Lock()
-			c.ecoHits++
-			c.mu.Unlock()
+			c.ecoHits.Add(1)
 		} else {
 			var err error
 			if e.Result, e.Snap, err = f.Map(f.Delta != nil); err != nil {
@@ -375,17 +272,11 @@ func (c *Cache) Serve(ctx context.Context, g *aig.AIG, key Key, f Flow) (Served,
 		if f.Verify != nil {
 			e.Verified = f.Verify(e.Result)
 		}
-		c.Add(e)
 		return e, nil
 	})
 	if err != nil {
 		return Served{}, err
 	}
-	if shared {
-		c.mu.Lock()
-		c.hits++
-		c.mu.Unlock()
-	}
-	sv.Result, sv.Verified, sv.Cached = e.Result, e.Verified, sv.Cached || shared
+	sv.Result, sv.Verified, sv.Cached = e.Result, e.Verified, cached
 	return sv, nil
 }

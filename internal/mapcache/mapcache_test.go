@@ -345,6 +345,58 @@ func TestNearestPicksBestOverlap(t *testing.T) {
 	}
 }
 
+// TestNearestWindow pins nearest's scan window: it weighs only the
+// nearestScan most recently used entries that carry a snapshot under the
+// request's signature. Entries under another signature and entries without
+// a snapshot, interleaved with those, do not use up the window, and an
+// older relative outside it is ignored however well it overlaps.
+func TestNearestWindow(t *testing.T) {
+	const n = 100
+	query := make([]uint64, n)
+	for j := range query {
+		query[j] = uint64(j) + 1000
+	}
+	// snap shares the first `overlapping` hashes with query.
+	snap := func(i uint64, overlapping int) fakeSnap {
+		hs := make([]uint64, n)
+		for j := range hs {
+			hs[j] = i<<32 + uint64(j)
+			if j < overlapping {
+				hs[j] = query[j]
+			}
+		}
+		return fakeSnap{hashes: hs}
+	}
+	c := New(0)
+	// Ten relatives, oldest first: the two oldest overlap best but fall
+	// outside the window, whose best is its oldest member, the third.
+	overlaps := []int{95, 90, 80, 60, 60, 60, 60, 60, 60, 60}
+	for i, ov := range overlaps {
+		id := uint64(10 * (i + 1))
+		e := testEntry(Key{id, id}, "sig", 0)
+		e.Snap = snap(id, ov)
+		c.Add(e)
+		other := testEntry(Key{id + 1, id + 1}, "othersig", 0)
+		other.Snap = snap(id+1, n)
+		c.Add(other)
+		c.Add(testEntry(Key{id + 2, id + 2}, "sig", 0))
+	}
+	if st := c.Stats(); st.Entries != 30 || st.Snapshots != 20 {
+		t.Fatalf("stats %+v, want 30 entries, 20 snapshots", st)
+	}
+	if best := c.nearest("sig", query); best == nil || best.Key != (Key{30, 30}) {
+		t.Fatalf("nearest returned %+v, want the third relative", best)
+	}
+
+	// Promoting the best-overlapping relative brings it into the window.
+	if _, ok := c.Get(Key{10, 10}); !ok {
+		t.Fatal("oldest relative was evicted")
+	}
+	if best := c.nearest("sig", query); best == nil || best.Key != (Key{10, 10}) {
+		t.Fatalf("nearest returned %+v after promotion, want the first relative", best)
+	}
+}
+
 func TestFlightGeneric(t *testing.T) {
 	f := NewFlight[string]()
 	var n, attempted atomic.Int64
