@@ -27,15 +27,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"slap/internal/aig"
 	"slap/internal/cuts"
 	"slap/internal/opt"
+	"slap/internal/par"
 )
 
 // View construction constants.
@@ -74,9 +72,6 @@ const exhaustiveMaxPIs = 11
 func (o *Options) fill() {
 	if o.ProofConflicts <= 0 {
 		o.ProofConflicts = 4000
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -287,48 +282,15 @@ func (v *View) propose(ctx context.Context, o Options) (*proposal, error) {
 	}
 
 	sigs := make([]uint64, numNodes*words)
-	simWorkers := o.Workers
-	if simWorkers > words {
-		simWorkers = words
-	}
-	if simWorkers <= 1 {
-		for w := 0; w < words; w++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			vals := g.SimulateNodes(patterns[w])
-			for n := 0; n < numNodes; n++ {
-				sigs[n*words+w] = vals[n]
-			}
+	err := par.For(ctx, words, o.Workers, func(_ context.Context, _, w int) error {
+		vals := g.SimulateNodes(patterns[w])
+		for n := 0; n < numNodes; n++ {
+			sigs[n*words+w] = vals[n]
 		}
-	} else {
-		var next atomic.Int64
-		var stop atomic.Bool
-		var wg sync.WaitGroup
-		for i := 0; i < simWorkers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !stop.Load() {
-					w := int(next.Add(1)) - 1
-					if w >= words {
-						return
-					}
-					if ctx.Err() != nil {
-						stop.Store(true)
-						return
-					}
-					vals := g.SimulateNodes(patterns[w])
-					for n := 0; n < numNodes; n++ {
-						sigs[n*words+w] = vals[n]
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Canonicalise polarity: a node whose pattern-0 value is 1 is stored
@@ -496,11 +458,18 @@ func (v *View) prove(ctx context.Context, prop *proposal, o Options) error {
 		}
 	}
 
+	// One prover per worker serves every group: load resets it for each
+	// class. None is built when simulation was exhaustive.
+	provers := make([]*coneProver, par.Workers(o.Workers))
 	snap := make([][]uint32, len(classes))
 	for _, group := range groups {
-		err := v.forEachClass(ctx, len(group), o, func(k int, pr *coneProver) {
+		err := par.For(ctx, len(group), len(provers), func(_ context.Context, w, k int) error {
+			if provers[w] == nil && !v.exhaustive {
+				provers[w] = newConeProver(g)
+			}
 			i := group[k]
-			results[i] = proveClass(g, classes[i], prop.pol, pr, snap, o)
+			results[i] = proveClass(g, classes[i], prop.pol, provers[w], snap, o)
+			return nil
 		})
 		if err != nil {
 			return err
@@ -523,57 +492,6 @@ func (v *View) prove(ctx context.Context, prop *proposal, o Options) error {
 		v.droppedBudget += r.droppedBudget
 	}
 	return nil
-}
-
-// forEachClass runs fn over n work items on a Workers-bounded pool, each
-// worker holding one reusable coneProver (nil when simulation was
-// exhaustive). Work distribution is an atomic counter: any assignment of
-// items to workers yields the same results because fn's output for an item
-// never depends on the other items' scheduling.
-func (v *View) forEachClass(ctx context.Context, n int, o Options, fn func(i int, pr *coneProver)) error {
-	workers := o.Workers
-	if workers > n {
-		workers = n
-	}
-	newProver := func() *coneProver {
-		if v.exhaustive {
-			return nil
-		}
-		return newConeProver(v.G)
-	}
-	if workers <= 1 {
-		pr := newProver()
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i, pr)
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pr := newProver()
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if ctx.Err() != nil {
-					stop.Store(true)
-					return
-				}
-				fn(i, pr)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
 }
 
 // proveClass discharges one equivalence class: unless simulation was

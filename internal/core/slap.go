@@ -22,9 +22,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"slap/internal/aig"
 	"slap/internal/choice"
@@ -35,6 +33,7 @@ import (
 	"slap/internal/infer"
 	"slap/internal/library"
 	"slap/internal/nn"
+	"slap/internal/par"
 )
 
 // Default QoR-class thresholds (paper §IV-C): classes 0..3 are "good",
@@ -296,14 +295,10 @@ func (s *SLAP) withBatch() *SLAP {
 	return &c
 }
 
-// inferScratches returns one pooled scratch per inference worker:
-// workers, or GOMAXPROCS when unset. Hand them back with putScratches once
-// no worker uses them.
+// inferScratches returns one pooled scratch per inference worker (see
+// par.Workers). Hand them back with putScratches once no worker uses them.
 func inferScratches(workers int) []*inferScratch {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	scratches := make([]*inferScratch, workers)
+	scratches := make([]*inferScratch, par.Workers(workers))
 	for i := range scratches {
 		scratches[i] = scratchPool.Get().(*inferScratch)
 	}
@@ -321,64 +316,6 @@ func putScratches(scratches []*inferScratch) {
 	}
 }
 
-// inferNodes is the one inference worker loop: visit(ctx, i, sc) runs once
-// for every index i of nodes, each worker with its own scratch. Workers
-// claim the next unvisited index from a shared counter, and the calling
-// goroutine is one of them, so a worker that is slowed or descheduled (by
-// the garbage collector, or another process on its core) holds up only
-// the node it is on while the others finish the level. Every visit writes
-// only its own node's results, so which worker takes a node never changes
-// the output. The first error cancels the siblings — e.g. a batching
-// backend closing mid-map — and is returned, as is ctx's error once it is
-// done. One worker, or a single node, runs inline.
-func (s *SLAP) inferNodes(ctx context.Context, nodes []uint32, scratches []*inferScratch, visit func(ctx context.Context, i int, sc *inferScratch) error) error {
-	workers := min(len(scratches), len(nodes))
-	if workers <= 1 {
-		for i := range nodes {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := visit(ctx, i, scratches[0]); err != nil {
-				return err
-			}
-		}
-		return ctx.Err()
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	work := func(sc *inferScratch) {
-		for cctx.Err() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= len(nodes) {
-				return
-			}
-			if err := visit(cctx, i, sc); err != nil {
-				errOnce.Do(func() { firstErr = err; cancel() })
-				return
-			}
-		}
-	}
-	for _, sc := range scratches[1:workers] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(sc)
-		}()
-	}
-	work(scratches[0])
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return firstErr
-}
-
 // filterNodes applies the ML keep decision to the listed AND nodes: out[n]
 // receives the kept list of sets[n] (out may be sets itself), and a
 // non-nil extras receives each node's recovery pool (see filterNode). The
@@ -388,9 +325,9 @@ func (s *SLAP) filterNodes(ctx context.Context, emb *embed.Embedder, nodes []uin
 	for _, sc := range scratches {
 		sc.resetKept()
 	}
-	return s.inferNodes(ctx, nodes, scratches, func(ctx context.Context, i int, sc *inferScratch) error {
+	return par.For(ctx, len(nodes), len(scratches), func(ctx context.Context, w, i int) error {
 		n := nodes[i]
-		kept, ex, err := s.filterNode(ctx, emb, n, sets[n], sc, extras != nil)
+		kept, ex, err := s.filterNode(ctx, emb, n, sets[n], scratches[w], extras != nil)
 		if err != nil {
 			return err
 		}
@@ -579,9 +516,9 @@ func (s *SLAP) ClassifyContext(ctx context.Context, g *aig.AIG) (*Classification
 	perNode := make([][]int, len(nodes))
 	scratches := inferScratches(s.Workers)
 	defer putScratches(scratches)
-	err := s.inferNodes(ctx, nodes, scratches, func(ctx context.Context, i int, sc *inferScratch) error {
+	err := par.For(ctx, len(nodes), len(scratches), func(ctx context.Context, w, i int) error {
 		n := nodes[i]
-		_, classes, err := s.classifyCuts(ctx, emb, n, res.Sets[n], sc)
+		_, classes, err := s.classifyCuts(ctx, emb, n, res.Sets[n], scratches[w])
 		perNode[i] = append(make([]int, 0, len(classes)), classes...)
 		return err
 	})

@@ -2,13 +2,10 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"slap/internal/aig"
 	"slap/internal/circuits"
@@ -148,43 +145,6 @@ func TestFilterNodesStructure(t *testing.T) {
 	}
 	if total > unl.TotalCuts {
 		t.Fatalf("filtering cannot increase cuts: %d > %d", total, unl.TotalCuts)
-	}
-}
-
-// TestInferNodesStalledWorker checks the inference worker loop's balance:
-// while one worker is stalled on the first node it claims, the other
-// visits every remaining node, and every node is visited exactly once.
-// Workers that each own a fixed share of the nodes would leave the stalled
-// worker's share unvisited until the timeout.
-func TestInferNodesStalledWorker(t *testing.T) {
-	s := &SLAP{}
-	nodes := make([]uint32, 9)
-	visits := make([]atomic.Int32, len(nodes))
-	var stalled atomic.Bool
-	var rest atomic.Int32
-	released := make(chan struct{})
-	err := s.inferNodes(context.Background(), nodes, []*inferScratch{{}, {}}, func(_ context.Context, i int, _ *inferScratch) error {
-		visits[i].Add(1)
-		if stalled.CompareAndSwap(false, true) {
-			select {
-			case <-released:
-				return nil
-			case <-time.After(5 * time.Second):
-				return fmt.Errorf("only %d of the other %d nodes were visited while node %d stalled", rest.Load(), len(nodes)-1, i)
-			}
-		}
-		if rest.Add(1) == int32(len(nodes)-1) {
-			close(released)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range visits {
-		if v := visits[i].Load(); v != 1 {
-			t.Fatalf("node index %d visited %d times, want 1", i, v)
-		}
 	}
 }
 

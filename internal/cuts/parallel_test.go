@@ -3,6 +3,7 @@ package cuts
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"slap/internal/aig"
@@ -34,6 +35,25 @@ func requireIdenticalResults(t *testing.T, name string, want, got *Result) {
 				t.Fatalf("%s: node %d cut %d (sig=%x tt=%x vol=%d), want (sig=%x tt=%x vol=%d)",
 					name, n, i, gc.Sig, uint32(gc.TT), gc.Volume, wc.Sig, uint32(wc.TT), wc.Volume)
 			}
+		}
+	}
+}
+
+// TestZeroWorkersFollowGOMAXPROCS checks that Workers: 0 resolves to
+// GOMAXPROCS workers, the one meaning of "0 workers" in the program, not
+// to one per CPU: under GOMAXPROCS(1) a run that could fan out takes the
+// sequential path.
+func TestZeroWorkersFollowGOMAXPROCS(t *testing.T) {
+	e := &Enumerator{G: circuits.BoothMultiplier(8), Policy: DefaultPolicy{}}
+	if e.G.NumAnds() < minParallelAnds {
+		t.Fatalf("only %d AND nodes, below the parallel gate", e.G.NumAnds())
+	}
+	for _, procs := range []int{1, 3} {
+		prev := runtime.GOMAXPROCS(procs)
+		w := e.effectiveWorkers()
+		runtime.GOMAXPROCS(prev)
+		if w != procs {
+			t.Fatalf("Workers: 0 under GOMAXPROCS(%d) resolved to %d workers", procs, w)
 		}
 	}
 }

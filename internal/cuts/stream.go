@@ -5,7 +5,11 @@
 // the released blocks are recycled in place through the run's Arena.
 package cuts
 
-import "sync"
+import (
+	"context"
+
+	"slap/internal/par"
+)
 
 // LevelSink consumes the finalised cut sets of one wavefront level. It is
 // called on the driver goroutine with levels in ascending order; nodes is
@@ -199,7 +203,7 @@ func (e *Enumerator) streamLevels(st *streamState) error {
 					e.processNode(st.scratches[0], st.res, n)
 				}
 			} else {
-				e.runLevelChunks(st.res, st.scratches, nodes, workers)
+				e.runLevel(st.res, st.scratches, nodes)
 			}
 			if err := st.completeLevel(L, nodes); err != nil {
 				return err
@@ -210,32 +214,17 @@ func (e *Enumerator) streamLevels(st *streamState) error {
 	return nil
 }
 
-// runLevelChunks fans one wide level out across the worker scratches. It is
-// a separate method so its goroutine closures capture only locals: inlined
-// into streamLevels they would force streamState (and the WaitGroup) to the
-// heap on every run, including the sequential path that never launches a
-// goroutine.
-func (e *Enumerator) runLevelChunks(res *Result, scratches []*scratch, nodes []uint32, workers int) {
-	chunk := (len(nodes) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		lo := k * chunk
-		hi := lo + chunk
-		if hi > len(nodes) {
-			hi = len(nodes)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(s *scratch, ns []uint32) {
-			defer wg.Done()
-			for _, n := range ns {
-				e.processNode(s, res, n)
-			}
-		}(scratches[k], nodes[lo:hi])
-	}
-	wg.Wait()
+// runLevel fans one wide level out across the worker scratches through
+// par.For. It is a separate method so its closure captures only its
+// parameters: inlined into streamLevels it would force streamState to the
+// heap on every run, including the sequential path that never fans out.
+func (e *Enumerator) runLevel(res *Result, scratches []*scratch, nodes []uint32) {
+	// processNode cannot fail and the context is never canceled, so For
+	// returns nil.
+	_ = par.For(context.Background(), len(nodes), len(scratches), func(_ context.Context, w, i int) error {
+		e.processNode(scratches[w], res, nodes[i])
+		return nil
+	})
 }
 
 // streamIndexOrder is the sequential driver for stateful policies: nodes are

@@ -22,14 +22,13 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"runtime"
-	"sync"
 
 	"slap/internal/aig"
 	"slap/internal/cuts"
 	"slap/internal/embed"
 	"slap/internal/library"
 	"slap/internal/mapper"
+	"slap/internal/par"
 )
 
 // Dataset is a labelled set of cut embeddings.
@@ -228,9 +227,7 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.ShuffleLimit == 0 {
 		cfg.ShuffleLimit = DefaultShuffleLimit
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
+	cfg.Workers = par.Workers(cfg.Workers)
 	return cfg, nil
 }
 
@@ -283,21 +280,11 @@ func GenerateOutcomes(ctx context.Context, cfg Config, circuit, start, end int) 
 	// while a finished mapping's arena is in flight back to the pool.
 	pool := cuts.NewPool(cfg.Workers + 1)
 	outcomes := make([]MapOutcome, end-start)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	for i := start; i < end; i++ {
-		if err := ctx.Err(); err != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer func() { <-sem; wg.Done() }()
-			outcomes[i-start] = runOneMap(g, cfg, pool, seed+int64(i))
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	err = par.For(ctx, len(outcomes), cfg.Workers, func(_ context.Context, _, i int) error {
+		outcomes[i] = runOneMap(g, cfg, pool, seed+int64(start+i))
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return outcomes, nil

@@ -1,16 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
 
 	"slap/internal/aig"
 	"slap/internal/cuts"
 	"slap/internal/library"
 	"slap/internal/mapper"
+	"slap/internal/par"
 )
 
 // QoRPoint is one mapping solution in the Fig. 1 scatter.
@@ -50,32 +50,20 @@ func RunFig1(p Profile, build func() *aig.AIG, lib *library.Library, progress fu
 		Points:  make([]QoRPoint, p.Fig1Samples),
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	errs := make([]error, p.Fig1Samples)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := 0; i < p.Fig1Samples; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer func() { <-sem; wg.Done() }()
-			policy := &cuts.ShufflePolicy{
-				Rng:   rand.New(rand.NewSource(p.Seed + int64(i))),
-				Limit: p.ShuffleLimit,
-			}
-			res, err := mapper.MapStream(g, mapper.Options{Library: lib, Policy: policy})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			out.Points[i] = QoRPoint{Delay: res.Delay, Area: res.Area}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("fig1: shuffle map: %w", err)
+	err = par.For(context.Background(), p.Fig1Samples, 0, func(_ context.Context, _, i int) error {
+		policy := &cuts.ShufflePolicy{
+			Rng:   rand.New(rand.NewSource(p.Seed + int64(i))),
+			Limit: p.ShuffleLimit,
 		}
+		res, err := mapper.MapStream(g, mapper.Options{Library: lib, Policy: policy})
+		if err != nil {
+			return fmt.Errorf("fig1: shuffle map: %w", err)
+		}
+		out.Points[i] = QoRPoint{Delay: res.Delay, Area: res.Area}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -257,10 +257,7 @@ func (c *Coordinator) addWorker(name, rawURL string, static, record bool) (chang
 		}
 		w.url = clean
 		w.registered = time.Now()
-		w.consecFails = 0
-		if w.state == StateDead {
-			w.state = StateUp
-		}
+		c.clearLocked(w)
 		return false, nil
 	}
 	if record {

@@ -441,6 +441,44 @@ func TestProbeMarksDeadAndMetrics(t *testing.T) {
 	}
 }
 
+// TestHeartbeatRevivalClearsLastErr checks that a dead worker that
+// re-registers reads up in /v1/workers with its strikes and last error
+// cleared, as one revived by a probe or a proxied request does.
+func TestHeartbeatRevivalClearsLastErr(t *testing.T) {
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	c, ts := newCoordinator(t, Config{ProbeInterval: time.Hour, DeadAfter: 2})
+	status := func() WorkerStatus {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/workers")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			Workers []WorkerStatus `json:"workers"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		if len(body.Workers) != 1 {
+			t.Fatalf("%d workers listed, want 1", len(body.Workers))
+		}
+		return body.Workers[0]
+	}
+
+	register(t, ts.URL, "phoenix", gone.URL)
+	c.probeAll()
+	c.probeAll()
+	if s := status(); s.State != "dead" || s.LastErr == "" {
+		t.Fatalf("after two failed probes: state %q, last_err %q; want dead with an error", s.State, s.LastErr)
+	}
+	register(t, ts.URL, "phoenix", gone.URL)
+	if s := status(); s.State != "up" || s.ConsecFails != 0 || s.LastErr != "" {
+		t.Fatalf("after the heartbeat: state %q, consec_fails %d, last_err %q; want up, 0 and none", s.State, s.ConsecFails, s.LastErr)
+	}
+}
+
 // TestRouteKeyRejectsGarbage checks malformed circuits fail fast at the
 // coordinator, before touching any worker.
 func TestRouteKeyRejectsGarbage(t *testing.T) {

@@ -104,18 +104,24 @@ func (c *Coordinator) settleArm(a *armResult) error {
 // health clears; failed marks an answer that failed the request, which
 // strikes the breaker.
 func (c *Coordinator) settle(ctx context.Context, pick pickResult, transportErr error, failed bool) {
+	w := pick.wk
 	switch {
 	case transportErr != nil && ctx.Err() != nil:
-		pick.wk.brk.Cancel(pick.probe)
+		w.brk.Cancel(pick.probe)
 	case transportErr != nil:
-		c.reportProxyFailure(pick.wk, transportErr)
-		pick.wk.brk.Failure()
-	case failed:
-		c.reportProxySuccess(pick.wk)
-		pick.wk.brk.Failure()
+		c.mu.Lock()
+		c.strikeLocked(w, transportErr)
+		c.mu.Unlock()
+		w.brk.Failure()
 	default:
-		c.reportProxySuccess(pick.wk)
-		pick.wk.brk.Success()
+		c.mu.Lock()
+		c.clearLocked(w)
+		c.mu.Unlock()
+		if failed {
+			w.brk.Failure()
+		} else {
+			w.brk.Success()
+		}
 	}
-	c.releaseSlot(pick.wk)
+	c.releaseSlot(w)
 }

@@ -25,6 +25,7 @@ package genjob
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -34,6 +35,7 @@ import (
 	"time"
 
 	"slap/internal/dataset"
+	"slap/internal/par"
 )
 
 // Spec addresses one shard: the mapping range [Start, End) of one circuit.
@@ -278,7 +280,7 @@ func Run(ctx context.Context, cfg Config, exec Executor) (*dataset.Dataset, *Rep
 	if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
 		return nil, rep, err
 	}
-	fp := fingerprintConfig(dcfg)
+	fp := Fingerprint(dcfg)
 	man, err := openManifest(cfg.OutDir, fp, len(specs), cfg.Resume)
 	if err != nil {
 		return nil, rep, err
@@ -355,49 +357,47 @@ func Run(ctx context.Context, cfg Config, exec Executor) (*dataset.Dataset, *Rep
 	return ds, rep, nil
 }
 
-// runPool executes the given shards on the bounded worker pool. Once more
+// errBudgetSpent ends runPool's fan-out once more shards have failed than
+// the budget allows.
+var errBudgetSpent = errors.New("genjob: shard failure budget spent")
+
+// runPool executes the given shards on cfg.Workers goroutines. Once more
 // shards have failed than the budget allows the run is lost, so the shards
 // still queued or running are canceled.
 func runPool(ctx context.Context, cfg *Config, exec Executor, man *manifest, fp string, shards []Spec, rep *Report, failed map[int]error) error {
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex // guards rep counters, failed, fail
-		sem  = make(chan struct{}, cfg.Workers)
-		fail error
+		mu    sync.Mutex // guards rep counters, failed, fail, spent
+		fail  error
+		spent bool // set with errBudgetSpent, before For cancels pctx
 	)
-	for _, sp := range shards {
-		sem <- struct{}{}
-		if pctx.Err() != nil {
-			break
+	err := par.For(ctx, len(shards), cfg.Workers, func(pctx context.Context, _, i int) error {
+		sp := shards[i]
+		retries, err := runShard(pctx, cfg, exec, man, fp, sp)
+		mu.Lock()
+		defer mu.Unlock()
+		rep.Executed++
+		rep.Retries += retries
+		if err == nil || pctx.Err() != nil || spent {
+			return nil
 		}
-		wg.Add(1)
-		go func(sp Spec) {
-			defer func() { <-sem; wg.Done() }()
-			retries, err := runShard(pctx, cfg, exec, man, fp, sp)
-			mu.Lock()
-			defer mu.Unlock()
-			rep.Executed++
-			rep.Retries += retries
-			if err == nil || pctx.Err() != nil {
-				return
-			}
-			failed[sp.Shard] = err
-			cfg.emit(Event{Kind: "failed", Shard: sp.Shard, Err: err})
-			if rerr := man.record(manifestEntry{Shard: sp.Shard, Status: "failed", Attempts: cfg.MaxAttempts, Err: err.Error()}); rerr != nil && fail == nil {
-				fail = rerr
-			}
-			if len(failed) > cfg.FailureBudget {
-				cancel()
-			}
-		}(sp)
-	}
-	wg.Wait()
+		failed[sp.Shard] = err
+		cfg.emit(Event{Kind: "failed", Shard: sp.Shard, Err: err})
+		if rerr := man.record(manifestEntry{Shard: sp.Shard, Status: "failed", Attempts: cfg.MaxAttempts, Err: err.Error()}); rerr != nil && fail == nil {
+			fail = rerr
+		}
+		if len(failed) > cfg.FailureBudget {
+			spent = true
+			return errBudgetSpent
+		}
+		return nil
+	})
 	if fail != nil {
 		return fail
 	}
-	return ctx.Err()
+	if errors.Is(err, errBudgetSpent) {
+		return nil
+	}
+	return err
 }
 
 // runShard attempts one shard up to MaxAttempts times with jittered
@@ -444,7 +444,7 @@ func runShard(ctx context.Context, cfg *Config, exec Executor, man *manifest, fp
 		}
 		retries++
 		cfg.emit(Event{Kind: "retry", Shard: sp.Shard, Attempt: attempt, Err: err})
-		if err := sleepBackoff(ctx, cfg.BackoffBase, cfg.BackoffMax, attempt, rng); err != nil {
+		if err := Backoff(ctx, cfg.BackoffBase, cfg.BackoffMax, attempt, rng); err != nil {
 			return retries, err
 		}
 	}
@@ -481,16 +481,13 @@ func shardFrame(ctx context.Context, dcfg dataset.Config, fp string, sp Spec) ([
 	if err != nil {
 		return nil, "", err
 	}
-	payload, sha, err := encodeShard(&shardPayload{Spec: sp, Fingerprint: fp, Outcomes: outcomes})
-	if err != nil {
-		return nil, "", err
-	}
-	return frameShard(sp.Shard, payload), sha, nil
+	return encodeShard(&shardPayload{Spec: sp, Fingerprint: fp, Outcomes: outcomes})
 }
 
-// sleepBackoff waits the jittered, capped exponential delay for the given
-// attempt, or returns early when ctx is done.
-func sleepBackoff(ctx context.Context, base, max time.Duration, attempt int, rng *rand.Rand) error {
+// Backoff sleeps the jittered, capped exponential delay for the given
+// 1-based attempt, or returns early when ctx is done. Shard retries use
+// it, and the fleet's request retries share the schedule.
+func Backoff(ctx context.Context, base, max time.Duration, attempt int, rng *rand.Rand) error {
 	d := base << (attempt - 1)
 	if d > max || d <= 0 {
 		d = max

@@ -37,30 +37,25 @@ type shardPayload struct {
 // shardFileName names shard i's file within the job directory.
 func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.bin", i) }
 
-// encodeShard serialises a shard payload and returns (bytes, sha256 hex).
+// encodeShard serialises a shard payload into the exact byte sequence a
+// shard file holds, the self-verifying header followed by the gob payload,
+// and returns it with the payload's SHA-256 hex. The payload is encoded
+// behind room left for the header and hashed once. The same frame travels
+// over the network in fleet mode, so a remotely executed shard is verified
+// and persisted by the same code path as a local one.
 func encodeShard(p *shardPayload) ([]byte, string, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+	buf := bytes.NewBuffer(make([]byte, shardHeaderSize))
+	if err := gob.NewEncoder(buf).Encode(p); err != nil {
 		return nil, "", fmt.Errorf("genjob: encoding shard %d: %w", p.Spec.Shard, err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return buf.Bytes(), hex.EncodeToString(sum[:]), nil
-}
-
-// frameShard prepends the self-verifying header to an encoded payload,
-// producing the exact byte sequence a shard file holds. The same frame
-// travels over the network in fleet mode, so a remotely executed shard is
-// verified and persisted by the same code path as a local one.
-func frameShard(shard int, payload []byte) []byte {
+	framed := buf.Bytes()
+	payload := framed[shardHeaderSize:]
 	sum := sha256.Sum256(payload)
-	var buf bytes.Buffer
-	buf.Grow(shardHeaderSize + len(payload))
-	buf.WriteString(shardMagic)
-	binary.Write(&buf, binary.BigEndian, uint32(shard))
-	binary.Write(&buf, binary.BigEndian, uint64(len(payload)))
-	buf.Write(sum[:])
-	buf.Write(payload)
-	return buf.Bytes()
+	off := copy(framed, shardMagic)
+	binary.BigEndian.PutUint32(framed[off:], uint32(p.Spec.Shard))
+	binary.BigEndian.PutUint64(framed[off+4:], uint64(len(payload)))
+	copy(framed[off+12:], sum[:])
+	return framed, hex.EncodeToString(sum[:]), nil
 }
 
 // writeShardFile persists a verified shard frame. The write is atomic
@@ -255,11 +250,16 @@ func (m *manifest) entry(shard int) (manifestEntry, bool) {
 
 func (m *manifest) close() error { return m.log.Close() }
 
-// fingerprintConfig canonically hashes the sweep parameters that determine
-// the dataset bytes, so a resumed run cannot silently mix shards from two
-// different sweeps. Workers and failure knobs are deliberately excluded:
-// they change scheduling, not results.
-func fingerprintConfig(cfg dataset.Config) string {
+// Fingerprint canonically hashes the sweep parameters that determine the
+// dataset bytes, so a resumed run cannot silently mix shards from two
+// different sweeps, and a coordinator and a worker that disagree about the
+// sweep (version skew, different builtins) fail loudly instead of merging
+// mismatched results: both ends of a remote shard execution compare it
+// before trusting a frame. Workers and failure knobs are deliberately
+// excluded: they change scheduling, not results. The config must be
+// normalized first (dataset.Config.Normalize) so implicit and explicit
+// defaults fingerprint identically.
+func Fingerprint(cfg dataset.Config) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "seed=%d|maps=%d|classes=%d|limit=%d|metric=%s|circuits=%d",
 		cfg.Seed, cfg.MapsPerCircuit, cfg.Classes, cfg.ShuffleLimit, cfg.Metric, len(cfg.Circuits))

@@ -27,8 +27,8 @@ type Options struct {
 	Policy cuts.Policy
 	// NoAreaRecovery disables the area-flow pass.
 	NoAreaRecovery bool
-	// Workers bounds cut-enumeration parallelism: 0 = one worker per CPU
-	// core, 1 = sequential (see cuts.Enumerator.Workers).
+	// Workers bounds cut-enumeration parallelism: 0 = GOMAXPROCS,
+	// 1 = sequential (see cuts.Enumerator.Workers).
 	Workers int
 	// Pool, when set, lends MapStream a parked cut arena, whatever graph it
 	// last served, and takes it back after the run.

@@ -39,8 +39,8 @@ type Options struct {
 	// buffering step), and the mapper's load estimates are capped to match.
 	// Zero means DefaultMaxFanout; negative disables buffering.
 	MaxFanout int
-	// Workers bounds cut-enumeration parallelism: 0 = one worker per CPU
-	// core, 1 = sequential. Parallel and sequential enumeration produce
+	// Workers bounds cut-enumeration parallelism: 0 = GOMAXPROCS,
+	// 1 = sequential. Parallel and sequential enumeration produce
 	// identical cut sets (see cuts.Enumerator.Workers).
 	Workers int
 	// Pool, when set, lends MapStream a parked cut arena, whatever graph it

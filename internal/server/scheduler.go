@@ -3,8 +3,9 @@ package server
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
+
+	"slap/internal/par"
 )
 
 // Scheduler errors, mapped to HTTP statuses by the front end.
@@ -45,9 +46,7 @@ const DefaultQueueCap = 64
 // capacity. budget <= 0 means GOMAXPROCS; queueCap <= 0 means
 // DefaultQueueCap.
 func NewScheduler(budget, queueCap int) *Scheduler {
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
+	budget = par.Workers(budget)
 	if queueCap <= 0 {
 		queueCap = DefaultQueueCap
 	}
